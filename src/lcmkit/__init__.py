@@ -41,6 +41,7 @@ from .squarefree import (
     koszul_betti,
     max_module_l,
     module_dim,
+    module_l_cm_threshold,
     module_skeleton,
     omega_module,
     parse_module_file,

@@ -18,10 +18,14 @@ from . import posets as pmod
 from . import squarefree as sqmod
 from . import sweeps
 from .errors import (
+    InvalidFaceError,
+    InvalidModuleError,
     LcmkitError,
     ParseError,
-    PosetValidationError,
+    RequiresCohenMacaulayError,
     TooLargeError,
+    VoidComplexError,
+    ZeroModuleError,
 )
 from .linalg import FieldSpec
 
@@ -31,13 +35,15 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
 
+# Every other error a subcommand raises is a parse or validation error.
 _PRECONDITION_ERRORS = (
-    "VoidComplexError",
-    "InvalidFaceError",
-    "ZeroModuleError",
-    "InvalidModuleError",
-    "RequiresCohenMacaulayError",
-    "TooLargeError",
+    VoidComplexError,
+    InvalidFaceError,
+    ZeroModuleError,
+    InvalidModuleError,
+    RequiresCohenMacaulayError,
+    TooLargeError,
+    ValueError,
 )
 
 
@@ -274,19 +280,9 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, PosetValidationError) as e:
+    except (LcmkitError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_PARSE
-    except OSError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PARSE
-    except LcmkitError as e:
-        kind = type(e).__name__
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PRECONDITION if kind in _PRECONDITION_ERRORS else EXIT_PARSE
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_PRECONDITION
+        return EXIT_PRECONDITION if isinstance(e, _PRECONDITION_ERRORS) else EXIT_PARSE
 
 
 def console_main() -> None:

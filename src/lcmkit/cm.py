@@ -122,7 +122,7 @@ def is_l_cm(delta: SimplicialComplex, l: int, fieldspec: FieldSpec) -> bool:
     if delta.is_void:
         raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
     cap = min(l - 1, delta.vertex_count)
-    return _smallest_failing_deletion(delta, fieldspec, cap=cap) > cap
+    return _vertex_deletion_threshold(delta, fieldspec, cap) > cap
 
 
 def max_l(delta: SimplicialComplex, fieldspec: FieldSpec) -> int:
@@ -136,24 +136,39 @@ def l_cm_threshold(delta: SimplicialComplex, fieldspec: FieldSpec) -> int:
     is l-CM exactly when this threshold is >= l."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
-    return _smallest_failing_deletion(delta, fieldspec, cap=delta.vertex_count)
+    return _vertex_deletion_threshold(delta, fieldspec, delta.vertex_count)
 
 
-def _smallest_failing_deletion(delta: SimplicialComplex, fieldspec: FieldSpec, cap: int) -> int:
-    """Smallest #W (up to cap) whose deletion breaks CM-or-dimension; cap+1 if none."""
-    facet_masks = delta.facet_masks()
-    n = delta.vertex_count
-    dim = delta.dimension()
-    for size in range(0, min(cap, n) + 1):
-        for combo in combinations(range(n), size):
+def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, cap: int) -> int:
+    groups = [1 << b for b in range(delta.vertex_count)]
+    fails = _deletion_fails(delta.facet_masks(), delta.dimension(), fieldspec)
+    return _smallest_failing_deletion(groups, cap, fails)
+
+
+def _deletion_fails(facet_masks: frozenset[int], dim: int, fieldspec: FieldSpec):
+    """Predicate on a deleted vertex mask: the deletion is not Cohen-Macaulay
+    or has dimension other than ``dim``."""
+
+    def fails(drop: int) -> bool:
+        cut = _deletion_facets(facet_masks, drop)
+        cut_dim = max(map(int.bit_count, cut), default=0) - 1
+        return cut_dim != dim or not _facets_cm(cut, fieldspec)
+
+    return fails
+
+
+def _smallest_failing_deletion(groups: list[int], cap: int, fails) -> int:
+    """Smallest k <= cap such that ``fails`` holds on the union of some k of
+    the group bitmasks; cap+1 if there is none.  This is the one l-CM search:
+    complexes, posets and modules differ only in their groups and predicate."""
+    for size in range(0, cap + 1):
+        for combo in combinations(groups, size):
             drop = 0
-            for b in combo:
-                drop |= 1 << b
-            cut = _deletion_facets(facet_masks, drop)
-            cut_dim = max((m.bit_count() for m in cut), default=0) - 1
-            if cut_dim != dim or not _facets_cm(cut, fieldspec):
+            for g in combo:
+                drop |= g
+            if fails(drop):
                 return size
-    return min(cap, n) + 1
+    return cap + 1
 
 
 # -- Betti numbers of the face ring -------------------------------------------------
@@ -168,8 +183,7 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
     n = delta.vertex_count
     entries: dict[tuple[int, frozenset[int]], int] = {}
     for fmask in range(1 << n):
-        cut = {fm & fmask for fm in facet_masks}
-        induced = frozenset(m for m in cut if not any(m != o and m & o == m for o in cut))
+        induced = _deletion_facets(facet_masks, ~fmask)
         dims = homology_dims_of_facets(induced, fieldspec)
         size = fmask.bit_count()
         deg = mask_to_face(fmask)

@@ -130,10 +130,8 @@ class SimplicialComplex:
         if self.is_void:
             return {}
         counts: dict[int, int] = {-1: 1}
-        seen: set[frozenset[int]] = set()
         for f in self.all_faces():
-            if f and f not in seen:
-                seen.add(f)
+            if f:
                 counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
         return counts
 

@@ -9,8 +9,9 @@ link/restriction homology lookups of the Cohen-Macaulay sweeps cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .complexes import SimplicialComplex
 from .errors import VoidComplexError
@@ -136,10 +137,22 @@ def rank(matrix: SparseMatrix, fieldspec: FieldSpec) -> int:
     """Exact rank of ``matrix`` over the given field."""
     if matrix.rows == 0 or matrix.cols == 0 or not matrix.entries:
         return 0
-    data = matrix.to_rows()
+    return _rank_rows(matrix.to_rows(), fieldspec)
+
+
+def _rank_rows(rows: list[list], fieldspec: FieldSpec) -> int:
+    """Exact rank of dense rows of ints or Fractions over the field."""
     if fieldspec.characteristic:
-        return _rank_mod_p(data, fieldspec.characteristic)
-    return _rank_rational(data)
+        return _rank_mod_p(rows, fieldspec.characteristic)
+    if any(isinstance(v, Fraction) for row in rows for v in row):
+        # Clear denominators row by row (an int has denominator 1); row
+        # scaling preserves rank.
+        scaled = []
+        for row in rows:
+            scale = lcm(*(v.denominator for v in row))
+            scaled.append([int(v * scale) for v in row])
+        rows = scaled
+    return _rank_bareiss(rows)
 
 
 def _mod_p(value, p: int) -> int:
@@ -178,28 +191,6 @@ def _rank_mod_p(data: list[list], p: int) -> int:
         if r == m:
             break
     return r
-
-
-def _rank_rational(data: list[list]) -> int:
-    # Clear denominators row by row; row scaling preserves rank.
-    rows: list[list[int]] = []
-    for row in data:
-        if any(isinstance(v, Fraction) for v in row):
-            lcm = 1
-            for v in row:
-                if isinstance(v, Fraction):
-                    d = v.denominator
-                    lcm = lcm * d // _gcd(lcm, d)
-            rows.append([int(v * lcm) for v in row])
-        else:
-            rows.append([int(v) for v in row])
-    return _rank_bareiss(rows)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:

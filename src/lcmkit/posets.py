@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-from .cm import is_cohen_macaulay
+from .cm import _deletion_fails, _smallest_failing_deletion, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
     NonBooleanIntervalError,
@@ -296,9 +296,8 @@ def is_poset_l_cm(poset: SimplicialPoset, l: int, fieldspec: FieldSpec) -> bool:
     of unchanged rank."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    return _smallest_failing_atom_deletion(poset, fieldspec, cap=l - 1) > min(
-        l - 1, poset.vertex_count
-    )
+    cap = min(l - 1, poset.vertex_count)
+    return _atom_deletion_threshold(poset, fieldspec, cap) > cap
 
 
 def max_poset_l(poset: SimplicialPoset, fieldspec: FieldSpec) -> int:
@@ -309,18 +308,19 @@ def max_poset_l(poset: SimplicialPoset, fieldspec: FieldSpec) -> int:
 def poset_l_cm_threshold(poset: SimplicialPoset, fieldspec: FieldSpec) -> int:
     """Smallest cardinality of an atom deletion breaking Cohen-Macaulayness
     or dropping the rank; #atoms + 1 when every deletion passes."""
-    return _smallest_failing_atom_deletion(poset, fieldspec, cap=poset.vertex_count)
+    return _atom_deletion_threshold(poset, fieldspec, poset.vertex_count)
 
 
-def _smallest_failing_atom_deletion(poset: SimplicialPoset, fieldspec: FieldSpec, cap: int) -> int:
-    n = poset.vertex_count
-    d = poset.max_rank()
-    for size in range(0, min(cap, n) + 1):
-        for drop in combinations(range(1, n + 1), size):
-            cut = delete_atoms(poset, drop)
-            if cut.max_rank() != d or not is_poset_cm(cut, fieldspec):
-                return size
-    return min(cap, n) + 1
+def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: int) -> int:
+    # The order complex of an atom deletion is the subcomplex of the order
+    # complex induced on the cells supported off the deleted atoms: atom a
+    # removes the vertices (nonbottom cells, in order_complex's numbering)
+    # whose support contains a.
+    cells = [poset.support[x] for x in range(poset.size) if x != poset.bottom]
+    groups = [sum(1 << bit for bit, s in enumerate(cells) if a in s)
+              for a in range(1, poset.vertex_count + 1)]
+    fails = _deletion_fails(order_complex(poset).facet_masks(), poset.max_rank() - 1, fieldspec)
+    return _smallest_failing_deletion(groups, cap, fails)
 
 
 def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:

@@ -10,11 +10,10 @@ deletions, and the Betti table of the canonical module of a CM module.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .cm import BettiTable
-from .complexes import SimplicialComplex
+from .cm import BettiTable, _smallest_failing_deletion
+from .complexes import SimplicialComplex, _mask
 from .errors import (
     InvalidModuleError,
     ParseError,
@@ -22,12 +21,10 @@ from .errors import (
     VoidComplexError,
     ZeroModuleError,
 )
-from .linalg import FieldSpec, _rank_bareiss, _rank_mod_p
+from .linalg import FieldSpec, _rank_rows
 
 # rows of exact entries (ints, or Fractions over Q)
 Matrix = tuple[tuple, ...]
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 def _as_matrix(rows, nrows: int, ncols: int) -> Matrix:
@@ -264,13 +261,7 @@ def _koszul_rank(module, deg, upper, lower, fieldspec: FieldSpec) -> int:
                 if v:
                     row[col_index[(target, r)]] += sign * v
         rows.append(row)
-    if fieldspec.characteristic:
-        return _rank_mod_p(rows, fieldspec.characteristic)
-    if any(isinstance(v, Fraction) for r in rows for v in r):
-        from .linalg import _rank_rational
-
-        return _rank_rational(rows)
-    return _rank_bareiss(rows)
+    return _rank_rows(rows, fieldspec)
 
 
 # -- dimension and Cohen-Macaulayness ------------------------------------------------
@@ -300,34 +291,38 @@ def is_module_l_cm(module: SquarefreeModule, l: int, fieldspec: FieldSpec) -> bo
     a Cohen-Macaulay module of unchanged dimension."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    if module.is_zero:
-        raise ZeroModuleError("the l-CM property is checked on nonzero modules")
-    d = module_dim(module)
-    n = module.n
-    for size in range(0, min(l - 1, n) + 1):
-        for drop in combinations(range(1, n + 1), size):
-            cut = delete_variables(module, drop)
-            if cut.is_zero:
-                continue
-            if module_dim(cut) != d or not is_module_cm(cut, fieldspec):
-                return False
-    return True
+    return module_l_cm_threshold(module, fieldspec) > min(l - 1, module.n)
 
 
 def max_module_l(module: SquarefreeModule, fieldspec: FieldSpec) -> int:
     """Largest l in [1, n] such that the module is l-CM; 0 when not CM."""
+    return min(module_l_cm_threshold(module, fieldspec), module.n)
+
+
+def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int:
+    """Smallest number of deleted variables leaving a nonzero module that is
+    not Cohen-Macaulay or has smaller dimension; n+1 when every deletion
+    passes.  The module is l-CM exactly when this threshold is >= l.
+
+    One Koszul table serves every deletion: the restriction to the kept
+    variables W has the entries of the table at the degrees inside W
+    (Yanagawa, J. Algebra 2000)."""
     if module.is_zero:
         raise ZeroModuleError("the l-CM property is checked on nonzero modules")
-    d = module_dim(module)
+    table = koszul_betti(module, fieldspec)
     n = module.n
-    for size in range(0, n + 1):
-        for drop in combinations(range(1, n + 1), size):
-            cut = delete_variables(module, drop)
-            if cut.is_zero:
-                continue
-            if module_dim(cut) != d or not is_module_cm(cut, fieldspec):
-                return min(size, n)
-    return n
+    d = module_dim(module)
+    supports = [_mask(f) for f in module.comp]
+    entries = [(i, _mask(deg)) for i, deg in table.entries]
+
+    def fails(drop: int) -> bool:
+        kept = [m.bit_count() for m in supports if not m & drop]
+        if not kept:
+            return False  # the zero module passes
+        pd = max(i for i, m in entries if not m & drop)
+        return max(kept) != d or pd != n - drop.bit_count() - d
+
+    return _smallest_failing_deletion([1 << b for b in range(n)], n, fails)
 
 
 # -- Betti-table characterizations ----------------------------------------------------

@@ -276,9 +276,10 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
         for spec in fields:
             report.instances_checked += 1
             threshold = pmod.poset_l_cm_threshold(poset, spec)
+            module_threshold = sqmod.module_l_cm_threshold(module, spec)
             for l in range(1, nv + 2):
                 lhs = threshold >= l
-                rhs = sqmod.is_module_l_cm(module, l, spec)
+                rhs = module_threshold >= l
                 if lhs != rhs:
                     report.record(name, f"field={spec.label()} l={l}",
                                   f"poset={lhs}", f"module={rhs}")

@@ -3,11 +3,16 @@
 Everything here is deliberately written from scratch against the definitions,
 without touching lcmkit internals: Smith normal form over the integers for
 homology ranks, plain Gaussian elimination over Fractions for matrix ranks,
-and a combinations-based face/boundary enumeration.
+a combinations-based face/boundary enumeration, and l-CM thresholds that
+rebuild every deletion through lcmkit's public constructions.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from lcmkit.cm import is_cohen_macaulay
+from lcmkit.posets import delete_atoms, order_complex
+from lcmkit.squarefree import delete_variables, is_module_cm, module_dim
 
 
 def gauss_rank_fractions(rows) -> int:
@@ -129,3 +134,31 @@ def homology_via_snf(facets, p: int) -> dict[int, int]:
         ci = sum(1 for f in faces if len(f) == i + 1)
         out[i] = ci - ranks.get(i + 1, 0) - ranks.get(i + 2, 0)
     return out
+
+
+def poset_threshold_by_definition(poset, fieldspec) -> int:
+    """Smallest #W such that deleting the atoms W gives a poset of smaller
+    rank or with a non-CM order complex; #atoms + 1 if there is none."""
+    n = poset.vertex_count
+    for size in range(n + 1):
+        for drop in combinations(range(1, n + 1), size):
+            cut = delete_atoms(poset, drop)
+            if cut.max_rank() != poset.max_rank() or not is_cohen_macaulay(
+                order_complex(cut), fieldspec
+            ):
+                return size
+    return n + 1
+
+
+def module_threshold_by_definition(module, fieldspec) -> int:
+    """Smallest #W such that deleting the variables W gives a nonzero module
+    of smaller dimension or one that is not CM by its own Koszul table;
+    n + 1 if there is none."""
+    n = module.n
+    d = module_dim(module)
+    for size in range(n + 1):
+        for drop in combinations(range(1, n + 1), size):
+            cut = delete_variables(module, drop)
+            if not cut.is_zero and (module_dim(cut) != d or not is_module_cm(cut, fieldspec)):
+                return size
+    return n + 1

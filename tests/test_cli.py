@@ -140,4 +140,4 @@ def test_exit_codes():
 
 def test_missing_file():
     code, _, err = run_cli(["cm", "/nonexistent/path.facets"])
-    assert code != 0
+    assert code == 3

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmkit.cm import is_cohen_macaulay, is_l_cm
 from lcmkit.complexes import (
@@ -30,11 +32,14 @@ from lcmkit.posets import (
     max_poset_l,
     order_complex,
     parse_poset_file,
+    poset_l_cm_threshold,
     poset_skeleton,
     random_simplicial_poset,
     restrict_poset,
 )
-from lcmkit.squarefree import from_complex, is_module_l_cm
+from lcmkit.squarefree import from_complex, is_module_l_cm, module_l_cm_threshold
+from lcmkit.sweeps import poset_instances
+from oracles import module_threshold_by_definition, poset_threshold_by_definition
 
 QQ = FieldSpec.rationals()
 
@@ -207,6 +212,31 @@ def test_route_agreement(fieldspec):
         m = face_ring_module(p)
         for l in range(1, p.vertex_count + 2):
             assert is_poset_l_cm(p, l, fieldspec) == is_module_l_cm(m, l, fieldspec), (p, l)
+
+
+def test_thresholds_match_definition_oracles(fieldspec):
+    for name, p in poset_instances(random_count=50):
+        m = face_ring_module(p)
+        assert poset_l_cm_threshold(p, fieldspec) == poset_threshold_by_definition(p, fieldspec), name
+        assert module_l_cm_threshold(m, fieldspec) == module_threshold_by_definition(m, fieldspec), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    rank=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    p=st.sampled_from([0, 2, 3]),
+)
+def test_random_poset_thresholds_agree(n, rank, seed, p):
+    spec = FieldSpec(p)
+    poset = random_simplicial_poset(n, rank, seed)
+    module = face_ring_module(poset)
+    topological = poset_l_cm_threshold(poset, spec)
+    algebraic = module_l_cm_threshold(module, spec)
+    assert topological == poset_threshold_by_definition(poset, spec)
+    assert algebraic == module_threshold_by_definition(module, spec)
+    assert topological == algebraic
 
 
 def test_theorem44_small(fieldspec):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from lcmkit.cm import hochster_betti, is_cohen_macaulay, is_l_cm
+from lcmkit.cm import hochster_betti, is_cohen_macaulay, is_l_cm, l_cm_threshold
 from lcmkit.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -30,6 +30,7 @@ from lcmkit.squarefree import (
     koszul_betti,
     max_module_l,
     module_dim,
+    module_l_cm_threshold,
     module_skeleton,
     omega_module,
     parse_module_file,
@@ -38,6 +39,7 @@ from lcmkit.squarefree import (
     thm25_condition_iii,
 )
 from lcmkit.sweeps import enumerate_complexes
+from oracles import module_threshold_by_definition
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -165,6 +167,15 @@ def test_module_l_cm_equals_complex_l_cm(fieldspec):
         m = from_complex(delta)
         for l in range(1, delta.vertex_count + 2):
             assert is_module_l_cm(m, l, fieldspec) == is_l_cm(delta, l, fieldspec)
+
+
+def test_module_threshold_matches_definition_oracle(fieldspec):
+    for n in range(1, 5):
+        for delta in enumerate_complexes(n):
+            m = from_complex(delta)
+            threshold = module_l_cm_threshold(m, fieldspec)
+            assert threshold == module_threshold_by_definition(m, fieldspec)
+            assert threshold == l_cm_threshold(delta, fieldspec)
 
 
 def test_restriction_consistency_module_level(fieldspec):
