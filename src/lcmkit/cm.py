@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, mask_to_face
-from .errors import VoidComplexError
+from .complexes import SimplicialComplex, _maximal_masks, mask_to_face
+from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, homology_dims_of_facets
+
+# Betti tables enumerate all 2^n squarefree degrees; refuse more variables.
+BETTI_CAP = 16
 
 
 @dataclass
@@ -103,8 +106,7 @@ def _link_facets(facet_masks: frozenset[int], face: int) -> frozenset[int]:
 
 
 def _deletion_facets(facet_masks: frozenset[int], drop: int) -> frozenset[int]:
-    cut = {fm & ~drop for fm in facet_masks}
-    return frozenset(m for m in cut if not any(m != o and m & o == m for o in cut))
+    return _maximal_masks(fm & ~drop for fm in facet_masks)
 
 
 def is_cohen_macaulay(delta: SimplicialComplex, fieldspec: FieldSpec) -> bool:
@@ -179,8 +181,9 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
     reduced homology of the subcomplex induced on F in degree #F - i - 1."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no face ring")
-    facet_masks = delta.facet_masks()
     n = delta.vertex_count
+    _check_betti_size(n)
+    facet_masks = delta.facet_masks()
     entries: dict[tuple[int, frozenset[int]], int] = {}
     for fmask in range(1 << n):
         induced = _deletion_facets(facet_masks, ~fmask)
@@ -191,3 +194,10 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
             if h:  # homology degree j-1 contributes at index #F - (j-1) - 1
                 entries[(size - j, deg)] = h
     return BettiTable(n, entries)
+
+
+def _check_betti_size(n: int) -> None:
+    if n > BETTI_CAP:
+        raise TooLargeError(
+            f"Betti tables are capped at {BETTI_CAP} variables (2^n degrees); got {n}"
+        )

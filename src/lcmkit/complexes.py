@@ -55,12 +55,13 @@ class SimplicialComplex:
         The family is normalized: the empty face is dropped, non-maximal
         members are dropped.  An empty family yields the empty complex.
         """
-        fams = {frozenset(f) for f in faces}
-        fams.discard(_EMPTY)
-        maximal = {f for f in fams if not any(f < g for g in fams)}
+        try:
+            maximal = _maximal_masks(_mask(f) for f in faces) - {0}
+        except (TypeError, ValueError):
+            raise ValueError("facet vertices must be positive integers") from None
         if vertex_count is None:
-            vertex_count = max((max(f) for f in maximal), default=0)
-        return cls(vertex_count, frozenset(maximal))
+            vertex_count = max(maximal, default=0).bit_length()
+        return cls(vertex_count, frozenset(map(mask_to_face, maximal)))
 
     @classmethod
     def empty(cls, vertex_count: int = 0) -> "SimplicialComplex":
@@ -157,11 +158,8 @@ class SimplicialComplex:
         if self.is_void:
             return SimplicialComplex.void(len(w))
         relabel = {v: i + 1 for i, v in enumerate(w)}
-        wset = frozenset(w)
-        cut = {f & wset for f in self.facets}
-        cut.discard(_EMPTY)
         return SimplicialComplex.from_facets(
-            ({relabel[v] for v in f} for f in cut), vertex_count=len(w)
+            ({relabel[v] for v in f if v in relabel} for f in self.facets), vertex_count=len(w)
         )
 
     def delete_vertices(self, drop: Iterable[int]) -> "SimplicialComplex":
@@ -180,10 +178,8 @@ class SimplicialComplex:
             raise InvalidFaceError(f"{sorted(f)} is not a face")
         rest = sorted(v for v in range(1, self.vertex_count + 1) if v not in f)
         relabel = {v: i + 1 for i, v in enumerate(rest)}
-        link_facets = {g - f for g in self.facets if f <= g}
-        link_facets.discard(_EMPTY)
         return SimplicialComplex.from_facets(
-            ({relabel[v] for v in g} for g in link_facets), vertex_count=len(rest)
+            ({relabel[v] for v in g - f} for g in self.facets if f <= g), vertex_count=len(rest)
         )
 
     def skeleton(self, i: int) -> "SimplicialComplex":
@@ -194,14 +190,10 @@ class SimplicialComplex:
             return SimplicialComplex.empty(self.vertex_count)
         if i >= self.dimension():
             return self
-        faces: set[frozenset[int]] = set()
-        for f in self.facets:
-            if len(f) <= i + 1:
-                faces.add(f)
-            else:
-                for c in combinations(sorted(f), i + 1):
-                    faces.add(frozenset(c))
-        return SimplicialComplex.from_facets(faces, vertex_count=self.vertex_count)
+        return SimplicialComplex.from_facets(
+            (c for f in self.facets for c in combinations(sorted(f), min(len(f), i + 1))),
+            vertex_count=self.vertex_count,
+        )
 
     # -- bitmask view (internal fast path) ------------------------------------
 
@@ -216,6 +208,18 @@ def _mask(face: Iterable[int]) -> int:
     for v in face:
         m |= 1 << (v - 1)
     return m
+
+
+def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
+    """The inclusion-maximal members of a family of face bitmasks."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for k in kept:
+            if m & k == m:
+                break
+        else:
+            kept.append(m)
+    return frozenset(kept)
 
 
 def mask_to_face(mask: int) -> frozenset[int]:

@@ -2,7 +2,13 @@
 
 Ranks are computed exactly: fraction-free (Bareiss) elimination on integer
 matrices over Q, and modular Gaussian elimination over GF(p).  No floating
-point anywhere.  Reduced simplicial homology dimensions follow from the
+point anywhere.  ``_rank_rows`` is the one rank dispatch: the public
+``rank``, the boundary ranks of ``_homology_dims`` and the Koszul ranks of
+``squarefree`` all enter there.  It checks once per matrix whether every
+entry is an int; only a matrix that is not gets converted (denominators
+cleared row by row over Q, ``FieldSpec.normalize`` over GF(p)).  Boundary
+rows are assembled once, on bitmask faces, for both the ranks and
+``boundary_matrix``.  Reduced simplicial homology dimensions follow from the
 boundary ranks; a global cache keyed by the facet family makes the repeated
 link/restriction homology lookups of the Cohen-Macaulay sweeps cheap.
 """
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, mask_to_face
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -77,10 +83,17 @@ class FieldSpec:
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
 
     def normalize(self, value):
-        """Canonical representative of ``value`` in this field."""
-        if self.characteristic:
-            return _mod_p(value, self.characteristic)
-        return value
+        """Canonical representative of ``value`` in this field; over GF(p) a
+        fraction's denominator is inverted."""
+        p = self.characteristic
+        if not p:
+            return value
+        if isinstance(value, Fraction):
+            den = value.denominator % p
+            if den == 0:
+                raise ZeroDivisionError(f"denominator of {value} vanishes mod {p}")
+            return value.numerator * pow(den, -1, p) % p
+        return int(value) % p
 
 
 QQ = FieldSpec.rationals()
@@ -142,31 +155,25 @@ def rank(matrix: SparseMatrix, fieldspec: FieldSpec) -> int:
 
 def _rank_rows(rows: list[list], fieldspec: FieldSpec) -> int:
     """Exact rank of dense rows of ints or Fractions over the field."""
-    if fieldspec.characteristic:
-        return _rank_mod_p(rows, fieldspec.characteristic)
-    if any(isinstance(v, Fraction) for row in rows for v in row):
-        # Clear denominators row by row (an int has denominator 1); row
-        # scaling preserves rank.
-        scaled = []
-        for row in rows:
-            scale = lcm(*(v.denominator for v in row))
-            scaled.append([int(v * scale) for v in row])
-        rows = scaled
+    p = fieldspec.characteristic
+    if not all(type(v) is int for row in rows for v in row):
+        if p:
+            rows = [[fieldspec.normalize(v) for v in row] for row in rows]
+        else:
+            # Clear denominators row by row (an int has denominator 1); row
+            # scaling preserves rank.
+            scaled = []
+            for row in rows:
+                scale = lcm(*(v.denominator for v in row))
+                scaled.append([int(v * scale) for v in row])
+            rows = scaled
+    if p:
+        return _rank_mod_p(rows, p)
     return _rank_bareiss(rows)
 
 
-def _mod_p(value, p: int) -> int:
-    """Image of an exact scalar in GF(p); fraction denominators are inverted."""
-    if isinstance(value, Fraction):
-        den = value.denominator % p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {value} vanishes mod {p}")
-        return value.numerator * pow(den, -1, p) % p
-    return int(value) % p
-
-
-def _rank_mod_p(data: list[list], p: int) -> int:
-    rows = [[_mod_p(v, p) for v in row] for row in data]
+def _rank_mod_p(data: list[list[int]], p: int) -> int:
+    rows = [[v % p for v in row] for row in data]
     m, n = len(rows), len(rows[0])
     r = 0
     for c in range(n):
@@ -265,15 +272,10 @@ def boundary_matrix(delta: SimplicialComplex, i: int, fieldspec: FieldSpec) -> S
         raise VoidComplexError("the void complex has no boundary maps")
     if not 0 <= i <= delta.dimension():
         raise ValueError(f"need 0 <= i <= {delta.dimension()}")
-    rows = sorted(tuple(sorted(f)) for f in delta.faces(i - 1))
-    cols = sorted(tuple(sorted(f)) for f in delta.faces(i))
-    row_index = {f: r for r, f in enumerate(rows)}
-    entries: dict[tuple[int, int], object] = {}
-    for c, face in enumerate(cols):
-        for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            entries[(row_index[sub], c)] = fieldspec.normalize((-1) ** j)
-    return SparseMatrix(len(rows), len(cols), entries)
+    by_card = faces_by_card(delta.facet_masks())
+    below, cells = (sorted(level, key=lambda m: sorted(mask_to_face(m))) for level in by_card[i : i + 2])
+    transposed = zip(*_boundary_rows(cells, below))
+    return SparseMatrix.from_rows([[fieldspec.normalize(v) for v in col] for col in transposed])
 
 
 def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> HomologyVector:
@@ -332,16 +334,17 @@ def _homology_dims(facet_masks: frozenset[int], fieldspec: FieldSpec) -> tuple[i
     top = len(by_card) - 1  # top cardinality; dimension is top-1
     ranks = [0] * (top + 2)  # ranks[k] = rank of boundary from card k to card k-1
     for k in range(1, top + 1):
-        ranks[k] = _boundary_rank(by_card[k], by_card[k - 1], fieldspec)
+        # rank of the transpose equals the rank
+        ranks[k] = _rank_rows(_boundary_rows(by_card[k], by_card[k - 1]), fieldspec)
     dims = []
     for k in range(0, top + 1):  # cardinality k <-> degree k-1
         dims.append(len(by_card[k]) - ranks[k] - ranks[k + 1])
     return tuple(dims)
 
 
-def _boundary_rank(cells: list[int], below: list[int], fieldspec: FieldSpec) -> int:
-    if not cells or not below:
-        return 0
+def _boundary_rows(cells: list[int], below: list[int]) -> list[list[int]]:
+    """One row per cell (a face bitmask) over the faces ``below`` it: the face
+    missing the cell's j-th smallest vertex gets the sign (-1)^j."""
     index = {m: i for i, m in enumerate(below)}
     ncols = len(below)
     rows = []
@@ -355,7 +358,4 @@ def _boundary_rank(cells: list[int], below: list[int], fieldspec: FieldSpec) -> 
             sign = -sign
             rem ^= bit
         rows.append(row)
-    # rank of the transpose equals the rank
-    if fieldspec.characteristic:
-        return _rank_mod_p(rows, fieldspec.characteristic)
-    return _rank_bareiss(rows)
+    return rows

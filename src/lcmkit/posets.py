@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import SimplicialComplex
@@ -85,9 +86,13 @@ class SimplicialPoset:
     def max_rank(self) -> int:
         return max(self.rank)
 
+    @cached_property
+    def _down_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(_ranks_and_down_sets(self.ids, self.bottom, self.covers)[1])
+
     def down_set(self, x: int) -> frozenset[int]:
         """Indices of all elements <= x."""
-        return _down_sets(self.covers, self.size)[x]
+        return self._down_sets[x]
 
     def leq(self, x: int, y: int) -> bool:
         return x in self.down_set(y)
@@ -105,38 +110,40 @@ class SimplicialPoset:
         return f"SimplicialPoset({self.size} elements, rank {self.max_rank()})"
 
 
-def _down_sets(covers: frozenset[tuple[int, int]], size: int) -> list[frozenset[int]]:
-    below: list[set[int]] = [set() for _ in range(size)]
-    lower_of: list[list[int]] = [[] for _ in range(size)]
-    for a, b in covers:
-        lower_of[b].append(a)
-    order = _topo_order(covers, size)
-    for x in order:
-        acc = {x}
-        for a in lower_of[x]:
-            acc |= below[a]
-        below[x] = acc
-    return [frozenset(s) for s in below]
-
-
-def _topo_order(covers: frozenset[tuple[int, int]], size: int) -> list[int]:
+def _ranks_and_down_sets(
+    ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]
+) -> tuple[list[int], list[frozenset[int]]]:
+    """Rank and down-set of every element, from one topological pass over
+    the covers.  Raises when two saturated chains from the bottom to one
+    element differ in length, or when the covers contain a cycle."""
+    size = len(ids)
     indeg = [0] * size
-    out: list[list[int]] = [[] for _ in range(size)]
+    uppers: list[list[int]] = [[] for _ in range(size)]
     for a, b in covers:
         indeg[b] += 1
-        out[a].append(b)
+        uppers[a].append(b)
+    rank = [-1] * size
+    rank[bottom] = 0
+    below = [{x} for x in range(size)]
+    visited = 0
     queue = [x for x in range(size) if indeg[x] == 0]
-    order = []
     while queue:
         x = queue.pop()
-        order.append(x)
-        for y in out[x]:
+        visited += 1
+        for y in uppers[x]:
+            below[y] |= below[x]
+            if rank[y] == -1:
+                rank[y] = rank[x] + 1
+            elif rank[y] != rank[x] + 1:
+                raise RankMismatchError(
+                    f"element {ids[y]!r} is reached by chains of different lengths"
+                )
             indeg[y] -= 1
             if indeg[y] == 0:
                 queue.append(y)
-    if len(order) != size:
+    if visited != size:
         raise PosetValidationError("cover relations contain a cycle")
-    return order
+    return rank, [frozenset(s) for s in below]
 
 
 def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]) -> SimplicialPoset:
@@ -148,24 +155,7 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
         raise MultipleMinimalError(
             f"expected the single minimal element {ids[bottom]!r}, found {names}"
         )
-    below = _down_sets(covers, size)
-
-    # ranks: all saturated chains from the bottom to x must have equal length
-    lower_of: list[list[int]] = [[] for _ in range(size)]
-    for a, b in covers:
-        lower_of[b].append(a)
-    rank = [-1] * size
-    rank[bottom] = 0
-    for x in _topo_order(covers, size):
-        for a in lower_of[x]:
-            want = rank[a] + 1
-            if rank[x] == -1:
-                rank[x] = want
-            elif rank[x] != want:
-                raise RankMismatchError(
-                    f"element {ids[x]!r} is reached by chains of different lengths"
-                )
-
+    rank, below = _ranks_and_down_sets(ids, bottom, covers)
     atoms = tuple(x for x in range(size) if rank[x] == 1)
     atom_number = {x: v + 1 for v, x in enumerate(atoms)}
     support = [frozenset(atom_number[a] for a in below[x] if rank[a] == 1) for x in range(size)]
@@ -207,9 +197,8 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
 
 def join_set(poset: SimplicialPoset, x: int, y: int) -> frozenset[int]:
     """Minimal elements of the common upper bounds of x and y (may be empty)."""
-    size = poset.size
-    below = _down_sets(poset.covers, size)
-    ups = [z for z in range(size) if x in below[z] and y in below[z]]
+    below = poset._down_sets
+    ups = [z for z in range(poset.size) if x in below[z] and y in below[z]]
     upset = set(ups)
     return frozenset(z for z in ups if not any(w != z and w in below[z] for w in upset))
 
@@ -225,14 +214,7 @@ def restrict_poset(poset: SimplicialPoset, keep_atoms) -> SimplicialPoset:
     w = frozenset(keep_atoms)
     if not all(1 <= v <= poset.vertex_count for v in w):
         raise ValueError("atom subset out of range")
-    kept = [x for x in range(poset.size) if poset.support[x] <= w]
-    kept_set = set(kept)
-    ids = tuple(poset.ids[x] for x in kept)
-    renum = {x: i for i, x in enumerate(kept)}
-    covers = frozenset(
-        (renum[a], renum[b]) for a, b in poset.covers if a in kept_set and b in kept_set
-    )
-    return _validate(ids, renum[poset.bottom], covers)
+    return _induced_subposet(poset, [x for x in range(poset.size) if poset.support[x] <= w])
 
 
 def delete_atoms(poset: SimplicialPoset, drop_atoms) -> SimplicialPoset:
@@ -244,14 +226,16 @@ def poset_skeleton(poset: SimplicialPoset, i: int) -> SimplicialPoset:
     """Induced subposet of the elements of rank <= i."""
     if i < 0:
         raise ValueError("skeleton rank must be >= 0")
-    kept = [x for x in range(poset.size) if poset.rank[x] <= i]
-    kept_set = set(kept)
-    ids = tuple(poset.ids[x] for x in kept)
-    renum = {x: j for j, x in enumerate(kept)}
+    return _induced_subposet(poset, [x for x in range(poset.size) if poset.rank[x] <= i])
+
+
+def _induced_subposet(poset: SimplicialPoset, kept: list[int]) -> SimplicialPoset:
+    """The validated subposet on the elements ``kept``, renumbered in order."""
+    renum = {x: i for i, x in enumerate(kept)}
     covers = frozenset(
-        (renum[a], renum[b]) for a, b in poset.covers if a in kept_set and b in kept_set
+        (renum[a], renum[b]) for a, b in poset.covers if a in renum and b in renum
     )
-    return _validate(ids, renum[poset.bottom], covers)
+    return _validate(tuple(poset.ids[x] for x in kept), renum[poset.bottom], covers)
 
 
 def order_complex(poset: SimplicialPoset) -> SimplicialComplex:

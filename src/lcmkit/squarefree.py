@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .cm import BettiTable, _smallest_failing_deletion
+from .cm import BettiTable, _check_betti_size, _smallest_failing_deletion
 from .complexes import SimplicialComplex, _mask
 from .errors import (
     InvalidModuleError,
@@ -202,6 +202,7 @@ def module_skeleton(module: SquarefreeModule, i: int) -> SquarefreeModule:
 def koszul_betti(module: SquarefreeModule, fieldspec: FieldSpec) -> BettiTable:
     """Betti table of the module: the (i, F) entry is the dimension of the
     i-th homology of the Koszul complex in squarefree degree F."""
+    _check_betti_size(module.n)
     module.validate_over(fieldspec)
     entries: dict[tuple[int, frozenset[int]], int] = {}
     if module.is_zero:

@@ -18,10 +18,13 @@ from . import posets as pmod
 from . import squarefree as sqmod
 from .complexes import (
     SimplicialComplex,
+    _mask,
+    _maximal_masks,
     boundary_simplex,
     complete_graph,
     cycle,
     full_simplex,
+    mask_to_face,
     path,
     real_projective_plane,
 )
@@ -84,15 +87,12 @@ def enumerate_complexes(n: int):
     subs.sort(key=lambda s: (len(s), s))
     pos = {s: i for i, s in enumerate(subs)}
     chosen = [False] * len(subs)
+    sub_masks = [_mask(s) for s in subs]
+    singletons = [1 << b for b in range(n)]
 
     def emit() -> SimplicialComplex:
-        picked = [frozenset(s) for s, c in zip(subs, chosen) if c]
-        maximal = [f for f in picked if not any(f < g for g in picked)]
-        covered = set().union(*maximal) if maximal else set()
-        for v in range(1, n + 1):
-            if v not in covered:
-                maximal.append(frozenset([v]))
-        return SimplicialComplex(n, frozenset(maximal))
+        maximal = _maximal_masks([m for m, c in zip(sub_masks, chosen) if c] + singletons)
+        return SimplicialComplex(n, frozenset(map(mask_to_face, maximal)))
 
     def rec(i: int):
         if i == len(subs):

@@ -65,6 +65,12 @@ def test_betti_tsv():
     assert code == 0 and canonical == out  # C_4's table is complement-symmetric
 
 
+def test_betti_refuses_oversize_tables():
+    code, out, err = run_cli(["betti", "--field", "q"], stdin_text="n 40\n1 2\n")
+    assert code == 4 and out == ""
+    assert "capped" in err
+
+
 def test_betti_canonical_requires_cm():
     bad = "n 4\n1 2\n3 4\n"
     code, _, err = run_cli(["betti", "--field", "q", "--canonical"], stdin_text=bad)

@@ -2,9 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmkit.complexes import (
     SimplicialComplex,
+    _maximal_masks,
     boundary_simplex,
     cycle,
     full_simplex,
@@ -44,6 +47,20 @@ def test_facets_normalized():
     delta = SimplicialComplex.from_facets([(1, 2, 3), (1, 2), (2,), ()])
     assert delta.facets == frozenset({frozenset({1, 2, 3})})
     assert delta.vertex_count == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 63), max_size=12), st.integers(0, 2))
+def test_maximal_masks_matches_definition(masks, zeros):
+    family = masks + [0] * zeros + masks[: len(masks) // 2]  # the empty face, duplicates
+    want = {m for m in family if not any(m != o and m & o == m for o in family)}
+    assert _maximal_masks(family) == want
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (-2,), ("a",), (1.5,), (5,)])
+def test_from_facets_rejects_bad_vertices(bad):
+    with pytest.raises(ValueError):
+        SimplicialComplex.from_facets([bad], vertex_count=3)
 
 
 def test_antichain_enforced_on_direct_construction():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmkit.complexes import (
     SimplicialComplex,
@@ -19,7 +21,7 @@ from lcmkit.linalg import (
     reduced_homology,
 )
 
-from oracles import gauss_rank_fractions, homology_via_snf
+from oracles import boundary_rows, gauss_rank_fractions, homology_via_snf, snf_diagonal
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -73,6 +75,40 @@ def test_fraction_entries_over_prime_fields():
         rank(SparseMatrix.from_rows([[Fraction(1, 2)]]), GF2)
 
 
+def torsion_rows(rng: random.Random, t: int) -> list[list[int]]:
+    """Random integer rows; about half are t times an earlier row plus a
+    little noise, so that the rank mod t drops below the rank over Q."""
+    n = rng.randint(1, 6)
+    rows: list[list[int]] = []
+    for _ in range(rng.randint(1, 6)):
+        if rows and rng.random() < 0.5:
+            rows.append([t * v + rng.choice((0, 0, 0, 1, -1)) for v in rng.choice(rows)])
+        else:
+            rows.append([rng.randint(-3, 3) for _ in range(n)])
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), p=st.sampled_from([0, 2, 3]), mixed=st.booleans())
+def test_rank_against_oracles_on_torsion_matrices(seed, p, mixed):
+    rng = random.Random(seed)
+    rows = torsion_rows(rng, p or rng.choice((2, 3)))
+    if p:
+        want = sum(1 for d in snf_diagonal(rows) if d % p)
+    else:
+        want = gauss_rank_fractions(rows)
+    entries = rows
+    if mixed:
+        # The first row gets bools for its 0/1 entries, every other row is
+        # divided by a unit of Q, GF(2) and GF(3): the rank is unchanged,
+        # but the entries are no longer all ints.
+        entries = [[bool(v) if v in (0, 1) else v for v in rows[0]]]
+        for row in rows[1:]:
+            unit = rng.choice((1, 5, 7))
+            entries.append([Fraction(v, unit) for v in row])
+    assert rank(SparseMatrix.from_rows(entries), FieldSpec(p)) == want
+
+
 def test_sparse_matrix_validation():
     with pytest.raises(ValueError):
         SparseMatrix(1, 1, {(2, 0): 1})
@@ -109,6 +145,21 @@ def test_boundary_matrix_lex_basis_order():
     ]
     m2 = boundary_matrix(cycle(4), 1, GF2)
     assert all(v == 1 for v in m2.entries.values())  # signs normalized mod 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), p=st.sampled_from([0, 2, 3]))
+def test_boundary_matrix_matches_oracle(seed, p):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    pool = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 5))]
+    delta = SimplicialComplex.from_facets(pool, vertex_count=n)
+    facets = [tuple(sorted(f)) for f in delta.facets]
+    for i in range(delta.dimension() + 1):
+        want = boundary_rows(facets, i + 1)
+        if p:
+            want = [[v % p for v in row] for row in want]
+        assert boundary_matrix(delta, i, FieldSpec(p)).to_rows() == want
 
 
 def test_boundary_squares_to_zero(fieldspec):

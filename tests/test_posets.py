@@ -83,6 +83,25 @@ def test_invalid_posets():
         SimplicialPoset.build(["o", "a"], "o", [("o", "a"), ("a", "o")])
 
 
+def test_cover_cycle_is_rejected():
+    with pytest.raises(PosetValidationError, match="cycle"):
+        SimplicialPoset.build(["o", "a", "b"], "o", [("o", "a"), ("a", "b"), ("b", "a")])
+
+
+def test_down_sets_are_the_transitive_closure_of_covers():
+    for p in [glued_simplices(2, 2), face_poset(cycle(4)), random_simplicial_poset(5, 3, 2)]:
+        for y in range(p.size):
+            closure, frontier = {y}, [y]
+            while frontier:
+                z = frontier.pop()
+                for a, b in p.covers:
+                    if b == z and a not in closure:
+                        closure.add(a)
+                        frontier.append(a)
+            assert p.down_set(y) == closure
+            assert all(p.leq(x, y) == (x in closure) for x in range(p.size))
+
+
 def test_join_set():
     g22 = glued_simplices(2, 2)
     e1 = g22.index_of("1,2")

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from lcmkit.cm import hochster_betti, is_cohen_macaulay, is_l_cm, l_cm_threshold
+from lcmkit.cm import BETTI_CAP, hochster_betti, is_cohen_macaulay, is_l_cm, l_cm_threshold
 from lcmkit.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -15,6 +15,7 @@ from lcmkit.errors import (
     InvalidModuleError,
     ParseError,
     RequiresCohenMacaulayError,
+    TooLargeError,
     ZeroModuleError,
 )
 from lcmkit.linalg import FieldSpec
@@ -124,6 +125,12 @@ def test_koszul_matches_hochster(fieldspec):
 def test_koszul_matches_hochster_exhaustive_n3(fieldspec):
     for delta in enumerate_complexes(3):
         assert koszul_betti(from_complex(delta), fieldspec) == hochster_betti(delta, fieldspec)
+
+
+def test_koszul_betti_refuses_oversize_modules():
+    assert BETTI_CAP == 16
+    with pytest.raises(TooLargeError):
+        koszul_betti(omega_module(17, {1}), QQ)
 
 
 def test_betti_vanishes_above_degree_size(fieldspec):
