@@ -36,15 +36,18 @@ class SimplicialComplex:
             raise ValueError("vertex_count must be >= 0")
         if self.is_void and self.facets:
             raise ValueError("the void complex has no facets")
+        masks = []
         for f in self.facets:
             if not f:
                 raise ValueError("facets must be nonempty (use from_facets to normalize)")
-            if not all(isinstance(v, int) and 1 <= v <= self.vertex_count for v in f):
-                raise ValueError(f"facet {sorted(f)} is not a subset of 1..{self.vertex_count}")
-        for f in self.facets:
-            for g in self.facets:
-                if f < g:
-                    raise ValueError("facets must form an antichain (use from_facets)")
+            m = 0
+            for v in f:
+                if not (isinstance(v, int) and 1 <= v <= self.vertex_count):
+                    raise ValueError(f"facet {sorted(f)} is not a subset of 1..{self.vertex_count}")
+                m |= 1 << (v - 1)
+            masks.append(m)
+        if len(_maximal_masks(masks)) != len(masks):
+            raise ValueError("facets must form an antichain (use from_facets)")
 
     # -- construction -----------------------------------------------------
 
@@ -213,8 +216,13 @@ def _mask(face: Iterable[int]) -> int:
 def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
     """The inclusion-maximal members of a family of face bitmasks."""
     kept: list[int] = []
+    larger: list[int] = []  # the kept masks of larger cardinality than m
+    size = -1
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        for k in kept:
+        if m.bit_count() != size:
+            size = m.bit_count()
+            larger = kept[:]
+        for k in larger:
             if m & k == m:
                 break
         else:

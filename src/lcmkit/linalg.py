@@ -1,22 +1,28 @@
 """Exact linear algebra over Q and GF(p), boundary matrices, reduced homology.
 
-Ranks are computed exactly: fraction-free (Bareiss) elimination on integer
-matrices over Q, and modular Gaussian elimination over GF(p).  No floating
-point anywhere.  ``_rank_rows`` is the one rank dispatch: the public
-``rank``, the boundary ranks of ``_homology_dims`` and the Koszul ranks of
-``squarefree`` all enter there.  It checks once per matrix whether every
-entry is an int; only a matrix that is not gets converted (denominators
-cleared row by row over Q, ``FieldSpec.normalize`` over GF(p)).  Boundary
-rows are assembled once, on bitmask faces, for both the ranks and
-``boundary_matrix``.  Reduced simplicial homology dimensions follow from the
-boundary ranks; a global cache keyed by the facet family makes the repeated
-link/restriction homology lookups of the Cohen-Macaulay sweeps cheap.
+Ranks are computed exactly by one sparse kernel, ``_rank_rows``, for both
+fields.  It takes rows as ``{column: int}`` dicts, shortest first, and
+pivots only on units of the field: any nonzero residue over GF(p), only
++-1 over Q, so every entry stays an exact int.  Over Q the few rows left
+with no +-1 entry form a small core that goes to fraction-free (Bareiss)
+elimination.  No floating point anywhere.  The public ``rank``, the
+boundary ranks of ``_homology_dims`` and the Koszul ranks of ``squarefree``
+all enter there.  Only ``rank`` and the Koszul route can carry Fractions;
+they pass their rows through ``_int_rows`` first, which checks once per
+matrix whether every entry is an int and converts only a matrix that is not
+(denominators cleared row by row over Q, ``FieldSpec.normalize`` over
+GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
+ranks and ``boundary_matrix``.  Reduced simplicial homology dimensions
+follow from the boundary ranks; a global cache keyed by the facet family
+makes the repeated link/restriction homology lookups of the Cohen-Macaulay
+sweeps cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .complexes import SimplicialComplex, mask_to_face
@@ -148,60 +154,114 @@ class SparseMatrix:
 
 def rank(matrix: SparseMatrix, fieldspec: FieldSpec) -> int:
     """Exact rank of ``matrix`` over the given field."""
-    if matrix.rows == 0 or matrix.cols == 0 or not matrix.entries:
-        return 0
-    return _rank_rows(matrix.to_rows(), fieldspec)
+    rows: dict[int, dict[int, object]] = {}
+    for (r, c), v in matrix.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return _rank_rows(_int_rows(list(rows.values()), fieldspec), fieldspec)
 
 
-def _rank_rows(rows: list[list], fieldspec: FieldSpec) -> int:
-    """Exact rank of dense rows of ints or Fractions over the field."""
+def _int_rows(rows: list[dict], fieldspec: FieldSpec) -> list[dict[int, int]]:
+    """``rows`` themselves when every entry is an int; otherwise a copy with
+    denominators cleared row by row over Q (row scaling preserves rank) or
+    every entry put through ``FieldSpec.normalize`` over GF(p)."""
+    if all(type(v) is int for row in rows for v in row.values()):
+        return rows
+    if fieldspec.characteristic:
+        return [{c: fieldspec.normalize(v) for c, v in row.items()} for row in rows]
+    scaled = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row.values()))
+        scaled.append({c: int(v * scale) for c, v in row.items()})
+    return scaled
+
+
+def _rank_rows(rows: list[dict[int, int]], fieldspec: FieldSpec) -> int:
+    """Exact rank of sparse int rows (column -> entry) over the field.
+
+    Rows are taken shortest first and pivot only on units of the field: any
+    nonzero residue over GF(p), only +-1 over Q, so every entry stays an
+    exact int.  A pivot row is stored without its pivot column and scaled so
+    that the pivot entry is 1.  Over Q the rows left with no +-1 entry are
+    reduced against every pivot, and that leftover core goes to Bareiss
+    (Dumas, Saunders and Villard, J. Symb. Comput. 2001).  Over Q every
+    entry must be nonzero; the rows are consumed.
+    """
     p = fieldspec.characteristic
-    if not all(type(v) is int for row in rows for v in row):
-        if p:
-            rows = [[fieldspec.normalize(v) for v in row] for row in rows]
-        else:
-            # Clear denominators row by row (an int has denominator 1); row
-            # scaling preserves rank.
-            scaled = []
-            for row in rows:
-                scale = lcm(*(v.denominator for v in row))
-                scaled.append([int(v * scale) for v in row])
-            rows = scaled
     if p:
-        return _rank_mod_p(rows, p)
-    return _rank_bareiss(rows)
-
-
-def _rank_mod_p(data: list[list[int]], p: int) -> int:
-    rows = [[v % p for v in row] for row in data]
-    m, n = len(rows), len(rows[0])
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+        rows = [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
+    rows.sort(key=len)
+    index: dict[int, int] = {}  # pivot column -> position in ``pivots``
+    pivots: list[tuple[int, dict[int, int]]] = []
+    core = []
+    for row in rows:
+        _eliminate(row, index, pivots, p)
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        prow = rows[r]
-        if inv != 1:
-            rows[r] = prow = [(v * inv) % p for v in prow]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = [(a - f * b) % p for a, b in zip(ri, prow)]
-        r += 1
-        if r == m:
-            break
-    return r
+        if p:
+            c = next(iter(row))
+            inv = pow(row.pop(c), -1, p)
+            if inv != 1:
+                row = {x: v * inv % p for x, v in row.items()}
+        else:
+            for c, a in row.items():
+                if a == 1 or a == -1:
+                    break
+            else:
+                core.append(row)
+                continue
+            del row[c]
+            if a == -1:
+                row = {x: -v for x, v in row.items()}
+        index[c] = len(pivots)
+        pivots.append((c, row))
+    if not core:
+        return len(pivots)
+    cols: dict[int, int] = {}
+    for row in core:
+        _eliminate(row, index, pivots, 0)
+        for c in row:
+            cols.setdefault(c, len(cols))
+    dense = []
+    for row in core:
+        if row:
+            line = [0] * len(cols)
+            for c, v in row.items():
+                line[cols[c]] = v
+            dense.append(line)
+    return len(pivots) + _rank_bareiss(dense)
+
+
+def _eliminate(row: dict[int, int], index: dict[int, int],
+               pivots: list[tuple[int, dict[int, int]]], p: int) -> None:
+    """Clear every pivot column of ``row`` in place, in pivot order.  A pivot
+    row has no entry in an earlier pivot's column, so each step brings in
+    only later pivot columns."""
+    heap = [index[c] for c in row if c in index]
+    if not heap:
+        return
+    heapify(heap)
+    while heap:
+        c, prow = pivots[heappop(heap)]
+        f = row.pop(c, 0)
+        if not f:
+            continue  # already cleared, or pushed twice
+        for x, v in prow.items():
+            old = row.get(x)
+            if old is None:
+                row[x] = -f * v % p if p else -f * v
+                k = index.get(x)
+                if k is not None:
+                    heappush(heap, k)
+            else:
+                w = (old - f * v) % p if p else old - f * v
+                if w:
+                    row[x] = w
+                else:
+                    del row[x]
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; mutates ``rows``."""
+    """Bareiss fraction-free elimination on dense int rows; mutates ``rows``."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     prev = 1
@@ -274,8 +334,12 @@ def boundary_matrix(delta: SimplicialComplex, i: int, fieldspec: FieldSpec) -> S
         raise ValueError(f"need 0 <= i <= {delta.dimension()}")
     by_card = faces_by_card(delta.facet_masks())
     below, cells = (sorted(level, key=lambda m: sorted(mask_to_face(m))) for level in by_card[i : i + 2])
-    transposed = zip(*_boundary_rows(cells, below))
-    return SparseMatrix.from_rows([[fieldspec.normalize(v) for v in col] for col in transposed])
+    entries = {
+        (c, r): fieldspec.normalize(v)
+        for r, row in enumerate(_boundary_rows(cells, below))
+        for c, v in row.items()
+    }
+    return SparseMatrix(len(below), len(cells), entries)
 
 
 def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> HomologyVector:
@@ -342,14 +406,14 @@ def _homology_dims(facet_masks: frozenset[int], fieldspec: FieldSpec) -> tuple[i
     return tuple(dims)
 
 
-def _boundary_rows(cells: list[int], below: list[int]) -> list[list[int]]:
-    """One row per cell (a face bitmask) over the faces ``below`` it: the face
-    missing the cell's j-th smallest vertex gets the sign (-1)^j."""
+def _boundary_rows(cells: list[int], below: list[int]) -> list[dict[int, int]]:
+    """One sparse row per cell (a face bitmask) over the positions in
+    ``below``: the face missing the cell's j-th smallest vertex gets the
+    sign (-1)^j."""
     index = {m: i for i, m in enumerate(below)}
-    ncols = len(below)
     rows = []
     for cell in cells:
-        row = [0] * ncols
+        row = {}
         sign = 1
         rem = cell
         while rem:

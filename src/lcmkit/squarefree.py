@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cm import BettiTable, _check_betti_size, _smallest_failing_deletion
-from .complexes import SimplicialComplex, _mask
+from .complexes import SimplicialComplex, _mask, mask_to_face
 from .errors import (
     InvalidModuleError,
     ParseError,
@@ -21,7 +21,7 @@ from .errors import (
     VoidComplexError,
     ZeroModuleError,
 )
-from .linalg import FieldSpec, _rank_rows
+from .linalg import FieldSpec, _int_rows, _rank_rows
 
 # rows of exact entries (ints, or Fractions over Q)
 Matrix = tuple[tuple, ...]
@@ -207,32 +207,37 @@ def koszul_betti(module: SquarefreeModule, fieldspec: FieldSpec) -> BettiTable:
     entries: dict[tuple[int, frozenset[int]], int] = {}
     if module.is_zero:
         return BettiTable(module.n, entries)
-    supports = list(module.comp)
-    for fmask in range(1 << module.n):
-        deg = frozenset(v for v in range(1, module.n + 1) if fmask >> (v - 1) & 1)
-        if not any(s <= deg for s in supports):
+    # degrees as bitmasks; a map is keyed by its source degree and the bit of its variable
+    comp = {_mask(f): d for f, d in module.comp.items()}
+    mult = {(_mask(f), 1 << (j - 1)): mat for (f, j), mat in module.mult.items()}
+    for deg in range(1 << module.n):
+        if not any(s & deg == s for s in comp):
             continue
-        for i, b in _koszul_degree(module, deg, fieldspec).items():
-            entries[(i, deg)] = b
+        homology = _koszul_degree(comp, mult, deg, fieldspec)
+        if homology:
+            face = mask_to_face(deg)
+            for i, b in homology.items():
+                entries[(i, face)] = b
     return BettiTable(module.n, entries)
 
 
-def _koszul_degree(module: SquarefreeModule, deg: frozenset[int], fieldspec: FieldSpec) -> dict[int, int]:
+def _koszul_degree(comp: dict[int, int], mult: dict[tuple[int, int], Matrix], deg: int,
+                   fieldspec: FieldSpec) -> dict[int, int]:
     """Homology dimensions of the Koszul complex of one squarefree degree."""
-    fvars = sorted(deg)
-    size = len(fvars)
-    # basis of term i: pairs (G, b) with G <= deg, #G = i, b < comp[deg - G]
-    bases: list[list[tuple[frozenset[int], int]]] = []
-    for i in range(size + 1):
-        level: list[tuple[frozenset[int], int]] = []
-        for combo in combinations(fvars, i):
-            g = frozenset(combo)
-            d = module.comp.get(deg - g, 0)
-            level.extend((g, b) for b in range(d))
-        bases.append(level)
+    size = deg.bit_count()
+    # basis of term i: pairs (G, b) with G a submask of deg, #G = i, b < comp[deg - G]
+    bases: list[list[tuple[int, int]]] = [[] for _ in range(size + 1)]
+    g = deg
+    while True:
+        d = comp.get(deg ^ g, 0)
+        if d:
+            bases[g.bit_count()].extend((g, b) for b in range(d))
+        if not g:
+            break
+        g = (g - 1) & deg
     ranks = [0] * (size + 2)  # ranks[i] = rank of d_i : term i -> term i-1
     for i in range(1, size + 1):
-        ranks[i] = _koszul_rank(module, deg, bases[i], bases[i - 1], fieldspec)
+        ranks[i] = _koszul_rank(mult, deg, bases[i], bases[i - 1], fieldspec)
     out: dict[int, int] = {}
     for i in range(size + 1):
         h = len(bases[i]) - ranks[i] - ranks[i + 1]
@@ -241,7 +246,7 @@ def _koszul_degree(module: SquarefreeModule, deg: frozenset[int], fieldspec: Fie
     return out
 
 
-def _koszul_rank(module, deg, upper, lower, fieldspec: FieldSpec) -> int:
+def _koszul_rank(mult, deg: int, upper, lower, fieldspec: FieldSpec) -> int:
     """Rank of the Koszul differential sending (G, b) to
     sum over j in G of sign(j, G) * mult(deg - G, j)(e_b) at (G - {j}, .)."""
     if not upper or not lower:
@@ -249,20 +254,24 @@ def _koszul_rank(module, deg, upper, lower, fieldspec: FieldSpec) -> int:
     col_index = {key: c for c, key in enumerate(lower)}
     rows = []
     for g, b in upper:
-        row = [0] * len(lower)
-        src_deg = deg - g
-        for pos, j in enumerate(sorted(g)):
-            mat = module.mult.get((src_deg, j))
-            if mat is None:
-                continue
-            sign = -1 if pos % 2 else 1
-            target = g - {j}
-            for r, mrow in enumerate(mat):
-                v = mrow[b]
-                if v:
-                    row[col_index[(target, r)]] += sign * v
+        # each j in G reaches its own column block G - {j}, so no entries add up
+        row = {}
+        src_deg = deg ^ g
+        sign = 1
+        rem = g
+        while rem:
+            bit = rem & (-rem)
+            mat = mult.get((src_deg, bit))
+            if mat is not None:
+                target = g ^ bit
+                for r, mrow in enumerate(mat):
+                    v = mrow[b]
+                    if v:
+                        row[col_index[(target, r)]] = sign * v
+            sign = -sign
+            rem ^= bit
         rows.append(row)
-    return _rank_rows(rows, fieldspec)
+    return _rank_rows(_int_rows(rows, fieldspec), fieldspec)
 
 
 # -- dimension and Cohen-Macaulayness ------------------------------------------------

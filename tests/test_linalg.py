@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmkit import linalg
 from lcmkit.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -109,6 +110,57 @@ def test_rank_against_oracles_on_torsion_matrices(seed, p, mixed):
     assert rank(SparseMatrix.from_rows(entries), FieldSpec(p)) == want
 
 
+LARGE_PRIME = 2**31 - 1
+
+
+def sparse_rows(rng: random.Random, unitless: float) -> list[list[int]]:
+    """Random sparse rows up to 30x40, mostly 0/+-1 with some +-2/+-3.  A
+    ``unitless`` share of the rows has no +-1 entry, and some rows are
+    2a + 3b for earlier rows a, b, so unit pivots run out over Q and the
+    leftover core holds dependent rows too.  Matrices with no unit row at
+    all stay within 12x16, where the Smith form oracle is still fast."""
+    if unitless < 1:
+        m, n = rng.randint(1, 30), rng.randint(1, 40)
+    else:
+        m, n = rng.randint(1, 12), rng.randint(1, 16)
+    rows: list[list[int]] = []
+    for _ in range(m):
+        if len(rows) >= 2 and rng.random() < 0.2:
+            a, b = rng.sample(rows, 2)
+            rows.append([2 * x + 3 * y for x, y in zip(a, b)])
+            continue
+        pool = (2, -2, 3, -3) if rng.random() < unitless else (1, -1, 1, -1, 1, -1, 2, -2, 3, -3)
+        density = rng.uniform(0.05, 0.3)
+        rows.append([rng.choice(pool) if rng.random() < density else 0 for _ in range(n)])
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), unitless=st.sampled_from([0.0, 0.3, 1.0]))
+def test_rank_against_oracles_on_sparse_matrices(seed, unitless):
+    rows = sparse_rows(random.Random(seed), unitless)
+    mat = SparseMatrix.from_rows(rows)
+    assert rank(mat, QQ) == gauss_rank_fractions(rows)
+    diagonal = snf_diagonal(rows)
+    for p in (2, 3, LARGE_PRIME):
+        assert rank(mat, FieldSpec(p)) == sum(1 for d in diagonal if d % p)
+
+
+def test_rank_without_unit_entries(monkeypatch):
+    # no +-1 anywhere: over Q every row goes to the Bareiss core
+    rows = [[2, 0, 3, 0], [0, 2, 0, 3], [4, 6, 6, 9], [3, 3, 0, 2]]
+    cores = []
+    real = linalg._rank_bareiss
+    monkeypatch.setattr(linalg, "_rank_bareiss", lambda dense: cores.append(len(dense)) or real(dense))
+    mat = SparseMatrix.from_rows(rows)
+    assert rank(mat, QQ) == gauss_rank_fractions(rows) == 3
+    assert cores == [4]
+    diagonal = snf_diagonal(rows)
+    for p in (2, 3, LARGE_PRIME):
+        assert rank(mat, FieldSpec(p)) == sum(1 for d in diagonal if d % p)
+    assert cores == [4]  # prime fields never reach the core
+
+
 def test_sparse_matrix_validation():
     with pytest.raises(ValueError):
         SparseMatrix(1, 1, {(2, 0): 1})
@@ -202,6 +254,14 @@ def test_homology_rp2_frozen_and_oracle():
         got = reduced_homology(rp2, FieldSpec(p)).as_dict()
         assert got == want
         assert homology_via_snf(facets, p) == want
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_homology_of_a_large_simplex_skeleton(p):
+    # the 5-skeleton of the 11-simplex is a wedge of C(11, 6) 5-spheres; dense
+    # elimination takes seconds here, the sparse kernel a few milliseconds
+    got = reduced_homology(full_simplex(12).skeleton(5), FieldSpec(p))
+    assert got.dims == (0,) * 6 + (462,)
 
 
 def test_homology_matches_snf_oracle_on_random_complexes(fieldspec):
