@@ -106,6 +106,8 @@ def _link_facets(facet_masks: frozenset[int], face: int) -> frozenset[int]:
 
 
 def _deletion_facets(facet_masks: frozenset[int], drop: int) -> frozenset[int]:
+    if not drop:  # every caller passes an antichain
+        return facet_masks
     return _maximal_masks(fm & ~drop for fm in facet_masks)
 
 
@@ -113,7 +115,7 @@ def is_cohen_macaulay(delta: SimplicialComplex, fieldspec: FieldSpec) -> bool:
     """True iff every link has zero reduced homology below its dimension."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
-    return _facets_cm(delta.facet_masks(), fieldspec)
+    return _facets_cm(delta.facet_masks, fieldspec)
 
 
 def is_l_cm(delta: SimplicialComplex, l: int, fieldspec: FieldSpec) -> bool:
@@ -143,7 +145,7 @@ def l_cm_threshold(delta: SimplicialComplex, fieldspec: FieldSpec) -> int:
 
 def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, cap: int) -> int:
     groups = [1 << b for b in range(delta.vertex_count)]
-    fails = _deletion_fails(delta.facet_masks(), delta.dimension(), fieldspec)
+    fails = _deletion_fails(delta.facet_masks, delta.dimension(), fieldspec)
     return _smallest_failing_deletion(groups, cap, fails)
 
 
@@ -183,7 +185,7 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
         raise VoidComplexError("the void complex has no face ring")
     n = delta.vertex_count
     _check_betti_size(n)
-    facet_masks = delta.facet_masks()
+    facet_masks = delta.facet_masks
     entries: dict[tuple[int, frozenset[int]], int] = {}
     for fmask in range(1 << n):
         induced = _deletion_facets(facet_masks, ~fmask)

@@ -1,9 +1,10 @@
 """Finite simplicial complexes on vertex set {1..n}, stored by facets.
 
-A complex is determined by its maximal faces; all other faces are enumerated
-on demand.  Two degenerate values are distinguished: the empty complex, whose
-only face is the empty set, and the void complex, which has no faces at all
-(its Stanley-Reisner ring is the zero ring).
+A complex is determined by its maximal faces, stored as bitmasks (vertex v
+on bit v-1); all other faces are enumerated on demand.  Two degenerate
+values are distinguished: the empty complex, whose only face is the empty
+set, and the void complex, which has no faces at all (its Stanley-Reisner
+ring is the zero ring).
 """
 
 from __future__ import annotations
@@ -21,32 +22,28 @@ _EMPTY: frozenset[int] = frozenset()
 class SimplicialComplex:
     """Immutable simplicial complex on the vertex set {1..vertex_count}.
 
-    ``facets`` is an antichain of nonempty subsets of {1..vertex_count}.
-    If ``facets`` is empty the value is either the empty complex {emptyset}
-    (``is_void = False``) or the void complex (``is_void = True``).
-    Vertices of the ambient set need not appear in any facet.
+    ``facet_masks`` is an antichain of nonzero bitmasks below
+    2^vertex_count, vertex v on bit v-1; ``facets`` derives the same
+    facets as vertex sets.  If there are no facets the value is either the
+    empty complex {emptyset} (``is_void = False``) or the void complex
+    (``is_void = True``).  Vertices of the ambient set need not appear in
+    any facet.
     """
 
     vertex_count: int
-    facets: frozenset[frozenset[int]] = field(default_factory=frozenset)
+    facet_masks: frozenset[int] = field(default_factory=frozenset)
     is_void: bool = False
 
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
-        if self.is_void and self.facets:
+        if self.is_void and self.facet_masks:
             raise ValueError("the void complex has no facets")
-        masks = []
-        for f in self.facets:
-            if not f:
-                raise ValueError("facets must be nonempty (use from_facets to normalize)")
-            m = 0
-            for v in f:
-                if not (isinstance(v, int) and 1 <= v <= self.vertex_count):
-                    raise ValueError(f"facet {sorted(f)} is not a subset of 1..{self.vertex_count}")
-                m |= 1 << (v - 1)
-            masks.append(m)
-        if len(_maximal_masks(masks)) != len(masks):
+        top = 1 << self.vertex_count
+        for m in self.facet_masks:
+            if not (isinstance(m, int) and 0 < m < top):
+                raise ValueError(f"facet mask {m!r} is not a nonempty subset of 1..{self.vertex_count}")
+        if len(_maximal_masks(self.facet_masks)) != len(self.facet_masks):
             raise ValueError("facets must form an antichain (use from_facets)")
 
     # -- construction -----------------------------------------------------
@@ -64,7 +61,7 @@ class SimplicialComplex:
             raise ValueError("facet vertices must be positive integers") from None
         if vertex_count is None:
             vertex_count = max(maximal, default=0).bit_length()
-        return cls(vertex_count, frozenset(map(mask_to_face, maximal)))
+        return cls(vertex_count, maximal)
 
     @classmethod
     def empty(cls, vertex_count: int = 0) -> "SimplicialComplex":
@@ -78,18 +75,22 @@ class SimplicialComplex:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def facets(self) -> frozenset[frozenset[int]]:
+        """The facets as vertex sets."""
+        return frozenset(map(mask_to_face, self.facet_masks))
+
     def dimension(self) -> int:
         """Max facet cardinality minus one; -1 for the empty complex."""
         if self.is_void:
             raise VoidComplexError("the void complex has no dimension")
-        return max((len(f) for f in self.facets), default=0) - 1
+        return max(map(int.bit_count, self.facet_masks), default=0) - 1
 
     def is_pure(self) -> bool:
         """True when all facets have equal cardinality."""
         if self.is_void:
             raise VoidComplexError("the void complex has no dimension")
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) <= 1
+        return len(set(map(int.bit_count, self.facet_masks))) <= 1
 
     def contains_face(self, face: Iterable[int]) -> bool:
         f = frozenset(face)
@@ -197,13 +198,6 @@ class SimplicialComplex:
             (c for f in self.facets for c in combinations(sorted(f), min(len(f), i + 1))),
             vertex_count=self.vertex_count,
         )
-
-    # -- bitmask view (internal fast path) ------------------------------------
-
-    def facet_masks(self) -> frozenset[int]:
-        """Facets as bitmasks, vertex v on bit v-1.  Empty frozenset for both
-        the void and the empty complex; use is_void to tell them apart."""
-        return frozenset(_mask(f) for f in self.facets)
 
 
 def _mask(face: Iterable[int]) -> int:

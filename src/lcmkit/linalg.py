@@ -332,7 +332,7 @@ def boundary_matrix(delta: SimplicialComplex, i: int, fieldspec: FieldSpec) -> S
         raise VoidComplexError("the void complex has no boundary maps")
     if not 0 <= i <= delta.dimension():
         raise ValueError(f"need 0 <= i <= {delta.dimension()}")
-    by_card = faces_by_card(delta.facet_masks())
+    by_card = faces_by_card(delta.facet_masks)
     below, cells = (sorted(level, key=lambda m: sorted(mask_to_face(m))) for level in by_card[i : i + 2])
     entries = {
         (c, r): fieldspec.normalize(v)
@@ -346,7 +346,7 @@ def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> Homology
     """Reduced homology dimensions of a nonvoid complex over the field."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no homology")
-    return HomologyVector(homology_dims_of_facets(delta.facet_masks(), fieldspec))
+    return HomologyVector(homology_dims_of_facets(delta.facet_masks, fieldspec))
 
 
 # Cache of homology computations keyed by (facet bitmask family, characteristic).

@@ -242,32 +242,23 @@ def order_complex(poset: SimplicialPoset) -> SimplicialComplex:
     """Complex of chains of the nonbottom part; facets are the saturated
     chains from an atom up to a maximal element."""
     nonbottom = [x for x in range(poset.size) if x != poset.bottom]
-    label = {x: i + 1 for i, x in enumerate(nonbottom)}
+    bit = {x: 1 << i for i, x in enumerate(nonbottom)}
     uppers: dict[int, list[int]] = {x: [] for x in range(poset.size)}
     for a, b in poset.covers:
         uppers[a].append(b)
-    chains: list[frozenset[int]] = []
-    stack: list[int] = []
+    chains: set[int] = set()
 
-    def grow(x: int):
-        stack.append(label[x])
+    def grow(x: int, chain: int):
+        chain |= bit[x]
         if uppers[x]:
             for y in uppers[x]:
-                grow(y)
+                grow(y, chain)
         else:
-            chains.append(frozenset(stack))
-        stack.pop()
+            chains.add(chain)
 
     for a in poset.atoms:
-        grow(a)
-    if not chains:
-        return SimplicialComplex.empty(0)
-    return SimplicialComplex.from_facets(chains, vertex_count=len(nonbottom))
-
-
-def order_complex_labels(poset: SimplicialPoset) -> tuple[str, ...]:
-    """Element ids in order-complex vertex order."""
-    return tuple(poset.ids[x] for x in range(poset.size) if x != poset.bottom)
+        grow(a, 0)
+    return SimplicialComplex(len(nonbottom), frozenset(chains))
 
 
 def is_poset_cm(poset: SimplicialPoset, fieldspec: FieldSpec) -> bool:
@@ -303,7 +294,7 @@ def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: 
     cells = [poset.support[x] for x in range(poset.size) if x != poset.bottom]
     groups = [sum(1 << bit for bit, s in enumerate(cells) if a in s)
               for a in range(1, poset.vertex_count + 1)]
-    fails = _deletion_fails(order_complex(poset).facet_masks(), poset.max_rank() - 1, fieldspec)
+    fails = _deletion_fails(order_complex(poset).facet_masks, poset.max_rank() - 1, fieldspec)
     return _smallest_failing_deletion(groups, cap, fails)
 
 

@@ -24,7 +24,6 @@ from .complexes import (
     complete_graph,
     cycle,
     full_simplex,
-    mask_to_face,
     path,
     real_projective_plane,
 )
@@ -92,7 +91,7 @@ def enumerate_complexes(n: int):
 
     def emit() -> SimplicialComplex:
         maximal = _maximal_masks([m for m, c in zip(sub_masks, chosen) if c] + singletons)
-        return SimplicialComplex(n, frozenset(map(mask_to_face, maximal)))
+        return SimplicialComplex(n, maximal)
 
     def rec(i: int):
         if i == len(subs):

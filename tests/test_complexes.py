@@ -64,8 +64,49 @@ def test_from_facets_rejects_bad_vertices(bad):
 
 
 def test_antichain_enforced_on_direct_construction():
+    with pytest.raises(ValueError, match="antichain"):
+        SimplicialComplex(3, frozenset({0b011, 0b111}))
+
+
+@pytest.mark.parametrize(
+    "n, masks, void",
+    [
+        (3, {0}, False),  # the empty face
+        (3, {1 << 3}, False),  # vertex 4 on 3 vertices
+        (3, {-1}, False),
+        (3, {1.0}, False),
+        (3, {frozenset({1, 2})}, False),  # vertex sets are not masks
+        (3, {0b001}, True),  # the void complex has no facets
+    ],
+)
+def test_constructor_validates_masks(n, masks, void):
     with pytest.raises(ValueError):
-        SimplicialComplex(3, frozenset({frozenset({1, 2}), frozenset({1, 2, 3})}))
+        SimplicialComplex(n, frozenset(masks), is_void=void)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.frozensets(st.integers(1, max(n, 1)), max_size=n), max_size=10),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_masks_and_vertex_sets_agree(case):
+    n, family, rng = case
+    delta = SimplicialComplex.from_facets(family, vertex_count=n)
+    maximal = {f for f in family if f and not any(f < g for g in family)}
+    assert delta.facets == maximal
+    assert delta.facet_masks == {sum(1 << (v - 1) for v in f) for f in maximal}
+    assert delta.dimension() == max((len(f) for f in maximal), default=0) - 1
+    assert delta.is_pure() == (len({len(f) for f in maximal}) <= 1)
+    assert delta.vertices == frozenset().union(*maximal)
+    shuffled = family[:]
+    rng.shuffle(shuffled)
+    again = SimplicialComplex.from_facets(shuffled, vertex_count=n)
+    assert again == delta and hash(again) == hash(delta)
 
 
 def test_induced_subcomplex():
