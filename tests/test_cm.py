@@ -210,3 +210,11 @@ def test_is_cm_matches_snf_oracle_exhaustive_n3(fieldspec):
             assert is_cohen_macaulay(delta, fieldspec) == _oracle_is_cm(delta, p)
     for delta in [real_projective_plane(), boundary_simplex(3), TWO_EDGES]:
         assert is_cohen_macaulay(delta, fieldspec) == _oracle_is_cm(delta, p)
+
+
+def test_verdict_snapshot():
+    # thresholds and homology over Q, GF(2), GF(3) on every complex with <= 4
+    # vertices, RP² and the 4-simplex boundary, against the committed table
+    from record_verdicts import SNAPSHOT, render
+
+    assert render().encode() == SNAPSHOT.read_bytes()
