@@ -2,9 +2,15 @@
 
 A complex is Cohen-Macaulay over k exactly when every link (including the
 link of the empty face, i.e. the complex itself) has vanishing reduced
-homology below its dimension.  The l-CM property asks that every deletion of
-fewer than l vertices stays Cohen-Macaulay of the same dimension.  Betti
-numbers of the face ring are read off homology of induced subcomplexes.
+homology below its dimension (Reisner, Adv. Math. 1976).  Since the link of
+G in lk v is lk(G + v), this is checked by vertex links: a complex is CM iff
+every vertex link is CM and its own homology vanishes below its dimension
+(Stanley, Combinatorics and Commutative Algebra, ch. II).  Verdicts are
+cached on the canonically relabelled facet family, as homology is in
+``linalg``, so isomorphic links are decided once.  The l-CM property asks
+that every deletion of fewer than l vertices stays Cohen-Macaulay of the
+same dimension.  Betti numbers of the face ring are read off homology of
+induced subcomplexes.
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _maximal_masks, mask_to_face
+from .complexes import SimplicialComplex, _bits, _maximal_masks, mask_to_face
 from .errors import TooLargeError, VoidComplexError
-from .linalg import FieldSpec, homology_dims_of_facets
+from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
 # Betti tables enumerate all 2^n squarefree degrees; refuse more variables.
 BETTI_CAP = 16
@@ -73,31 +79,22 @@ _CM_CACHE: dict[tuple[frozenset[int], int], bool] = {}
 
 def _facets_cm(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
     """Reisner criterion on a facet bitmask family (empty family = {emptyset})."""
-    key = (facet_masks, fieldspec.characteristic)
-    hit = _CM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    verdict = True
-    masks = facet_masks if facet_masks else frozenset([0])
-    seen: set[int] = set()
-    for fm in masks:
-        sub = fm
-        while True:
-            if sub not in seen:
-                seen.add(sub)
-                link = _link_facets(masks, sub)
-                if len(link) > 1:  # a single facet is a simplex: nothing to check
-                    dims = homology_dims_of_facets(link, fieldspec)
-                    if any(dims[:-1]):  # all degrees strictly below the top
-                        verdict = False
-                        break
-            if sub == 0:
-                break
-            sub = (sub - 1) & fm
-        if not verdict:
-            break
-    _CM_CACHE[key] = verdict
-    return verdict
+    return _cached_canonical(_CM_CACHE, facet_masks, fieldspec, _reisner)
+
+
+def _reisner(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
+    """A complex is CM iff every vertex link is CM and its own reduced
+    homology vanishes below its dimension, since the link of G in lk v is
+    lk(G + v).  The links go first: a failing link spares the homology."""
+    if len(facet_masks) <= 1:  # a simplex or {emptyset}
+        return True
+    support = 0
+    for fm in facet_masks:
+        support |= fm
+    for v in _bits(support):
+        if not _facets_cm(_link_facets(facet_masks, v), fieldspec):
+            return False
+    return not any(homology_dims_of_facets(facet_masks, fieldspec)[:-1])
 
 
 def _link_facets(facet_masks: frozenset[int], face: int) -> frozenset[int]:

@@ -194,10 +194,17 @@ class SimplicialComplex:
             return SimplicialComplex.empty(self.vertex_count)
         if i >= self.dimension():
             return self
-        return SimplicialComplex.from_facets(
-            (c for f in self.facets for c in combinations(sorted(f), min(len(f), i + 1))),
-            vertex_count=self.vertex_count,
-        )
+        # A facet with at most i+1 vertices stays; a larger one gives its
+        # (i+1)-subsets.  Facets form an antichain, so no kept facet lies in
+        # such a subset and the union is an antichain again.
+        k = i + 1
+        masks: set[int] = set()
+        for fm in self.facet_masks:
+            if fm.bit_count() <= k:
+                masks.add(fm)
+            else:
+                masks.update(map(sum, combinations(_bits(fm), k)))
+        return SimplicialComplex(self.vertex_count, frozenset(masks))
 
 
 def _mask(face: Iterable[int]) -> int:
@@ -205,6 +212,16 @@ def _mask(face: Iterable[int]) -> int:
     for v in face:
         m |= 1 << (v - 1)
     return m
+
+
+def _bits(mask: int) -> list[int]:
+    """The single-bit masks of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
 def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:

@@ -13,9 +13,13 @@ matrix whether every entry is an int and converts only a matrix that is not
 (denominators cleared row by row over Q, ``FieldSpec.normalize`` over
 GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
 ranks and ``boundary_matrix``.  Reduced simplicial homology dimensions
-follow from the boundary ranks; a global cache keyed by the facet family
-makes the repeated link/restriction homology lookups of the Cohen-Macaulay
-sweeps cheap.
+follow from the boundary ranks.  A global cache makes the repeated
+link/restriction homology lookups of the Cohen-Macaulay sweeps cheap.  Its
+key is the facet family relabelled canonically (vertex support mapped, in
+order, onto bits 0..k-1): a simplicial isomorphism keeps homology
+dimensions, so the links of equal-size faces of a skeleton share one entry.
+A family is looked up raw first and relabelled only on a miss; the CM cache
+of ``cm`` uses the same two-key lookup.
 """
 
 from __future__ import annotations
@@ -350,20 +354,66 @@ def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> Homology
 
 
 # Cache of homology computations keyed by (facet bitmask family, characteristic).
-# Link and restriction families repeat heavily across Cohen-Macaulay sweeps.
+# Link and restriction families repeat heavily across Cohen-Macaulay sweeps,
+# and many more of them are equal up to relabelling; see ``_cached_canonical``.
 _HOMOLOGY_CACHE: dict[tuple[frozenset[int], int], tuple[int, ...]] = {}
 
 
 def homology_dims_of_facets(facet_masks: frozenset[int], fieldspec: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dims (degree -1 first) of the complex generated by
     ``facet_masks``; the empty family means the empty complex {emptyset}."""
-    key = (facet_masks, fieldspec.characteristic)
-    hit = _HOMOLOGY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dims = _homology_dims(facet_masks, fieldspec)
-    _HOMOLOGY_CACHE[key] = dims
-    return dims
+    return _cached_canonical(_HOMOLOGY_CACHE, facet_masks, fieldspec, _homology_dims)
+
+
+def _cached_canonical(cache: dict, facet_masks: frozenset[int], fieldspec: FieldSpec, compute):
+    """``compute(canonical family, fieldspec)`` through ``cache``, for a value
+    that a simplicial isomorphism keeps (homology dimensions, CM verdicts).
+
+    The raw key is looked up first, so a family seen before is never
+    relabelled again.  On a miss the canonical key is looked up, and the
+    value is stored under both keys.
+    """
+    p = fieldspec.characteristic
+    key = (facet_masks, p)
+    hit = cache.get(key)
+    if hit is None:
+        canon = _canonical_masks(facet_masks)
+        ckey = (canon, p)
+        if canon is not facet_masks:
+            hit = cache.get(ckey)
+        if hit is None:
+            hit = compute(canon, fieldspec)
+            cache[ckey] = hit
+        cache[key] = hit
+    return hit
+
+
+def _canonical_masks(facet_masks: frozenset[int]) -> frozenset[int]:
+    """The family with its vertex support mapped, in order, onto bits
+    0..k-1; ``facet_masks`` itself when the support already is 0..k-1."""
+    support = 0
+    for m in facet_masks:
+        support |= m
+    if not support & (support + 1):
+        return facet_masks
+    runs = []  # (shift of a run of support bits, its width mask, its new offset)
+    offset = 0
+    rest = support
+    while rest:
+        low = (rest & -rest).bit_length() - 1
+        x = rest >> low
+        width = (x ^ (x + 1)).bit_length() - 1
+        ones = (1 << width) - 1
+        runs.append((low, ones, offset))
+        offset += width
+        rest ^= ones << low
+    out = []
+    for m in facet_masks:
+        new = 0
+        for low, ones, at in runs:
+            new |= (m >> low & ones) << at
+        out.append(new)
+    return frozenset(out)
 
 
 def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:

@@ -136,6 +136,25 @@ def homology_via_snf(facets, p: int) -> dict[int, int]:
     return out
 
 
+def is_cm_by_definition(delta, p: int) -> bool:
+    """Reisner's criterion face by face: every link, the complex itself
+    included, has zero reduced homology (SNF oracle, GF(p) or Q for p = 0)
+    below its dimension."""
+    for face in delta.all_faces():
+        link_facets = [tuple(sorted(f - face)) for f in delta.facets if face <= f]
+        link_facets = [
+            f for f in link_facets
+            if not any(f != g and set(f) <= set(g) for g in link_facets)
+        ]
+        if not any(link_facets):
+            continue  # link is the empty complex: nothing below its dimension
+        hom = homology_via_snf(link_facets, p)
+        top = max(len(f) for f in link_facets) - 1
+        if any(h for i, h in hom.items() if i < top):
+            return False
+    return True
+
+
 def poset_threshold_by_definition(poset, fieldspec) -> int:
     """Smallest #W such that deleting the atoms W gives a poset of smaller
     rank or with a non-CM order complex; #atoms + 1 if there is none."""

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcmkit import cm, linalg
 from lcmkit.cm import (
     BettiTable,
     hochster_betti,
@@ -18,11 +21,13 @@ from lcmkit.complexes import (
     real_projective_plane,
 )
 from lcmkit.errors import VoidComplexError
-from lcmkit.linalg import FieldSpec
-from lcmkit.sweeps import enumerate_complexes
+from lcmkit.linalg import FieldSpec, reduced_homology
+from lcmkit.sweeps import enumerate_complexes, random_complex
+from oracles import is_cm_by_definition
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
+GF3 = FieldSpec.prime(3)
 
 TWO_EDGES = SimplicialComplex.from_facets([(1, 2), (3, 4)])
 
@@ -184,32 +189,78 @@ def test_hochster_matches_snf_oracle(fieldspec):
         assert hochster_betti(delta, fieldspec).entries == _oracle_betti(delta, p)
 
 
-def _oracle_is_cm(delta, p):
-    """Reisner criterion recomputed from scratch against the SNF oracle."""
-    from oracles import homology_via_snf
-
-    for face in delta.all_faces():
-        link_facets = [tuple(sorted(f - face)) for f in delta.facets if face <= f]
-        link_facets = [
-            f for f in link_facets
-            if not any(f != g and set(f) <= set(g) for g in link_facets)
-        ]
-        if not any(link_facets):
-            continue  # link is the empty complex: nothing below its dimension
-        hom = homology_via_snf(link_facets, p)
-        top = max(len(f) for f in link_facets) - 1
-        if any(h for i, h in hom.items() if i < top):
-            return False
-    return True
-
-
 def test_is_cm_matches_snf_oracle_exhaustive_n3(fieldspec):
     p = fieldspec.characteristic
     for n in (1, 2, 3):
         for delta in enumerate_complexes(n):
-            assert is_cohen_macaulay(delta, fieldspec) == _oracle_is_cm(delta, p)
+            assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, p)
     for delta in [real_projective_plane(), boundary_simplex(3), TWO_EDGES]:
-        assert is_cohen_macaulay(delta, fieldspec) == _oracle_is_cm(delta, p)
+        assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, p)
+
+
+def relabel(delta, perm, vertex_count):
+    """``delta`` with vertex v renamed perm[v - 1], on ``vertex_count`` vertices."""
+    return SimplicialComplex.from_facets(
+        ([perm[v - 1] for v in f] for f in delta.facets), vertex_count=vertex_count
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(6, 7),
+    st.floats(0.3, 0.9),
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_verdicts_survive_relabelling(n, density, seed, extra, rng):
+    # cache keys drop vertex labels, so a relabelled copy embedded among
+    # unused vertices must read the same verdicts, and each must match the
+    # face-by-face Reisner oracle
+    delta = random_complex(n, density, seed)
+    perm = rng.sample(range(1, n + extra + 1), n + extra)
+    moved = relabel(delta, perm, n + extra)
+    for fieldspec in (QQ, GF2, GF3):
+        p = fieldspec.characteristic
+        assert is_cohen_macaulay(moved, fieldspec) == is_cm_by_definition(delta, p)
+        assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, p)
+        assert reduced_homology(moved, fieldspec) == reduced_homology(delta, fieldspec)
+        assert l_cm_threshold(moved, fieldspec) == l_cm_threshold(delta, fieldspec)
+    rp2 = relabel(real_projective_plane(), perm, n + extra)
+    assert is_cohen_macaulay(rp2, QQ)
+    assert not is_cohen_macaulay(rp2, GF2)
+
+
+def _verdicts(delta):
+    return [
+        (is_cohen_macaulay(delta, f), l_cm_threshold(delta, f), reduced_homology(delta, f))
+        for f in (QQ, GF2, GF3)
+    ]
+
+
+def test_cache_order_does_not_change_verdicts():
+    # relabelled copies share cache entries: one labelling's answer must not
+    # leak into another's, whatever order fills the caches
+    rp2 = real_projective_plane()
+    deltas = [
+        rp2,
+        relabel(rp2, [3, 7, 1, 8, 2, 5], 8),
+        rp2.skeleton(1),
+        relabel(cycle(5), [2, 4, 6, 8, 9], 9),
+        cycle(5),
+        path(4),
+        relabel(TWO_EDGES, [5, 1, 4, 2], 6),
+        TWO_EDGES,
+        boundary_simplex(4),
+        relabel(boundary_simplex(3), [6, 2, 9, 4], 10),
+        full_simplex(7).skeleton(3),
+        complete_graph(5),
+    ]
+    linalg._HOMOLOGY_CACHE.clear()
+    cm._CM_CACHE.clear()
+    cold = [_verdicts(d) for d in deltas]
+    warm = [_verdicts(d) for d in deltas[::-1]]
+    assert warm == cold[::-1]
 
 
 def test_verdict_snapshot():

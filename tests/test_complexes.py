@@ -107,6 +107,13 @@ def test_masks_and_vertex_sets_agree(case):
     rng.shuffle(shuffled)
     again = SimplicialComplex.from_facets(shuffled, vertex_count=n)
     assert again == delta and hash(again) == hash(delta)
+    # the i-skeleton: the maximal faces of dimension <= i, on the same vertex set
+    for i in range(-2, delta.dimension() + 2):
+        small = {frozenset(c) for f in maximal for k in range(max(i + 2, 0))
+                 for c in combinations(sorted(f), k)} - {frozenset()}
+        skel = delta.skeleton(i)
+        assert skel.vertex_count == n
+        assert skel.facets == {f for f in small if not any(f < g for g in small)}
 
 
 def test_induced_subcomplex():
