@@ -24,6 +24,7 @@ from lcmkit.errors import VoidComplexError
 from lcmkit.linalg import FieldSpec, reduced_homology
 from lcmkit.sweeps import enumerate_complexes, random_complex
 from oracles import is_cm_by_definition
+from record_verdicts import SNAPSHOT, render
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -266,6 +267,4 @@ def test_cache_order_does_not_change_verdicts():
 def test_verdict_snapshot():
     # thresholds and homology over Q, GF(2), GF(3) on every complex with <= 4
     # vertices, RP² and the 4-simplex boundary, against the committed table
-    from record_verdicts import SNAPSHOT, render
-
     assert render().encode() == SNAPSHOT.read_bytes()
