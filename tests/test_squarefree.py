@@ -41,6 +41,7 @@ from lcmkit.squarefree import (
 )
 from lcmkit.sweeps import enumerate_complexes
 from oracles import module_threshold_by_definition
+from record_verdicts import MODULE_SNAPSHOT, render_modules
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -380,3 +381,10 @@ def test_random_modules_koszul_equals_hochster(fieldspec):
         ]
         delta = SimplicialComplex.from_facets(pool, vertex_count=n)
         assert koszul_betti(from_complex(delta), fieldspec) == hochster_betti(delta, fieldspec)
+
+
+def test_module_verdict_snapshot():
+    # Koszul tables, thresholds and module file digests over Q, GF(2), GF(3)
+    # of poset face rings, complex face rings and one-component modules,
+    # against the committed table
+    assert render_modules().encode() == MODULE_SNAPSHOT.read_bytes()
