@@ -161,15 +161,12 @@ class SimplicialComplex:
             raise ValueError("vertex subset out of range")
         if self.is_void:
             return SimplicialComplex.void(len(w))
-        relabel = {v: i + 1 for i, v in enumerate(w)}
-        return SimplicialComplex.from_facets(
-            ({relabel[v] for v in f if v in relabel} for f in self.facets), vertex_count=len(w)
-        )
+        cut = _relabel_masks(self.facet_masks, _mask(w))
+        return SimplicialComplex(len(w), _maximal_masks(cut) - {0})
 
     def delete_vertices(self, drop: Iterable[int]) -> "SimplicialComplex":
         """Induced subcomplex on the complement of ``drop``."""
-        d = set(drop)
-        return self.induced_subcomplex(v for v in range(1, self.vertex_count + 1) if v not in d)
+        return self.induced_subcomplex(set(range(1, self.vertex_count + 1)).difference(drop))
 
     def restriction_labels(self, keep: Iterable[int]) -> tuple[int, ...]:
         """Original labels in re-indexed order: entry k-1 is the old label of new vertex k."""
@@ -180,11 +177,11 @@ class SimplicialComplex:
         f = frozenset(face)
         if not self.contains_face(f):
             raise InvalidFaceError(f"{sorted(f)} is not a face")
-        rest = sorted(v for v in range(1, self.vertex_count + 1) if v not in f)
-        relabel = {v: i + 1 for i, v in enumerate(rest)}
-        return SimplicialComplex.from_facets(
-            ({relabel[v] for v in g - f} for g in self.facets if f <= g), vertex_count=len(rest)
-        )
+        fm = _mask(f)
+        # the facets through f, less f, are an antichain again
+        star = [g for g in self.facet_masks if g & fm == fm]
+        rest = ((1 << self.vertex_count) - 1) ^ fm
+        return SimplicialComplex(rest.bit_count(), frozenset(_relabel_masks(star, rest)) - {0})
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """All faces of dimension <= i, on the same vertex set."""
@@ -221,6 +218,27 @@ def _bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low)
         mask ^= low
+    return out
+
+
+def _relabel_masks(masks: Iterable[int], keep: int) -> list[int]:
+    """Each mask with its bits inside ``keep`` moved, in order, onto bits
+    0..k-1 (k = #keep); bits outside ``keep`` are dropped."""
+    runs = []  # (shift of a run of kept bits, its width mask, the kept bits below it)
+    rest = keep
+    while rest:
+        low = (rest & -rest).bit_length() - 1
+        x = rest >> low
+        width = (x ^ (x + 1)).bit_length() - 1
+        ones = (1 << width) - 1
+        runs.append((low, ones, (keep & ((1 << low) - 1)).bit_count()))
+        rest ^= ones << low
+    out = []
+    for m in masks:
+        new = 0
+        for low, ones, at in runs:
+            new |= (m >> low & ones) << at
+        out.append(new)
     return out
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .complexes import SimplicialComplex, mask_to_face
+from .complexes import SimplicialComplex, _relabel_masks, mask_to_face
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -396,24 +396,7 @@ def _canonical_masks(facet_masks: frozenset[int]) -> frozenset[int]:
         support |= m
     if not support & (support + 1):
         return facet_masks
-    runs = []  # (shift of a run of support bits, its width mask, its new offset)
-    offset = 0
-    rest = support
-    while rest:
-        low = (rest & -rest).bit_length() - 1
-        x = rest >> low
-        width = (x ^ (x + 1)).bit_length() - 1
-        ones = (1 << width) - 1
-        runs.append((low, ones, offset))
-        offset += width
-        rest ^= ones << low
-    out = []
-    for m in facet_masks:
-        new = 0
-        for low, ones, at in runs:
-            new |= (m >> low & ones) << at
-        out.append(new)
-    return frozenset(out)
+    return frozenset(_relabel_masks(facet_masks, support))
 
 
 def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _bits, _mask
 from .cm import _deletion_fails, _smallest_failing_deletion, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
@@ -303,24 +303,21 @@ def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:
     atoms: the component at F has one basis element per cell with atom set F,
     and multiplication by an atom sends a cell to the sum of the cells
     covering it with the enlarged atom set."""
-    n = poset.vertex_count
-    classes: dict[frozenset[int], list[int]] = {}
+    classes: dict[int, list[int]] = {}  # support mask -> its cells, in order
     for x in range(poset.size):
-        classes.setdefault(poset.support[x], []).append(x)
-    for members in classes.values():
-        members.sort()
-    comp = {f: len(members) for f, members in classes.items()}
+        classes.setdefault(_mask(poset.support[x]), []).append(x)
     upper: dict[int, list[int]] = {x: [] for x in range(poset.size)}
     for a, b in poset.covers:
         upper[a].append(b)
+    full = (1 << poset.vertex_count) - 1
     mult = {}
     for f, members in classes.items():
-        for j in range(1, n + 1):
-            if j in f:
-                continue
-            target = classes.get(f | {j})
+        for bit in _bits(full ^ f):
+            target = classes.get(f | bit)
             if not target:
                 continue
+            # each target cell covers exactly one member (its interval is
+            # boolean), so the matrix is never zero
             pos = {x: r for r, x in enumerate(target)}
             mat = [[0] * len(members) for _ in target]
             for c, x in enumerate(members):
@@ -328,8 +325,9 @@ def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:
                     r = pos.get(b)
                     if r is not None:
                         mat[r][c] = 1
-            mult[(f, j)] = tuple(tuple(row) for row in mat)
-    return SquarefreeModule(n, comp, mult)
+            mult[(f, bit)] = tuple(tuple(row) for row in mat)
+    comp = {f: len(members) for f, members in classes.items()}
+    return SquarefreeModule._from_masks(poset.vertex_count, comp, mult)
 
 
 # -- generators ------------------------------------------------------------------

@@ -2,18 +2,25 @@
 
 A squarefree module over a polynomial ring in n variables is stored by the
 dimensions of its components at the 2^n squarefree degrees together with the
-multiplication maps between adjacent components.  Betti numbers are computed
-degree by degree as homology of the Koszul complex; from them we read off
-projective dimension, Cohen-Macaulayness, the l-CM property under vertex
-deletions, and the Betti table of the canonical module of a CM module.
+multiplication maps between adjacent components, every degree as a bitmask
+(vertex v on bit v-1), as complexes store their facets.  The vertex-set
+views ``comp`` and ``mult`` are derived from the masks.  The commutativity
+of the maps is checked once per module: the entries where the two paths
+around a square differ are found on first use and kept, and each field
+only tests whether one of them survives reduction.  Betti numbers are
+computed degree by degree as homology of the Koszul complex on the masks;
+from them we read off projective dimension, Cohen-Macaulayness, the l-CM
+property under vertex deletions, and the Betti table of the canonical
+module of a CM module.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 
 from .cm import BettiTable, _check_betti_size, _smallest_failing_deletion
-from .complexes import SimplicialComplex, _mask, mask_to_face
+from .complexes import SimplicialComplex, _bits, _mask, _relabel_masks, mask_to_face
 from .errors import (
     InvalidModuleError,
     ParseError,
@@ -21,7 +28,7 @@ from .errors import (
     VoidComplexError,
     ZeroModuleError,
 )
-from .linalg import FieldSpec, _int_rows, _rank_rows
+from .linalg import FieldSpec, _int_rows, _rank_rows, faces_by_card
 
 # rows of exact entries (ints, or Fractions over Q)
 Matrix = tuple[tuple, ...]
@@ -52,18 +59,22 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 class SquarefreeModule:
     """Component dimensions and multiplication maps on squarefree degrees.
 
-    ``comp`` maps a degree F (frozenset of 1..n) to the k-dimension of the
-    component there; zero components are not stored.  ``mult`` maps (F, j)
-    with j not in F to the matrix of multiplication by the j-th variable,
-    of shape comp[F + {j}] x comp[F]; maps that are absent or would touch a
-    zero component are the zero map.
+    A degree F (a subset of 1..n) is stored as its bitmask, vertex v on bit
+    v-1.  ``comp_masks`` maps a degree mask to the k-dimension of the
+    component there; zero components are not stored.  ``mult_masks`` maps
+    (F, bit of j) with j not in F to the matrix of multiplication by the
+    j-th variable, of shape comp[F + {j}] x comp[F]; maps that are absent,
+    zero, or would touch a zero component are the zero map and not stored.
+    ``comp`` and ``mult`` derive the same data keyed by vertex sets and
+    variable numbers.  The constructor takes that vertex-set form; the
+    commutativity of the maps is checked once per module, on first use.
     """
 
     def __init__(self, n: int, comp: dict, mult: dict | None = None):
         if n < 0:
             raise ValueError("ambient variable count must be >= 0")
         self.n = n
-        self.comp: dict[frozenset[int], int] = {}
+        self.comp_masks: dict[int, int] = {}
         for deg, d in comp.items():
             f = frozenset(deg)
             if not all(isinstance(v, int) and 1 <= v <= n for v in f):
@@ -71,66 +82,94 @@ class SquarefreeModule:
             if d < 0:
                 raise ValueError("component dimensions must be >= 0")
             if d > 0:
-                self.comp[f] = d
-        self.mult: dict[tuple[frozenset[int], int], Matrix] = {}
+                self.comp_masks[_mask(f)] = d
+        self.mult_masks: dict[tuple[int, int], Matrix] = {}
         for (deg, j), mat in (mult or {}).items():
             f = frozenset(deg)
             if j in f or not 1 <= j <= n:
                 raise ValueError(f"bad multiplication index {j} at degree {sorted(f)}")
-            src = self.comp.get(f, 0)
-            dst = self.comp.get(f | {j}, 0)
+            f, bit = _mask(f), 1 << (j - 1)
+            src = self.comp_masks.get(f, 0)
+            dst = self.comp_masks.get(f | bit, 0)
             m = _as_matrix(mat, dst, src)
             if src == 0 or dst == 0:
                 continue  # maps into or out of a zero component carry nothing
             if not _is_zero_matrix(m):
-                self.mult[(f, j)] = m
+                self.mult_masks[(f, bit)] = m
+
+    @classmethod
+    def _from_masks(cls, n: int, comp_masks: dict, mult_masks: dict) -> "SquarefreeModule":
+        """A module from data already in stored form: nonzero components,
+        nonzero maps between them."""
+        module = cls.__new__(cls)
+        module.n, module.comp_masks, module.mult_masks = n, comp_masks, mult_masks
+        return module
 
     # -- basic structure ----------------------------------------------------
 
     @property
+    def comp(self) -> dict[frozenset[int], int]:
+        """The components keyed by vertex sets."""
+        return {mask_to_face(f): d for f, d in self.comp_masks.items()}
+
+    @property
+    def mult(self) -> dict[tuple[frozenset[int], int], Matrix]:
+        """The nonzero maps keyed by (vertex set, variable number)."""
+        return {(mask_to_face(f), bit.bit_length()): mat
+                for (f, bit), mat in self.mult_masks.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.comp
+        return not self.comp_masks
 
     def component(self, deg) -> int:
-        return self.comp.get(frozenset(deg), 0)
+        return self.comp_masks.get(_mask(deg), 0)
 
     def map_matrix(self, deg, j: int) -> Matrix:
         """The multiplication matrix at (deg, j), materializing zero maps."""
-        f = frozenset(deg)
-        hit = self.mult.get((f, j))
+        return self._map(_mask(deg), 1 << (j - 1))
+
+    def _map(self, f: int, bit: int) -> Matrix:
+        hit = self.mult_masks.get((f, bit))
         if hit is not None:
             return hit
-        dst = self.comp.get(f | {j}, 0)
-        src = self.comp.get(f, 0)
-        return tuple((0,) * src for _ in range(dst))
+        src = self.comp_masks.get(f, 0)
+        return tuple((0,) * src for _ in range(self.comp_masks.get(f | bit, 0)))
 
     def __eq__(self, other):
         return (
             isinstance(other, SquarefreeModule)
             and self.n == other.n
-            and self.comp == other.comp
-            and self.mult == other.mult
+            and self.comp_masks == other.comp_masks
+            and self.mult_masks == other.mult_masks
         )
 
     def __repr__(self):
-        return f"SquarefreeModule(n={self.n}, {len(self.comp)} components)"
+        return f"SquarefreeModule(n={self.n}, {len(self.comp_masks)} components)"
+
+    @cached_property
+    def _defects(self) -> list[tuple[int, int, int, object]]:
+        """(F, bit of j, bit of k, a nonzero entry of x_k x_j - x_j x_k at F)
+        for every entry where the two paths from F to F + {j, k} differ."""
+        out = []
+        for f in self.comp_masks:
+            for jb, kb in combinations(_bits(((1 << self.n) - 1) ^ f), 2):
+                if not self.comp_masks.get(f | jb | kb):
+                    continue
+                left = _mat_mul(self._map(f | jb, kb), self._map(f, jb))
+                right = _mat_mul(self._map(f | kb, jb), self._map(f, kb))
+                for lrow, rrow in zip(left, right):
+                    out.extend((f, jb, kb, a - b) for a, b in zip(lrow, rrow) if a != b)
+        return out
 
     def validate_over(self, fieldspec: FieldSpec) -> None:
         """Check the commutativity of the multiplication maps over the field."""
-        for f in self.comp:
-            others = [j for j in range(1, self.n + 1) if j not in f]
-            for j, k in combinations(others, 2):
-                if self.comp.get(f | {j, k}, 0) == 0:
-                    continue
-                left = _mat_mul(self.map_matrix(f | {j}, k), self.map_matrix(f, j))
-                right = _mat_mul(self.map_matrix(f | {k}, j), self.map_matrix(f, k))
-                for lrow, rrow in zip(left, right):
-                    for a, b in zip(lrow, rrow):
-                        if fieldspec.normalize(a - b) != 0:
-                            raise InvalidModuleError(
-                                f"maps at degree {sorted(f)} do not commute for "
-                                f"variables {j},{k} over {fieldspec.label()}"
-                            )
+        for f, jb, kb, diff in self._defects:
+            if fieldspec.normalize(diff) != 0:
+                raise InvalidModuleError(
+                    f"maps at degree {sorted(mask_to_face(f))} do not commute for "
+                    f"variables {jb.bit_length()},{kb.bit_length()} over {fieldspec.label()}"
+                )
 
 
 # -- constructions ---------------------------------------------------------------
@@ -141,59 +180,45 @@ def from_complex(delta: SimplicialComplex) -> SquarefreeModule:
     components at the faces, identity maps along face inclusions."""
     if delta.is_void:
         raise VoidComplexError("the void complex has the zero face ring")
-    comp = {f: 1 for f in delta.all_faces()}
-    mult = {}
-    for f in comp:
-        for j in range(1, delta.vertex_count + 1):
-            if j not in f and frozenset(f | {j}) in comp:
-                mult[(f, j)] = ((1,),)
-    return SquarefreeModule(delta.vertex_count, comp, mult)
+    # faces_by_card leaves out the empty face of the empty complex
+    comp = dict.fromkeys(chain([0], *faces_by_card(delta.facet_masks)), 1)
+    full = (1 << delta.vertex_count) - 1
+    mult = {(f, bit): ((1,),) for f in comp for bit in _bits(full ^ f) if f | bit in comp}
+    return SquarefreeModule._from_masks(delta.vertex_count, comp, mult)
 
 
 def omega_module(n: int, deg) -> SquarefreeModule:
     """The module with a single one-dimensional component at the given degree."""
-    f = frozenset(deg)
-    if not all(1 <= v <= n for v in f):
-        raise ValueError(f"degree {sorted(f)} outside 1..{n}")
-    return SquarefreeModule(n, {f: 1})
+    return SquarefreeModule(n, {frozenset(deg): 1})
 
 
 def restrict(module: SquarefreeModule, keep) -> SquarefreeModule:
     """Restriction to the variables in ``keep``, relabeled onto 1..#keep."""
-    w = sorted(set(keep))
+    w = set(keep)
     if any(v < 1 or v > module.n for v in w):
         raise ValueError("variable subset out of range")
-    relabel = {v: i + 1 for i, v in enumerate(w)}
-    wset = frozenset(w)
-    comp = {
-        frozenset(relabel[v] for v in f): d
-        for f, d in module.comp.items()
-        if f <= wset
-    }
-    mult = {
-        (frozenset(relabel[v] for v in f), relabel[j]): mat
-        for (f, j), mat in module.mult.items()
-        if f <= wset and j in wset
-    }
-    return SquarefreeModule(len(w), comp, mult)
+    wmask = _mask(w)
+    kept = [f for f in module.comp_masks if f & wmask == f]
+    new = dict(zip(kept, _relabel_masks(kept, wmask)))
+    comp = {new[f]: module.comp_masks[f] for f in kept}
+    # a map joins two stored components, so its target is kept exactly when
+    # the map is, and the new bit of its variable is the difference
+    mult = {(new[f], new[f | bit] ^ new[f]): mat
+            for (f, bit), mat in module.mult_masks.items() if f | bit in new}
+    return SquarefreeModule._from_masks(len(w), comp, mult)
 
 
 def delete_variables(module: SquarefreeModule, drop) -> SquarefreeModule:
-    d = set(drop)
-    return restrict(module, (v for v in range(1, module.n + 1) if v not in d))
+    return restrict(module, set(range(1, module.n + 1)).difference(drop))
 
 
 def module_skeleton(module: SquarefreeModule, i: int) -> SquarefreeModule:
     """Quotient by all components in degrees of support size > i."""
     if i < 0:
         raise ValueError("skeleton index must be >= 0")
-    comp = {f: d for f, d in module.comp.items() if len(f) <= i}
-    mult = {
-        (f, j): mat
-        for (f, j), mat in module.mult.items()
-        if len(f) + 1 <= i
-    }
-    return SquarefreeModule(module.n, comp, mult)
+    comp = {f: d for f, d in module.comp_masks.items() if f.bit_count() <= i}
+    mult = {key: mat for key, mat in module.mult_masks.items() if key[0].bit_count() < i}
+    return SquarefreeModule._from_masks(module.n, comp, mult)
 
 
 # -- Koszul homology ---------------------------------------------------------------
@@ -205,19 +230,11 @@ def koszul_betti(module: SquarefreeModule, fieldspec: FieldSpec) -> BettiTable:
     _check_betti_size(module.n)
     module.validate_over(fieldspec)
     entries: dict[tuple[int, frozenset[int]], int] = {}
-    if module.is_zero:
-        return BettiTable(module.n, entries)
-    # degrees as bitmasks; a map is keyed by its source degree and the bit of its variable
-    comp = {_mask(f): d for f, d in module.comp.items()}
-    mult = {(_mask(f), 1 << (j - 1)): mat for (f, j), mat in module.mult.items()}
     for deg in range(1 << module.n):
-        if not any(s & deg == s for s in comp):
+        if not any(s & deg == s for s in module.comp_masks):
             continue
-        homology = _koszul_degree(comp, mult, deg, fieldspec)
-        if homology:
-            face = mask_to_face(deg)
-            for i, b in homology.items():
-                entries[(i, face)] = b
+        for i, b in _koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec).items():
+            entries[(i, mask_to_face(deg))] = b
     return BettiTable(module.n, entries)
 
 
@@ -281,7 +298,7 @@ def module_dim(module: SquarefreeModule) -> int:
     """Krull dimension: the largest support size of a nonzero component."""
     if module.is_zero:
         raise ZeroModuleError("the zero module has no dimension")
-    return max(len(f) for f in module.comp)
+    return max(f.bit_count() for f in module.comp_masks)
 
 
 def is_module_cm(module: SquarefreeModule, fieldspec: FieldSpec,
@@ -322,14 +339,12 @@ def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int
     table = koszul_betti(module, fieldspec)
     n = module.n
     d = module_dim(module)
-    supports = [_mask(f) for f in module.comp]
-    entries = [(i, _mask(deg)) for i, deg in table.entries]
-
     def fails(drop: int) -> bool:
-        kept = [m.bit_count() for m in supports if not m & drop]
+        kept = [m.bit_count() for m in module.comp_masks if not m & drop]
         if not kept:
             return False  # the zero module passes
-        pd = max(i for i, m in entries if not m & drop)
+        gone = mask_to_face(drop)
+        pd = max(i for i, deg in table.entries if gone.isdisjoint(deg))
         return max(kept) != d or pd != n - drop.bit_count() - d
 
     return _smallest_failing_deletion([1 << b for b in range(n)], n, fails)
@@ -392,8 +407,8 @@ def is_2cm_via_canonical(module: SquarefreeModule, fieldspec: FieldSpec) -> bool
 #   map <F> <j> <rows>      nonzero maps; rows `;`-separated, entries space-separated
 
 
-def _format_degree(deg: frozenset[int]) -> str:
-    return ",".join(str(v) for v in sorted(deg)) if deg else "-"
+def _format_degree(mask: int) -> str:
+    return ",".join(str(v) for v in sorted(mask_to_face(mask))) if mask else "-"
 
 
 def _parse_degree(text: str) -> frozenset[int]:
@@ -410,11 +425,12 @@ def _parse_degree(text: str) -> frozenset[int]:
 
 def format_module_file(module: SquarefreeModule) -> str:
     lines = [f"n {module.n}"]
-    for f in sorted(module.comp, key=lambda f: (len(f), sorted(f))):
-        lines.append(f"comp {_format_degree(f)} {module.comp[f]}")
-    for (f, j), mat in sorted(module.mult.items(), key=lambda t: (len(t[0][0]), sorted(t[0][0]), t[0][1])):
+    for f in sorted(module.comp_masks, key=lambda f: (f.bit_count(), sorted(mask_to_face(f)))):
+        lines.append(f"comp {_format_degree(f)} {module.comp_masks[f]}")
+    for (f, bit), mat in sorted(module.mult_masks.items(),
+                                key=lambda t: (t[0][0].bit_count(), sorted(mask_to_face(t[0][0])), t[0][1])):
         rows = " ; ".join(" ".join(str(v) for v in row) for row in mat)
-        lines.append(f"map {_format_degree(f)} {j} {rows}")
+        lines.append(f"map {_format_degree(f)} {bit.bit_length()} {rows}")
     return "\n".join(lines) + "\n"
 
 
