@@ -75,20 +75,31 @@ class SquarefreeModule:
             raise ValueError("ambient variable count must be >= 0")
         self.n = n
         self.comp_masks: dict[int, int] = {}
+        seen: set[int] = set()
         for deg, d in comp.items():
             f = frozenset(deg)
             if not all(isinstance(v, int) and 1 <= v <= n for v in f):
                 raise ValueError(f"degree {sorted(f)} outside 1..{n}")
+            if not isinstance(d, int):
+                raise ValueError(f"component dimension {d!r} at degree {sorted(f)} is not an integer")
             if d < 0:
                 raise ValueError("component dimensions must be >= 0")
+            fm = _mask(f)
+            if fm in seen:
+                raise ValueError(f"degree {sorted(f)} is given twice")
+            seen.add(fm)
             if d > 0:
-                self.comp_masks[_mask(f)] = d
+                self.comp_masks[fm] = d
         self.mult_masks: dict[tuple[int, int], Matrix] = {}
+        seen_maps: set[tuple[int, int]] = set()
         for (deg, j), mat in (mult or {}).items():
-            f = frozenset(deg)
-            if j in f or not 1 <= j <= n:
-                raise ValueError(f"bad multiplication index {j} at degree {sorted(f)}")
-            f, bit = _mask(f), 1 << (j - 1)
+            face = frozenset(deg)
+            if j in face or not 1 <= j <= n:
+                raise ValueError(f"bad multiplication index {j} at degree {sorted(face)}")
+            f, bit = _mask(face), 1 << (j - 1)
+            if (f, bit) in seen_maps:
+                raise ValueError(f"the map at degree {sorted(face)} for variable {j} is given twice")
+            seen_maps.add((f, bit))
             src = self.comp_masks.get(f, 0)
             dst = self.comp_masks.get(f | bit, 0)
             m = _as_matrix(mat, dst, src)
@@ -447,10 +458,15 @@ def parse_module_file(text: str) -> SquarefreeModule:
             if parts[0] == "n" and len(parts) == 2:
                 n = int(parts[1])
             elif parts[0] == "comp" and len(parts) == 3:
-                comp[_parse_degree(parts[1])] = int(parts[2])
+                deg = _parse_degree(parts[1])
+                if deg in comp:
+                    raise ParseError(f"line {lineno}: a second comp line for degree {parts[1]}")
+                comp[deg] = int(parts[2])
             elif parts[0] == "map" and len(parts) >= 3:
                 deg = _parse_degree(parts[1])
                 j = int(parts[2])
+                if (deg, j) in mult:
+                    raise ParseError(f"line {lineno}: a second map line for degree {parts[1]}, variable {j}")
                 rows = [
                     tuple(int(v) for v in chunk.split())
                     for chunk in " ".join(parts[3:]).split(";")

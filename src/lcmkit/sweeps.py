@@ -213,11 +213,14 @@ def sweep_thm25(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
     for name, delta in scope:
         n = delta.vertex_count
         d = delta.dimension() + 1
+        module = None  # built for the first field over which delta is CM
         for spec in fields:
             report.instances_checked += 1
             if not cmod.is_cohen_macaulay(delta, spec):
                 continue
-            table = sqmod.koszul_betti(sqmod.from_complex(delta), spec)
+            if module is None:
+                module = sqmod.from_complex(delta)
+            table = sqmod.koszul_betti(module, spec)
             dual = sqmod.canonical_betti(table, n, d)
             threshold = cmod.l_cm_threshold(delta, spec)
             for l in range(2, n + 2):
@@ -244,9 +247,10 @@ def sweep_oracle(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
     if scope is None:
         scope = complex_scope(max_n=max_n, base_seed=seed)
     for name, delta in scope:
+        module = sqmod.from_complex(delta)
         for spec in fields:
             report.instances_checked += 1
-            koszul = sqmod.koszul_betti(sqmod.from_complex(delta), spec)
+            koszul = sqmod.koszul_betti(module, spec)
             hochster = cmod.hochster_betti(delta, spec)
             if koszul != hochster:
                 diff = {

@@ -16,6 +16,7 @@ from lcmkit.complexes import (
     path,
 )
 from lcmkit.errors import InvalidFaceError, ParseError, VoidComplexError
+from lcmkit.squarefree import from_complex, restrict
 
 
 def faceset(delta, i):
@@ -114,6 +115,37 @@ def test_masks_and_vertex_sets_agree(case):
         skel = delta.skeleton(i)
         assert skel.vertex_count == n
         assert skel.facets == {f for f in small if not any(f < g for g in small)}
+    # the link of every face: the facets through it, less it, on the other
+    # vertices renumbered in order
+    faces = {frozenset(c) for f in maximal | {frozenset()} for k in range(len(f) + 1)
+             for c in combinations(sorted(f), k)}
+    for face in faces:
+        new = {v: i + 1 for i, v in enumerate(v for v in range(1, n + 1) if v not in face)}
+        lk = delta.link(face)
+        assert lk.vertex_count == n - len(face)
+        assert lk.facets == {frozenset(new[v] for v in g - face) for g in maximal if face <= g} - {frozenset()}
+
+    # induced subcomplexes and deletions on random vertex subsets; the face
+    # ring's restriction renumbers its components and maps the same way
+    def induced(keep):
+        new = {v: i + 1 for i, v in enumerate(sorted(keep))}
+        cut = {frozenset(new[v] for v in f if v in keep) for f in maximal} - {frozenset()}
+        return new, {f for f in cut if not any(f < g for g in cut)}
+
+    module = from_complex(delta)
+    for _ in range(3):
+        keep = {v for v in range(1, n + 1) if rng.random() < 0.5}
+        new, want = induced(keep)
+        sub = delta.induced_subcomplex(keep)
+        assert sub.vertex_count == len(keep) and sub.facets == want
+        gone = delta.delete_vertices(set(range(1, n + 1)) - keep)
+        assert gone.vertex_count == len(keep) and gone.facets == want
+        small = restrict(module, keep)
+        assert small.n == len(keep)
+        assert small.comp == {frozenset(new[v] for v in f): d
+                              for f, d in module.comp.items() if f <= keep}
+        assert small.mult == {(frozenset(new[v] for v in f), new[j]): mat
+                              for (f, j), mat in module.mult.items() if f <= keep and j in keep}
 
 
 def test_induced_subcomplex():

@@ -335,11 +335,48 @@ def test_commutativity_validation():
         koszul_betti(mod3, QQ)
 
 
+def test_commutativity_error_names_the_first_surviving_defect():
+    # two squares at the empty degree: for variables 1,2 the paths differ by
+    # 3, which vanishes over GF(3); for variables 1,3 they differ by 1
+    two = SquarefreeModule(
+        3,
+        {E: 1, frozenset({1}): 1, frozenset({2}): 1, frozenset({3}): 1,
+         frozenset({1, 2}): 1, frozenset({1, 3}): 1},
+        {
+            (E, 1): ((1,),),
+            (E, 2): ((1,),),
+            (E, 3): ((1,),),
+            (frozenset({1}), 2): ((4,),),
+            (frozenset({2}), 1): ((1,),),
+            (frozenset({1}), 3): ((2,),),
+            (frozenset({3}), 1): ((1,),),
+        },
+    )
+    # GF(3) comes again after Q: the defects found once serve every field
+    for fieldspec, pair in [(FieldSpec.prime(3), "1,3"), (QQ, "1,2"), (GF2, "1,2"),
+                            (FieldSpec.prime(3), "1,3")]:
+        with pytest.raises(InvalidModuleError) as err:
+            koszul_betti(two, fieldspec)
+        assert str(err.value) == (
+            f"maps at degree [] do not commute for variables {pair} over {fieldspec.label()}"
+        )
+
+
 def test_module_shape_validation():
     with pytest.raises(ValueError):
         SquarefreeModule(2, {E: 1}, {(E, 1): ((1,), (1,))})  # wrong shape
     with pytest.raises(ValueError):
         SquarefreeModule(2, {frozenset({1}): 1}, {(frozenset({1}), 1): ((1,),)})
+    with pytest.raises(ValueError, match="not an integer"):
+        SquarefreeModule(1, {(): 1.5})
+    # two keys naming one degree, or one map
+    with pytest.raises(ValueError, match="given twice"):
+        SquarefreeModule(2, {(1, 2): 1, (2, 1): 1})
+    with pytest.raises(ValueError, match="given twice"):
+        SquarefreeModule(2, {(1, 2): 0, (2, 1): 1})
+    with pytest.raises(ValueError, match="given twice"):
+        SquarefreeModule(3, {(1, 2): 1, (1, 2, 3): 1},
+                         {((1, 2), 3): ((1,),), ((2, 1), 3): ((1,),)})
 
 
 def test_module_file_roundtrip():
@@ -360,6 +397,11 @@ def test_module_file_parse_errors():
         parse_module_file("n 2\ncomp 1,1 1\n")
     with pytest.raises(ParseError):
         parse_module_file("n 2\nfrob - 1\n")
+    # a repeated degree or (degree, variable) pair names its line
+    with pytest.raises(ParseError, match="line 3"):
+        parse_module_file("n 2\ncomp 1,2 1\ncomp 2,1 1\n")
+    with pytest.raises(ParseError, match="line 5"):
+        parse_module_file("n 1\ncomp - 1\ncomp 1 1\nmap - 1 1\nmap - 1 0\n")
 
 
 def test_glued_edges_module_is_free_but_not_degree_zero_generated():
