@@ -418,8 +418,8 @@ def is_2cm_via_canonical(module: SquarefreeModule, fieldspec: FieldSpec) -> bool
 #   map <F> <j> <rows>      nonzero maps; rows `;`-separated, entries space-separated
 
 
-def _format_degree(mask: int) -> str:
-    return ",".join(str(v) for v in sorted(mask_to_face(mask))) if mask else "-"
+def _format_degree(deg: frozenset[int]) -> str:
+    return ",".join(str(v) for v in sorted(deg)) if deg else "-"
 
 
 def _parse_degree(text: str) -> frozenset[int]:
@@ -436,12 +436,12 @@ def _parse_degree(text: str) -> frozenset[int]:
 
 def format_module_file(module: SquarefreeModule) -> str:
     lines = [f"n {module.n}"]
-    for f in sorted(module.comp_masks, key=lambda f: (f.bit_count(), sorted(mask_to_face(f)))):
-        lines.append(f"comp {_format_degree(f)} {module.comp_masks[f]}")
-    for (f, bit), mat in sorted(module.mult_masks.items(),
-                                key=lambda t: (t[0][0].bit_count(), sorted(mask_to_face(t[0][0])), t[0][1])):
+    comp = module.comp
+    for f in sorted(comp, key=lambda f: (len(f), sorted(f))):
+        lines.append(f"comp {_format_degree(f)} {comp[f]}")
+    for (f, j), mat in sorted(module.mult.items(), key=lambda t: (len(t[0][0]), sorted(t[0][0]), t[0][1])):
         rows = " ; ".join(" ".join(str(v) for v in row) for row in mat)
-        lines.append(f"map {_format_degree(f)} {bit.bit_length()} {rows}")
+        lines.append(f"map {_format_degree(f)} {j} {rows}")
     return "\n".join(lines) + "\n"
 
 
