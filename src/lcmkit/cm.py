@@ -5,11 +5,12 @@ link of the empty face, i.e. the complex itself) has vanishing reduced
 homology below its dimension (Reisner, Adv. Math. 1976).  Since the link of
 G in lk v is lk(G + v), this is checked by vertex links: a complex is CM iff
 every vertex link is CM and its own homology vanishes below its dimension
-(Stanley, Combinatorics and Commutative Algebra, ch. II).  Verdicts are
-cached on the canonically relabelled facet family, as homology is in
-``linalg``, so isomorphic links are decided once.  The l-CM property asks
-that every deletion of fewer than l vertices stays Cohen-Macaulay of the
-same dimension.  Betti numbers of the face ring are read off homology of
+(Stanley, Combinatorics and Commutative Algebra, ch. II).  Verdicts go into
+the one cache of ``linalg``, beside homology, keyed on the canonically
+relabelled facet family, so isomorphic links are decided once.  Links and
+deletions are the facet-mask helpers of ``complexes``.  The l-CM property
+asks that every deletion of fewer than l vertices stays Cohen-Macaulay of
+the same dimension.  Betti numbers of the face ring are read off homology of
 induced subcomplexes.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _maximal_masks, mask_to_face
+from .complexes import SimplicialComplex, _bits, _deletion_masks, _link_masks, _support, mask_to_face
 from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
@@ -74,12 +75,10 @@ class BettiTable:
 
 # -- Reisner criterion ------------------------------------------------------------
 
-_CM_CACHE: dict[tuple[frozenset[int], int], bool] = {}
-
 
 def _facets_cm(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
     """Reisner criterion on a facet bitmask family (empty family = {emptyset})."""
-    return _cached_canonical(_CM_CACHE, facet_masks, fieldspec, _reisner)
+    return _cached_canonical(_reisner, facet_masks, fieldspec)
 
 
 def _reisner(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
@@ -88,24 +87,10 @@ def _reisner(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
     lk(G + v).  The links go first: a failing link spares the homology."""
     if len(facet_masks) <= 1:  # a simplex or {emptyset}
         return True
-    support = 0
-    for fm in facet_masks:
-        support |= fm
-    for v in _bits(support):
-        if not _facets_cm(_link_facets(facet_masks, v), fieldspec):
+    for v in _bits(_support(facet_masks)):
+        if not _facets_cm(_link_masks(facet_masks, v), fieldspec):
             return False
     return not any(homology_dims_of_facets(facet_masks, fieldspec)[:-1])
-
-
-def _link_facets(facet_masks: frozenset[int], face: int) -> frozenset[int]:
-    out = {fm ^ face for fm in facet_masks if fm & face == face}
-    return frozenset(out)
-
-
-def _deletion_facets(facet_masks: frozenset[int], drop: int) -> frozenset[int]:
-    if not drop:  # every caller passes an antichain
-        return facet_masks
-    return _maximal_masks(fm & ~drop for fm in facet_masks)
 
 
 def is_cohen_macaulay(delta: SimplicialComplex, fieldspec: FieldSpec) -> bool:
@@ -151,7 +136,7 @@ def _deletion_fails(facet_masks: frozenset[int], dim: int, fieldspec: FieldSpec)
     or has dimension other than ``dim``."""
 
     def fails(drop: int) -> bool:
-        cut = _deletion_facets(facet_masks, drop)
+        cut = _deletion_masks(facet_masks, drop)
         cut_dim = max(map(int.bit_count, cut), default=0) - 1
         return cut_dim != dim or not _facets_cm(cut, fieldspec)
 
@@ -164,10 +149,7 @@ def _smallest_failing_deletion(groups: list[int], cap: int, fails) -> int:
     complexes, posets and modules differ only in their groups and predicate."""
     for size in range(0, cap + 1):
         for combo in combinations(groups, size):
-            drop = 0
-            for g in combo:
-                drop |= g
-            if fails(drop):
+            if fails(_support(combo)):
                 return size
     return cap + 1
 
@@ -185,7 +167,7 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
     facet_masks = delta.facet_masks
     entries: dict[tuple[int, frozenset[int]], int] = {}
     for fmask in range(1 << n):
-        induced = _deletion_facets(facet_masks, ~fmask)
+        induced = _deletion_masks(facet_masks, ~fmask)
         dims = homology_dims_of_facets(induced, fieldspec)
         size = fmask.bit_count()
         deg = mask_to_face(fmask)

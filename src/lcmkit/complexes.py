@@ -147,10 +147,7 @@ class SimplicialComplex:
     @property
     def vertices(self) -> frozenset[int]:
         """Vertices that are actually faces (not the ambient set)."""
-        out: set[int] = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
+        return mask_to_face(_support(self.facet_masks))
 
     # -- derived complexes ---------------------------------------------------
 
@@ -161,8 +158,9 @@ class SimplicialComplex:
             raise ValueError("vertex subset out of range")
         if self.is_void:
             return SimplicialComplex.void(len(w))
-        cut = _relabel_masks(self.facet_masks, _mask(w))
-        return SimplicialComplex(len(w), _maximal_masks(cut) - {0})
+        keep = _mask(w)
+        cut = _deletion_masks(self.facet_masks, ((1 << self.vertex_count) - 1) ^ keep)
+        return SimplicialComplex(len(w), frozenset(_relabel_masks(cut, keep)) - {0})
 
     def delete_vertices(self, drop: Iterable[int]) -> "SimplicialComplex":
         """Induced subcomplex on the complement of ``drop``."""
@@ -178,10 +176,9 @@ class SimplicialComplex:
         if not self.contains_face(f):
             raise InvalidFaceError(f"{sorted(f)} is not a face")
         fm = _mask(f)
-        # the facets through f, less f, are an antichain again
-        star = [g for g in self.facet_masks if g & fm == fm]
         rest = ((1 << self.vertex_count) - 1) ^ fm
-        return SimplicialComplex(rest.bit_count(), frozenset(_relabel_masks(star, rest)) - {0})
+        lk = _relabel_masks(_link_masks(self.facet_masks, fm), rest)
+        return SimplicialComplex(rest.bit_count(), frozenset(lk) - {0})
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """All faces of dimension <= i, on the same vertex set."""
@@ -257,6 +254,29 @@ def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
         else:
             kept.append(m)
     return frozenset(kept)
+
+
+def _support(masks: Iterable[int]) -> int:
+    """The union of a family of bitmasks."""
+    support = 0
+    for m in masks:
+        support |= m
+    return support
+
+
+def _link_masks(facet_masks: frozenset[int], face: int) -> frozenset[int]:
+    """The facets through ``face``, less ``face``: the link's facets, an
+    antichain again."""
+    return frozenset(fm ^ face for fm in facet_masks if fm & face == face)
+
+
+def _deletion_masks(facet_masks: frozenset[int], drop: int) -> frozenset[int]:
+    """The maximal faces of the family with the bits of ``drop`` removed;
+    ``facet_masks`` itself when nothing is dropped (callers pass an
+    antichain)."""
+    if not drop:
+        return facet_masks
+    return _maximal_masks(fm & ~drop for fm in facet_masks)
 
 
 def mask_to_face(mask: int) -> frozenset[int]:

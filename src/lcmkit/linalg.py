@@ -13,13 +13,15 @@ matrix whether every entry is an int and converts only a matrix that is not
 (denominators cleared row by row over Q, ``FieldSpec.normalize`` over
 GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
 ranks and ``boundary_matrix``.  Reduced simplicial homology dimensions
-follow from the boundary ranks.  A global cache makes the repeated
-link/restriction homology lookups of the Cohen-Macaulay sweeps cheap.  Its
-key is the facet family relabelled canonically (vertex support mapped, in
-order, onto bits 0..k-1): a simplicial isomorphism keeps homology
-dimensions, so the links of equal-size faces of a skeleton share one entry.
-A family is looked up raw first and relabelled only on a miss; the CM cache
-of ``cm`` uses the same two-key lookup.
+follow from the boundary ranks.  One global cache makes the repeated
+link/restriction lookups of the Cohen-Macaulay sweeps cheap: it holds the
+homology dimensions computed here and the CM verdicts of ``cm``, keyed by
+(computing function, facet family, characteristic), and
+``_cached_canonical`` is the only code that reads or writes it.  The family
+in the key is relabelled canonically (vertex support mapped, in order, onto
+bits 0..k-1): a simplicial isomorphism keeps both values, so the links of
+equal-size faces of a skeleton share one entry.  A family is looked up raw
+first and relabelled only on a miss.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .complexes import SimplicialComplex, _relabel_masks, mask_to_face
+from .complexes import SimplicialComplex, _relabel_masks, _support, mask_to_face
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -353,47 +355,47 @@ def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> Homology
     return HomologyVector(homology_dims_of_facets(delta.facet_masks, fieldspec))
 
 
-# Cache of homology computations keyed by (facet bitmask family, characteristic).
-# Link and restriction families repeat heavily across Cohen-Macaulay sweeps,
-# and many more of them are equal up to relabelling; see ``_cached_canonical``.
-_HOMOLOGY_CACHE: dict[tuple[frozenset[int], int], tuple[int, ...]] = {}
+# The one cache, keyed by (computing function, facet bitmask family,
+# characteristic).  Link and restriction families repeat heavily across
+# Cohen-Macaulay sweeps, and many more of them are equal up to relabelling;
+# see ``_cached_canonical``.
+_CACHE: dict[tuple, object] = {}
 
 
 def homology_dims_of_facets(facet_masks: frozenset[int], fieldspec: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dims (degree -1 first) of the complex generated by
     ``facet_masks``; the empty family means the empty complex {emptyset}."""
-    return _cached_canonical(_HOMOLOGY_CACHE, facet_masks, fieldspec, _homology_dims)
+    return _cached_canonical(_homology_dims, facet_masks, fieldspec)
 
 
-def _cached_canonical(cache: dict, facet_masks: frozenset[int], fieldspec: FieldSpec, compute):
-    """``compute(canonical family, fieldspec)`` through ``cache``, for a value
-    that a simplicial isomorphism keeps (homology dimensions, CM verdicts).
+def _cached_canonical(compute, facet_masks: frozenset[int], fieldspec: FieldSpec):
+    """``compute(canonical family, fieldspec)`` through the one cache, for a
+    value that a simplicial isomorphism keeps (homology dimensions, CM
+    verdicts).
 
     The raw key is looked up first, so a family seen before is never
     relabelled again.  On a miss the canonical key is looked up, and the
     value is stored under both keys.
     """
     p = fieldspec.characteristic
-    key = (facet_masks, p)
-    hit = cache.get(key)
+    key = (compute, facet_masks, p)
+    hit = _CACHE.get(key)
     if hit is None:
         canon = _canonical_masks(facet_masks)
-        ckey = (canon, p)
+        ckey = (compute, canon, p)
         if canon is not facet_masks:
-            hit = cache.get(ckey)
+            hit = _CACHE.get(ckey)
         if hit is None:
             hit = compute(canon, fieldspec)
-            cache[ckey] = hit
-        cache[key] = hit
+            _CACHE[ckey] = hit
+        _CACHE[key] = hit
     return hit
 
 
 def _canonical_masks(facet_masks: frozenset[int]) -> frozenset[int]:
     """The family with its vertex support mapped, in order, onto bits
     0..k-1; ``facet_masks`` itself when the support already is 0..k-1."""
-    support = 0
-    for m in facet_masks:
-        support |= m
+    support = _support(facet_masks)
     if not support & (support + 1):
         return facet_masks
     return frozenset(_relabel_masks(facet_masks, support))
@@ -402,16 +404,14 @@ def _canonical_masks(facet_masks: frozenset[int]) -> frozenset[int]:
 def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:
     """All face bitmasks grouped by cardinality (index 0 holds the empty face)."""
     top = max((m.bit_count() for m in facet_masks), default=0)
-    seen: set[int] = set()
-    by_card: list[list[int]] = [[] for _ in range(top + 1)]
+    seen: set[int] = {0}
+    by_card: list[list[int]] = [[0]] + [[] for _ in range(top)]
     for fm in facet_masks:
         sub = fm
-        while True:
+        while sub:
             if sub not in seen:
                 seen.add(sub)
                 by_card[sub.bit_count()].append(sub)
-            if sub == 0:
-                break
             sub = (sub - 1) & fm
     for level in by_card:
         level.sort()

@@ -2,21 +2,22 @@
 boolean algebras.
 
 Cells are the nonbottom elements; the atoms (rank-1 elements) play the role
-of vertices.  The order complex of the nonbottom part triangulates the cell
-complex the poset describes, so Cohen-Macaulayness is decided there.  The
-face ring is carried as a squarefree module over the polynomial ring on the
-atoms: one basis element per cell, multiplication sending a cell to the sum
-of the cells covering it with the right support.
+of vertices.  Ranks, down-sets and upper covers come from one topological
+pass over the covers, made once when a poset is validated and kept on it.
+The order complex of the nonbottom part triangulates the cell complex the
+poset describes, so Cohen-Macaulayness is decided there.  The face ring is
+carried as a squarefree module over the polynomial ring on the atoms: one
+basis element per cell, multiplication sending a cell to the sum of the
+cells covering it with the right support.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _mask
+from .complexes import SimplicialComplex, _bits, _mask, boundary_simplex
 from .cm import _deletion_fails, _smallest_failing_deletion, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
@@ -37,8 +38,11 @@ class SimplicialPoset:
     ``ids`` fixes the element order (and therefore the numbering of the
     atoms); ``covers`` holds index pairs (lower, upper).  ``rank`` and
     ``support`` are derived: support[x] is the set of atom numbers (1-based,
-    in ids order) lying below x.  Instances are built through ``build`` or
-    the generators, which validate every invariant.
+    in ids order) lying below x.  ``uppers[x]`` (the upper covers of x, in
+    index order) and ``down_sets[x]`` (every element <= x) come from the
+    same validating pass and take no part in comparison.  Instances are
+    built through ``build`` or the generators, which validate every
+    invariant.
     """
 
     ids: tuple[str, ...]
@@ -47,6 +51,8 @@ class SimplicialPoset:
     rank: tuple[int, ...]
     support: tuple[frozenset[int], ...]
     atoms: tuple[int, ...]
+    uppers: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    down_sets: tuple[frozenset[int], ...] = field(compare=False, repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -86,19 +92,15 @@ class SimplicialPoset:
     def max_rank(self) -> int:
         return max(self.rank)
 
-    @cached_property
-    def _down_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(_ranks_and_down_sets(self.ids, self.bottom, self.covers)[1])
-
     def down_set(self, x: int) -> frozenset[int]:
         """Indices of all elements <= x."""
-        return self._down_sets[x]
+        return self.down_sets[x]
 
     def leq(self, x: int, y: int) -> bool:
-        return x in self.down_set(y)
+        return x in self.down_sets[y]
 
     def upper_covers(self, x: int) -> list[int]:
-        return sorted(b for a, b in self.covers if a == x)
+        return list(self.uppers[x])
 
     def index_of(self, element_id: str) -> int:
         try:
@@ -112,10 +114,11 @@ class SimplicialPoset:
 
 def _ranks_and_down_sets(
     ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]
-) -> tuple[list[int], list[frozenset[int]]]:
-    """Rank and down-set of every element, from one topological pass over
-    the covers.  Raises when two saturated chains from the bottom to one
-    element differ in length, or when the covers contain a cycle."""
+) -> tuple[list[int], list[frozenset[int]], list[list[int]]]:
+    """Rank, down-set and upper covers of every element, from one
+    topological pass over the covers.  Raises when two saturated chains from
+    the bottom to one element differ in length, or when the covers contain a
+    cycle."""
     size = len(ids)
     indeg = [0] * size
     uppers: list[list[int]] = [[] for _ in range(size)]
@@ -143,7 +146,7 @@ def _ranks_and_down_sets(
                 queue.append(y)
     if visited != size:
         raise PosetValidationError("cover relations contain a cycle")
-    return rank, [frozenset(s) for s in below]
+    return rank, [frozenset(s) for s in below], uppers
 
 
 def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]) -> SimplicialPoset:
@@ -155,7 +158,7 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
         raise MultipleMinimalError(
             f"expected the single minimal element {ids[bottom]!r}, found {names}"
         )
-    rank, below = _ranks_and_down_sets(ids, bottom, covers)
+    rank, below, uppers = _ranks_and_down_sets(ids, bottom, covers)
     atoms = tuple(x for x in range(size) if rank[x] == 1)
     atom_number = {x: v + 1 for v, x in enumerate(atoms)}
     support = [frozenset(atom_number[a] for a in below[x] if rank[a] == 1) for x in range(size)]
@@ -189,7 +192,8 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
                         f"interval below {ids[x]!r} is not ordered by atom sets"
                     )
 
-    return SimplicialPoset(ids, bottom, covers, tuple(rank), tuple(support), atoms)
+    return SimplicialPoset(ids, bottom, covers, tuple(rank), tuple(support), atoms,
+                           tuple(tuple(sorted(u)) for u in uppers), tuple(below))
 
 
 # -- operations -------------------------------------------------------------------
@@ -197,7 +201,7 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
 
 def join_set(poset: SimplicialPoset, x: int, y: int) -> frozenset[int]:
     """Minimal elements of the common upper bounds of x and y (may be empty)."""
-    below = poset._down_sets
+    below = poset.down_sets
     ups = [z for z in range(poset.size) if x in below[z] and y in below[z]]
     upset = set(ups)
     return frozenset(z for z in ups if not any(w != z and w in below[z] for w in upset))
@@ -243,15 +247,12 @@ def order_complex(poset: SimplicialPoset) -> SimplicialComplex:
     chains from an atom up to a maximal element."""
     nonbottom = [x for x in range(poset.size) if x != poset.bottom]
     bit = {x: 1 << i for i, x in enumerate(nonbottom)}
-    uppers: dict[int, list[int]] = {x: [] for x in range(poset.size)}
-    for a, b in poset.covers:
-        uppers[a].append(b)
     chains: set[int] = set()
 
     def grow(x: int, chain: int):
         chain |= bit[x]
-        if uppers[x]:
-            for y in uppers[x]:
+        if poset.uppers[x]:
+            for y in poset.uppers[x]:
                 grow(y, chain)
         else:
             chains.add(chain)
@@ -306,9 +307,6 @@ def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:
     classes: dict[int, list[int]] = {}  # support mask -> its cells, in order
     for x in range(poset.size):
         classes.setdefault(_mask(poset.support[x]), []).append(x)
-    upper: dict[int, list[int]] = {x: [] for x in range(poset.size)}
-    for a, b in poset.covers:
-        upper[a].append(b)
     full = (1 << poset.vertex_count) - 1
     mult = {}
     for f, members in classes.items():
@@ -321,7 +319,7 @@ def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:
             pos = {x: r for r, x in enumerate(target)}
             mat = [[0] * len(members) for _ in target]
             for c, x in enumerate(members):
-                for b in upper[x]:
+                for b in poset.uppers[x]:
                     r = pos.get(b)
                     if r is not None:
                         mat[r][c] = 1
@@ -353,23 +351,12 @@ def glued_simplices(d: int, m: int) -> SimplicialPoset:
     d-subset.  m = 1 is the boolean lattice of a single simplex."""
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and m >= 1")
-    verts = list(range(1, d + 2))
-    subsets = []
-    for k in range(0, d + 1):
-        subsets.extend(frozenset(c) for c in combinations(verts, k))
-    ids = ["-" if not s else ",".join(str(v) for v in sorted(s)) for s in subsets]
-    index = {s: i for i, s in enumerate(subsets)}
-    covers = set()
-    for s in subsets:
-        for v in sorted(s):
-            covers.add((index[s - {v}], index[s]))
-    tops = [f"T{t}" for t in range(1, m + 1)]
-    full = frozenset(verts)
-    for t, tid in enumerate(tops):
-        ti = len(subsets) + t
-        for v in verts:
-            covers.add((index[full - {v}], ti))
-    return _validate(tuple(ids) + tuple(tops), index[frozenset()], frozenset(covers))
+    base = face_poset(boundary_simplex(d))
+    ridges = [x for x in range(base.size) if base.rank[x] == d]
+    tops = range(base.size, base.size + m)
+    covers = base.covers | {(x, t) for t in tops for x in ridges}
+    ids = base.ids + tuple(f"T{t}" for t in range(1, m + 1))
+    return _validate(ids, base.bottom, covers)
 
 
 def random_simplicial_poset(n: int, rank: int, seed: int) -> SimplicialPoset:

@@ -191,8 +191,7 @@ def from_complex(delta: SimplicialComplex) -> SquarefreeModule:
     components at the faces, identity maps along face inclusions."""
     if delta.is_void:
         raise VoidComplexError("the void complex has the zero face ring")
-    # faces_by_card leaves out the empty face of the empty complex
-    comp = dict.fromkeys(chain([0], *faces_by_card(delta.facet_masks)), 1)
+    comp = dict.fromkeys(chain(*faces_by_card(delta.facet_masks)), 1)
     full = (1 << delta.vertex_count) - 1
     mult = {(f, bit): ((1,),) for f in comp for bit in _bits(full ^ f) if f | bit in comp}
     return SquarefreeModule._from_masks(delta.vertex_count, comp, mult)
@@ -347,15 +346,14 @@ def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int
     (Yanagawa, J. Algebra 2000)."""
     if module.is_zero:
         raise ZeroModuleError("the l-CM property is checked on nonzero modules")
-    table = koszul_betti(module, fieldspec)
+    entries = [(i, _mask(deg)) for i, deg in koszul_betti(module, fieldspec).entries]
     n = module.n
     d = module_dim(module)
     def fails(drop: int) -> bool:
         kept = [m.bit_count() for m in module.comp_masks if not m & drop]
         if not kept:
             return False  # the zero module passes
-        gone = mask_to_face(drop)
-        pd = max(i for i, deg in table.entries if gone.isdisjoint(deg))
+        pd = max(i for i, deg in entries if not deg & drop)
         return max(kept) != d or pd != n - drop.bit_count() - d
 
     return _smallest_failing_deletion([1 << b for b in range(n)], n, fails)
@@ -422,15 +420,15 @@ def _format_degree(deg: frozenset[int]) -> str:
     return ",".join(str(v) for v in sorted(deg)) if deg else "-"
 
 
-def _parse_degree(text: str) -> frozenset[int]:
+def _parse_degree(text: str, lineno: int) -> frozenset[int]:
     if text == "-":
         return frozenset()
     try:
         parts = [int(p) for p in text.split(",")]
     except ValueError:
-        raise ParseError(f"bad degree {text!r}") from None
+        raise ParseError(f"line {lineno}: bad degree {text!r}") from None
     if any(p < 1 for p in parts) or len(set(parts)) != len(parts):
-        raise ParseError(f"bad degree {text!r}")
+        raise ParseError(f"line {lineno}: bad degree {text!r}")
     return frozenset(parts)
 
 
@@ -456,14 +454,16 @@ def parse_module_file(text: str) -> SquarefreeModule:
         parts = line.split()
         try:
             if parts[0] == "n" and len(parts) == 2:
+                if n is not None:
+                    raise ParseError(f"line {lineno}: a second n line")
                 n = int(parts[1])
             elif parts[0] == "comp" and len(parts) == 3:
-                deg = _parse_degree(parts[1])
+                deg = _parse_degree(parts[1], lineno)
                 if deg in comp:
                     raise ParseError(f"line {lineno}: a second comp line for degree {parts[1]}")
                 comp[deg] = int(parts[2])
             elif parts[0] == "map" and len(parts) >= 3:
-                deg = _parse_degree(parts[1])
+                deg = _parse_degree(parts[1], lineno)
                 j = int(parts[2])
                 if (deg, j) in mult:
                     raise ParseError(f"line {lineno}: a second map line for degree {parts[1]}, variable {j}")

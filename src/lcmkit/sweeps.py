@@ -298,7 +298,7 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
 # -- skeleton sweeps -----------------------------------------------------------------
 
 
-def sweep_skeleton(scope: str = "all", fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
+def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                    max_n: int = 4, random_poset_count: int = 50,
                    complexes=None, posets=None, seed: int = 0) -> SweepReport:
     """Skeleton theorems.  scope selects the slice:
@@ -310,46 +310,42 @@ def sweep_skeleton(scope: str = "all", fields: tuple[FieldSpec, ...] = DEFAULT_F
       skeletons are also checked through the deletion route.
     - "thm44": for posets certified l-CM of rank d, every rank skeleton at
       1 <= i < d is (l+d-i)-CM.
-    - "all": everything above.
     """
-    if scope not in ("thm12", "thm27", "thm44", "all"):
+    if scope not in ("thm12", "thm27", "thm44"):
         raise ValueError(f"unknown scope {scope!r}")
     t0 = time.perf_counter()
-    report = SweepReport(scope if scope != "all" else "skeleton")
+    report = SweepReport(scope)
 
-    if scope in ("thm12", "thm27", "all"):
+    if scope in ("thm12", "thm27"):
         if complexes is None:
             complexes = complex_scope(max_n=max_n, base_seed=seed)
         for name, delta in complexes:
             dim = delta.dimension()
+            claims = [dim - 1] if scope == "thm12" else range(0, dim)
+            skeletons = None  # module skeletons, built for the first field that needs them
             for spec in fields:
                 report.instances_checked += 1
                 l = cmod.max_l(delta, spec)
                 if l < 1 or dim < 1:
                     continue
-                if scope == "thm12":
-                    claims = [dim - 1]
-                else:
-                    claims = range(0, dim)
                 for i in claims:
                     want = l + dim - i
                     got = cmod.is_l_cm(delta.skeleton(i), want, spec)
                     if not got:
                         report.record(name, f"field={spec.label()} i={i}",
                                       f"claim {want}-CM", "skeleton fails (deletion route)")
-                if scope in ("thm27", "all"):
-                    module = sqmod.from_complex(delta)
+                if scope == "thm27":
                     d = dim + 1
-                    for i in range(0, d):
-                        skel = sqmod.module_skeleton(module, i)
-                        if skel.is_zero:
-                            continue
+                    if skeletons is None:
+                        module = sqmod.from_complex(delta)
+                        skeletons = [sqmod.module_skeleton(module, i) for i in range(0, d)]
+                    for i, skel in enumerate(skeletons):
                         want = l + d - i
                         if not sqmod.is_module_l_cm(skel, want, spec):
                             report.record(name, f"field={spec.label()} module i={i}",
                                           f"claim {want}-CM", "module skeleton fails")
 
-    if scope in ("thm27", "all"):
+    if scope == "thm27":
         # one-component modules: l-CM for every l, so any skeleton claim holds
         for n in range(1, 5):
             for k in range(0, n + 1):
@@ -368,7 +364,7 @@ def sweep_skeleton(scope: str = "all", fields: tuple[FieldSpec, ...] = DEFAULT_F
                                 report.record(name, f"field={spec.label()} i={i}",
                                               f"claim {l + d - i}-CM", "module skeleton fails")
 
-    if scope in ("thm44", "all"):
+    if scope == "thm44":
         if posets is None:
             posets = poset_instances(random_count=random_poset_count, base_seed=seed)
         for name, poset in posets:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmkit import cm, linalg
+from lcmkit import linalg
 from lcmkit.cm import (
     BettiTable,
     hochster_betti,
@@ -257,8 +257,7 @@ def test_cache_order_does_not_change_verdicts():
         full_simplex(7).skeleton(3),
         complete_graph(5),
     ]
-    linalg._HOMOLOGY_CACHE.clear()
-    cm._CM_CACHE.clear()
+    linalg._CACHE.clear()
     cold = [_verdicts(d) for d in deltas]
     warm = [_verdicts(d) for d in deltas[::-1]]
     assert warm == cold[::-1]

@@ -18,6 +18,7 @@ from lcmkit.linalg import (
     FieldSpec,
     SparseMatrix,
     boundary_matrix,
+    faces_by_card,
     rank,
     reduced_homology,
 )
@@ -245,6 +246,11 @@ def test_homology_two_points(fieldspec):
 def test_homology_empty_complex(fieldspec):
     h = reduced_homology(SimplicialComplex.empty(2), fieldspec)
     assert h.degree(-1) == 1 and h.top_dim == -1
+
+
+def test_faces_by_card_of_the_empty_family_is_the_empty_face():
+    assert faces_by_card(frozenset()) == [[0]]
+    assert faces_by_card(frozenset({0b11}))[0] == [0]
 
 
 def test_homology_rp2_frozen_and_oracle():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,24 @@ def test_glued_simplices_validation_and_shape():
     assert glued_simplices(2, 1).size == 2 ** 3  # boolean lattice of a triangle
 
 
+def test_glued_simplices_ids_and_covers_follow_the_definition():
+    # the proper subsets of {1..d+1} by size, then lexicographically, then
+    # T1..Tm; subsets covered by adding one vertex, T* covering every d-subset
+    for d in (1, 2, 3):
+        for m in (1, 2, 3):
+            subsets = [c for k in range(d + 1) for c in combinations(range(1, d + 2), k)]
+            ids = tuple(",".join(map(str, s)) or "-" for s in subsets)
+            ids += tuple(f"T{t}" for t in range(1, m + 1))
+            index = {s: i for i, s in enumerate(subsets)}
+            covers = {(index[s], index[t]) for s in subsets for t in subsets
+                      if len(t) == len(s) + 1 and set(s) <= set(t)}
+            covers |= {(index[s], len(subsets) + t) for s in subsets if len(s) == d
+                       for t in range(m)}
+            p = glued_simplices(d, m)
+            assert p.ids == ids and p.bottom == 0
+            assert p.covers == covers
+
+
 def test_invalid_posets():
     with pytest.raises(RankMismatchError):
         SimplicialPoset.build(["o", "a", "b"], "o", [("o", "a"), ("a", "b")])
@@ -100,6 +120,7 @@ def test_down_sets_are_the_transitive_closure_of_covers():
                         frontier.append(a)
             assert p.down_set(y) == closure
             assert all(p.leq(x, y) == (x in closure) for x in range(p.size))
+            assert p.upper_covers(y) == sorted(b for a, b in p.covers if a == y)
 
 
 def test_join_set():

@@ -402,6 +402,11 @@ def test_module_file_parse_errors():
         parse_module_file("n 2\ncomp 1,2 1\ncomp 2,1 1\n")
     with pytest.raises(ParseError, match="line 5"):
         parse_module_file("n 1\ncomp - 1\ncomp 1 1\nmap - 1 1\nmap - 1 0\n")
+    # a bad degree and a repeated n line name their line too
+    with pytest.raises(ParseError, match="line 3"):
+        parse_module_file("n 2\ncomp - 1\ncomp 1,1 1\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_module_file("n 2\nn 3\ncomp - 1\n")
 
 
 def test_glued_edges_module_is_free_but_not_degree_zero_generated():

@@ -147,6 +147,11 @@ def test_sweep_skeleton_small_scope():
     assert report27.passed
 
 
+def test_sweep_skeleton_rejects_unknown_scopes():
+    with pytest.raises(ValueError, match="unknown scope"):
+        sweep_skeleton("all")
+
+
 def test_sweep_routes_small():
     posets = poset_instances(random_count=3)[:6]
     assert sweep_routes(posets=posets).passed
