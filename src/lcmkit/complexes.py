@@ -94,11 +94,10 @@ class SimplicialComplex:
 
     def contains_face(self, face: Iterable[int]) -> bool:
         f = frozenset(face)
-        if self.is_void:
+        if self.is_void or min(f, default=1) < 1:
             return False
-        if not f:
-            return True
-        return any(f <= g for g in self.facets)
+        fm = _mask(f)
+        return not fm or any(fm & g == fm for g in self.facet_masks)
 
     def faces(self, i: int) -> set[frozenset[int]]:
         """All faces of dimension i; i = -1 yields {emptyset} unless void."""

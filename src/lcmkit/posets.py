@@ -2,8 +2,12 @@
 boolean algebras.
 
 Cells are the nonbottom elements; the atoms (rank-1 elements) play the role
-of vertices.  Ranks, down-sets and upper covers come from one topological
-pass over the covers, made once when a poset is validated and kept on it.
+of vertices.  A poset stores bitmasks from one topological pass over the
+covers, made when it is validated: each element's support (atom v, in
+element order, on bit v-1) and down-set (element x on bit x).  An interval
+[bottom, x] with 2^rank(x) elements of distinct supports is boolean: if
+supp(y) lies in supp(z), y is the one element of [bottom, z] with its
+support, so y <= z.
 The order complex of the nonbottom part triangulates the cell complex the
 poset describes, so Cohen-Macaulayness is decided there.  The face ring is
 carried as a squarefree module over the polynomial ring on the atoms: one
@@ -17,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _mask, boundary_simplex
+from .complexes import SimplicialComplex, _bits, _relabel_masks, _support, boundary_simplex, mask_to_face
 from .cm import _deletion_fails, _smallest_failing_deletion, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
@@ -27,7 +31,7 @@ from .errors import (
     RankMismatchError,
     VoidComplexError,
 )
-from .linalg import FieldSpec
+from .linalg import FieldSpec, faces_by_card
 from .squarefree import SquarefreeModule
 
 
@@ -37,22 +41,23 @@ class SimplicialPoset:
 
     ``ids`` fixes the element order (and therefore the numbering of the
     atoms); ``covers`` holds index pairs (lower, upper).  ``rank`` and
-    ``support`` are derived: support[x] is the set of atom numbers (1-based,
-    in ids order) lying below x.  ``uppers[x]`` (the upper covers of x, in
-    index order) and ``down_sets[x]`` (every element <= x) come from the
-    same validating pass and take no part in comparison.  Instances are
-    built through ``build`` or the generators, which validate every
-    invariant.
+    ``support_masks`` (atom v below x on bit v-1; ``support`` gives the
+    atom sets) are derived.  ``uppers[x]`` (upper covers, in index order)
+    and ``down_masks[x]`` (y <= x on bit y; ``down_set`` gives the indices)
+    come from the same validating pass and take no part in comparison.
+    Each [bottom, x] has 2^rank(x) elements of distinct supports, so y <= z
+    exactly when supp(y) lies in supp(z).  Instances are built through
+    ``build`` or the generators, which validate every invariant.
     """
 
     ids: tuple[str, ...]
     bottom: int
     covers: frozenset[tuple[int, int]]
     rank: tuple[int, ...]
-    support: tuple[frozenset[int], ...]
+    support_masks: tuple[int, ...]
     atoms: tuple[int, ...]
     uppers: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    down_sets: tuple[frozenset[int], ...] = field(compare=False, repr=False)
+    down_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -92,12 +97,17 @@ class SimplicialPoset:
     def max_rank(self) -> int:
         return max(self.rank)
 
+    @property
+    def support(self) -> tuple[frozenset[int], ...]:
+        """The supports as sets of atom numbers."""
+        return tuple(map(mask_to_face, self.support_masks))
+
     def down_set(self, x: int) -> frozenset[int]:
         """Indices of all elements <= x."""
-        return self.down_sets[x]
+        return frozenset(_elements(self.down_masks[x]))
 
     def leq(self, x: int, y: int) -> bool:
-        return x in self.down_sets[y]
+        return bool(self.down_masks[y] >> x & 1)
 
     def upper_covers(self, x: int) -> list[int]:
         return list(self.uppers[x])
@@ -112,10 +122,15 @@ class SimplicialPoset:
         return f"SimplicialPoset({self.size} elements, rank {self.max_rank()})"
 
 
+def _elements(mask: int) -> list[int]:
+    """The element indices on the bits of ``mask``, lowest first."""
+    return [b.bit_length() - 1 for b in _bits(mask)]
+
+
 def _ranks_and_down_sets(
     ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]
-) -> tuple[list[int], list[frozenset[int]], list[list[int]]]:
-    """Rank, down-set and upper covers of every element, from one
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """Rank, down-set mask and upper covers of every element, from one
     topological pass over the covers.  Raises when two saturated chains from
     the bottom to one element differ in length, or when the covers contain a
     cycle."""
@@ -127,7 +142,7 @@ def _ranks_and_down_sets(
         uppers[a].append(b)
     rank = [-1] * size
     rank[bottom] = 0
-    below = [{x} for x in range(size)]
+    below = [1 << x for x in range(size)]
     visited = 0
     queue = [x for x in range(size) if indeg[x] == 0]
     while queue:
@@ -146,7 +161,7 @@ def _ranks_and_down_sets(
                 queue.append(y)
     if visited != size:
         raise PosetValidationError("cover relations contain a cycle")
-    return rank, [frozenset(s) for s in below], uppers
+    return rank, below, uppers
 
 
 def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]) -> SimplicialPoset:
@@ -160,37 +175,29 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
         )
     rank, below, uppers = _ranks_and_down_sets(ids, bottom, covers)
     atoms = tuple(x for x in range(size) if rank[x] == 1)
-    atom_number = {x: v + 1 for v, x in enumerate(atoms)}
-    support = [frozenset(atom_number[a] for a in below[x] if rank[a] == 1) for x in range(size)]
+    support = _relabel_masks(below, _support(1 << a for a in atoms))
     for x in range(size):
-        if rank[x] != len(support[x]):
+        if rank[x] != support[x].bit_count():
             raise RankMismatchError(
-                f"element {ids[x]!r} has rank {rank[x]} but {len(support[x])} atoms below"
+                f"element {ids[x]!r} has rank {rank[x]} but {support[x].bit_count()} atoms below"
             )
 
-    # boolean intervals: y -> support(y) is an order isomorphism from [bottom, x]
-    # onto the subsets of support(x)
+    # boolean intervals: 2^rank(x) elements of distinct supports below x
     for x in range(size):
-        dset = sorted(below[x])
-        if len(dset) != 1 << rank[x]:
+        count = below[x].bit_count()
+        if count != 1 << rank[x]:
             raise NonBooleanIntervalError(
-                f"interval below {ids[x]!r} has {len(dset)} elements, "
+                f"interval below {ids[x]!r} has {count} elements, "
                 f"expected {1 << rank[x]}"
             )
         seen = set()
-        for y in dset:
+        for y in _elements(below[x]):
             if support[y] in seen:
                 raise NonBooleanIntervalError(
                     f"two elements below {ids[x]!r} share the atom set "
-                    f"{sorted(support[y])}"
+                    f"{sorted(mask_to_face(support[y]))}"
                 )
             seen.add(support[y])
-        for y in dset:
-            for z in dset:
-                if (y in below[z]) != (support[y] <= support[z]):
-                    raise NonBooleanIntervalError(
-                        f"interval below {ids[x]!r} is not ordered by atom sets"
-                    )
 
     return SimplicialPoset(ids, bottom, covers, tuple(rank), tuple(support), atoms,
                            tuple(tuple(sorted(u)) for u in uppers), tuple(below))
@@ -201,16 +208,17 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
 
 def join_set(poset: SimplicialPoset, x: int, y: int) -> frozenset[int]:
     """Minimal elements of the common upper bounds of x and y (may be empty)."""
-    below = poset.down_sets
-    ups = [z for z in range(poset.size) if x in below[z] and y in below[z]]
-    upset = set(ups)
-    return frozenset(z for z in ups if not any(w != z and w in below[z] for w in upset))
+    both = 1 << x | 1 << y
+    ups = [z for z, below in enumerate(poset.down_masks) if below & both == both]
+    upmask = _support(1 << z for z in ups)
+    return frozenset(z for z in ups if poset.down_masks[z] & upmask == 1 << z)
 
 
 def atom_class(poset: SimplicialPoset, atom_set) -> tuple[int, ...]:
     """All elements whose atom support is exactly the given set of atoms."""
     want = frozenset(atom_set)
-    return tuple(x for x in range(poset.size) if poset.support[x] == want)
+    return tuple(x for x, s in enumerate(poset.support_masks)
+                 if s.bit_count() == len(want) and all(v >= 1 and s >> (v - 1) & 1 for v in want))
 
 
 def restrict_poset(poset: SimplicialPoset, keep_atoms) -> SimplicialPoset:
@@ -218,7 +226,8 @@ def restrict_poset(poset: SimplicialPoset, keep_atoms) -> SimplicialPoset:
     w = frozenset(keep_atoms)
     if not all(1 <= v <= poset.vertex_count for v in w):
         raise ValueError("atom subset out of range")
-    return _induced_subposet(poset, [x for x in range(poset.size) if poset.support[x] <= w])
+    drop = _support(1 << a for v, a in enumerate(poset.atoms, 1) if v not in w)
+    return _induced_subposet(poset, [x for x, below in enumerate(poset.down_masks) if not below & drop])
 
 
 def delete_atoms(poset: SimplicialPoset, drop_atoms) -> SimplicialPoset:
@@ -292,9 +301,9 @@ def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: 
     # complex induced on the cells supported off the deleted atoms: atom a
     # removes the vertices (nonbottom cells, in order_complex's numbering)
     # whose support contains a.
-    cells = [poset.support[x] for x in range(poset.size) if x != poset.bottom]
-    groups = [sum(1 << bit for bit, s in enumerate(cells) if a in s)
-              for a in range(1, poset.vertex_count + 1)]
+    cells = [s for x, s in enumerate(poset.support_masks) if x != poset.bottom]
+    groups = [_support(1 << bit for bit, s in enumerate(cells) if s >> a & 1)
+              for a in range(poset.vertex_count)]
     fails = _deletion_fails(order_complex(poset).facet_masks, poset.max_rank() - 1, fieldspec)
     return _smallest_failing_deletion(groups, cap, fails)
 
@@ -305,8 +314,8 @@ def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:
     and multiplication by an atom sends a cell to the sum of the cells
     covering it with the enlarged atom set."""
     classes: dict[int, list[int]] = {}  # support mask -> its cells, in order
-    for x in range(poset.size):
-        classes.setdefault(_mask(poset.support[x]), []).append(x)
+    for x, s in enumerate(poset.support_masks):
+        classes.setdefault(s, []).append(x)
     full = (1 << poset.vertex_count) - 1
     mult = {}
     for f, members in classes.items():
@@ -335,14 +344,12 @@ def face_poset(delta: SimplicialComplex) -> SimplicialPoset:
     """The poset of faces of a complex, ordered by inclusion."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no face poset")
-    faces = sorted(delta.all_faces(), key=lambda f: (len(f), sorted(f)))
-    ids = tuple("-" if not f else ",".join(str(v) for v in sorted(f)) for f in faces)
+    # sorted by their single-bit lists, a level is in lexicographic vertex order
+    faces = [f for level in faces_by_card(delta.facet_masks) for f in sorted(level, key=_bits)]
+    ids = tuple(",".join(str(b.bit_length()) for b in _bits(f)) or "-" for f in faces)
     index = {f: i for i, f in enumerate(faces)}
-    covers = set()
-    for f in faces:
-        for v in sorted(f):
-            covers.add((index[f - {v}], index[f]))
-    return _validate(ids, index[frozenset()], frozenset(covers))
+    covers = frozenset((index[f ^ b], index[f]) for f in faces for b in _bits(f))
+    return _validate(ids, index[0], covers)
 
 
 def glued_simplices(d: int, m: int) -> SimplicialPoset:
@@ -371,37 +378,31 @@ def random_simplicial_poset(n: int, rank: int, seed: int) -> SimplicialPoset:
     rng = random.Random(seed)
     ids = ["-"] + [str(v) for v in range(1, n + 1)]
     covers: list[tuple[int, int]] = [(0, v) for v in range(1, n + 1)]
-    by_support: dict[frozenset[int], list[int]] = {frozenset(): [0]}
-    below: dict[int, frozenset[int]] = {0: frozenset([0])}
-    for v in range(1, n + 1):
-        by_support[frozenset([v])] = [v]
-        below[v] = frozenset([0, v])
-    support_of: dict[int, frozenset[int]] = {0: frozenset()}
-    for v in range(1, n + 1):
-        support_of[v] = frozenset([v])
+    by_support: dict[int, list[int]] = {0: [0]}  # support mask -> its elements
+    below, support = [1], [0]  # down-set and support masks, by element
+    for v in range(n):
+        by_support[1 << v] = [v + 1]
+        below.append(1 | 2 << v)
+        support.append(1 << v)
 
     for r in range(2, rank + 1):
-        for combo in combinations(range(1, n + 1), r):
-            u = frozenset(combo)
-            if any(u - {a} not in by_support for a in u):
+        for combo in combinations(_bits((1 << n) - 1), r):
+            u = sum(combo)
+            if any(u ^ b not in by_support for b in combo):
                 continue
             count = rng.choice((0, 0, 1, 1, 1, 2))
             for _ in range(count):
                 for _attempt in range(4):
-                    picks = [rng.choice(by_support[u - {a}]) for a in sorted(u)]
-                    union: set[int] = set()
-                    for y in picks:
-                        union |= below[y]
-                    supports_seen = [support_of[y] for y in union]
-                    if len(supports_seen) == len(set(supports_seen)) == (1 << r) - 1:
+                    picks = [rng.choice(by_support[u ^ b]) for b in combo]
+                    union = _support(below[y] for y in picks)
+                    if union.bit_count() == len({support[y] for y in _elements(union)}) == (1 << r) - 1:
                         x = len(ids)
                         copy = len(by_support.get(u, []))
-                        ids.append(",".join(str(v) for v in sorted(u)) + f".{copy}")
-                        for y in set(picks):
-                            covers.append((y, x))
+                        ids.append(",".join(str(b.bit_length()) for b in combo) + f".{copy}")
+                        covers.extend((y, x) for y in set(picks))
                         by_support.setdefault(u, []).append(x)
-                        below[x] = frozenset(union | {x})
-                        support_of[x] = u
+                        below.append(union | 1 << x)
+                        support.append(u)
                         break
     return _validate(tuple(ids), 0, frozenset(covers))
 

@@ -311,16 +311,13 @@ def module_dim(module: SquarefreeModule) -> int:
     return max(f.bit_count() for f in module.comp_masks)
 
 
-def is_module_cm(module: SquarefreeModule, fieldspec: FieldSpec,
-                 table: BettiTable | None = None) -> bool:
+def is_module_cm(module: SquarefreeModule, fieldspec: FieldSpec) -> bool:
     """Cohen-Macaulayness via projective dimension: pd = n - dim.
 
     The zero module counts as Cohen-Macaulay (vacuously)."""
     if module.is_zero:
         return True
-    if table is None:
-        table = koszul_betti(module, fieldspec)
-    return table.projective_dimension() == module.n - module_dim(module)
+    return koszul_betti(module, fieldspec).projective_dimension() == module.n - module_dim(module)
 
 
 def is_module_l_cm(module: SquarefreeModule, l: int, fieldspec: FieldSpec) -> bool:

@@ -216,13 +216,14 @@ def sweep_thm25(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
         module = None  # built for the first field over which delta is CM
         for spec in fields:
             report.instances_checked += 1
-            if not cmod.is_cohen_macaulay(delta, spec):
+            # the empty deletion keeps the dimension, so 0 means not CM
+            threshold = cmod.l_cm_threshold(delta, spec)
+            if threshold == 0:
                 continue
             if module is None:
                 module = sqmod.from_complex(delta)
             table = sqmod.koszul_betti(module, spec)
             dual = sqmod.canonical_betti(table, n, d)
-            threshold = cmod.l_cm_threshold(delta, spec)
             for l in range(2, n + 2):
                 lhs = threshold >= l
                 mid = sqmod.thm25_condition_ii(table, n, d, l)

@@ -181,3 +181,52 @@ def module_threshold_by_definition(module, fieldspec) -> int:
             if not cut.is_zero and (module_dim(cut) != d or not is_module_cm(cut, fieldspec)):
                 return size
     return n + 1
+
+
+def simplicial_poset_defects(size: int, bottom: int, covers) -> set[str]:
+    """The parts of the definition of a simplicial poset that a cover set on
+    elements 0..size-1 breaks: the pairs generate a partial order, they are
+    exactly its covering pairs, ``bottom`` lies below everything, and each
+    interval [bottom, x] is a boolean lattice, that is y -> (atoms <= y) is
+    a bijection onto the subsets of the atoms <= x ("interval size",
+    "shared support") that preserves and reflects the order ("order")."""
+    above = {x: {x} for x in range(size)}  # above[x]: every y with x <= y
+    for x in range(size):
+        frontier = [x]
+        while frontier:
+            a = frontier.pop()
+            for lo, hi in covers:
+                if lo == a and hi not in above[x]:
+                    above[x].add(hi)
+                    frontier.append(hi)
+
+    def leq(x, y):
+        return y in above[x]
+
+    if any(leq(y, x) for x in range(size) for y in above[x] if y != x):
+        return {"not a partial order"}
+    defects = set()
+    if any(not leq(bottom, x) for x in range(size)):
+        defects.add("no least element")
+    if any(leq(lo, c) and leq(c, hi) for lo, hi in covers for c in range(size) if c not in (lo, hi)):
+        defects.add("a pair is not a cover")
+    if defects:
+        return defects
+    atoms = [a for a in range(size) if a != bottom
+             and not any(c not in (a, bottom) and leq(c, a) for c in range(size))]
+    for x in range(size):
+        interval = [y for y in range(size) if leq(y, x)]
+        atoms_below = {y: frozenset(a for a in atoms if leq(a, y)) for y in interval}
+        if len(interval) != 2 ** len(atoms_below[x]):
+            defects.add("interval size")
+        if len(set(atoms_below.values())) != len(interval):
+            defects.add("shared support")
+        if any(leq(y, z) != (atoms_below[y] <= atoms_below[z]) for y in interval for z in interval):
+            defects.add("order")
+    return defects
+
+
+def is_simplicial_poset_by_definition(size: int, bottom: int, covers) -> bool:
+    """A finite poset with a least element whose lower intervals are boolean
+    lattices, given by its covering pairs."""
+    return not simplicial_poset_defects(size, bottom, covers)

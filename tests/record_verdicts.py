@@ -1,5 +1,6 @@
-"""Record the verdict snapshots that ``test_cm.test_verdict_snapshot`` and
-``test_squarefree.test_module_verdict_snapshot`` compare.
+"""Record the snapshots that ``test_cm.test_verdict_snapshot``,
+``test_squarefree.test_module_verdict_snapshot`` and
+``test_posets.test_poset_structure_snapshot`` compare.
 
 ``verdicts.tsv``: one row per (complex, field), the l-CM threshold and the
 reduced homology dims (degree -1 first) over Q, GF(2) and GF(3), for every
@@ -11,22 +12,36 @@ digest of the module file, for the face ring modules of the poset suite with
 20 random posets, the face rings of every complex on at most four vertices
 and the one-component modules on at most three variables.
 
-Run from the repo root to rewrite both snapshots:
+``poset_structure.tsv``: one row per poset of the poset suite with 20 random
+posets (which holds ``glued_simplices(d, m)`` for d, m <= 3): a digest of the
+poset file, the rank and atom support of every element in element order, and
+a digest of every element's down-set and upper covers.
+
+``poset_validation.tsv``: what ``SimplicialPoset.build`` makes of the
+seeded random graded cover sets ``random_cover_set(0..VALIDATION_CASES-1)``:
+one row per outcome (acceptance, or the exception class and its message
+with ids and numbers blanked) with its count and a digest of its case
+numbers and full messages.
+
+Run from the repo root to rewrite the snapshots:
 
     PYTHONPATH=src python tests/record_verdicts.py
 
-Rewrite them only for a change that is meant to alter a verdict or the
-module file form.
+Rewrite them only for a change that is meant to alter a verdict, the
+module file form or the structure of a built poset.
 """
 
 import hashlib
+import random
+import re
 from itertools import combinations
 from pathlib import Path
 
 from lcmkit.cm import l_cm_threshold
 from lcmkit.complexes import SimplicialComplex, boundary_simplex, real_projective_plane
+from lcmkit.errors import PosetValidationError
 from lcmkit.linalg import FieldSpec, reduced_homology
-from lcmkit.posets import face_ring_module
+from lcmkit.posets import SimplicialPoset, face_ring_module, format_poset_file
 from lcmkit.squarefree import (
     format_module_file,
     from_complex,
@@ -38,7 +53,14 @@ from lcmkit.sweeps import enumerate_complexes, poset_instances
 
 SNAPSHOT = Path(__file__).parent / "data" / "verdicts.tsv"
 MODULE_SNAPSHOT = Path(__file__).parent / "data" / "module_verdicts.tsv"
+POSET_SNAPSHOT = Path(__file__).parent / "data" / "poset_structure.tsv"
+VALIDATION_SNAPSHOT = Path(__file__).parent / "data" / "poset_validation.tsv"
+VALIDATION_CASES = 20000
 FIELDS = (("q", FieldSpec(0)), ("p:2", FieldSpec(2)), ("p:3", FieldSpec(3)))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def instances():
@@ -78,7 +100,7 @@ def module_instances():
 def render_modules() -> str:
     lines = ["instance\tfile_sha256\tfield\tthreshold\tbetti"]
     for name, module in module_instances():
-        digest = hashlib.sha256(format_module_file(module).encode()).hexdigest()[:16]
+        digest = _digest(format_module_file(module))
         for flag, fieldspec in FIELDS:
             rows = koszul_betti(module, fieldspec).to_tsv().splitlines()[1:]
             betti = " ".join(row.replace("\t", ":") for row in rows) or "-"
@@ -87,6 +109,93 @@ def render_modules() -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_posets() -> str:
+    lines = ["instance\tfile_sha256\trank\tsupports\tstructure_sha256"]
+    for name, poset in poset_instances(random_count=20):
+        rank = ",".join(map(str, poset.rank))
+        supports = " ".join(",".join(map(str, sorted(s))) or "-" for s in poset.support)
+        structure = "".join(
+            f"{x}: {sorted(poset.down_set(x))} {poset.upper_covers(x)}\n"
+            for x in range(poset.size)
+        )
+        lines.append(f"{name}\t{_digest(format_poset_file(poset))}\t{rank}\t{supports}\t{_digest(structure)}")
+    return "\n".join(lines) + "\n"
+
+
+def random_cover_set(seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """A seeded random graded cover set on elements 0..size-1 with bottom 0.
+
+    Rank levels of random width: an atom covers the bottom.  A higher
+    element of rank r mostly takes for U the atoms below a random element of
+    the level below plus one more atom, and covers, for each a in U, one
+    element of that level over U - {a} (one over a subset of U where there
+    is none); it is left out when #U != r.  Otherwise it covers a random
+    choice of the level below.  Now and then one pair is added or removed
+    anywhere.  Returns (size, pairs)."""
+    rng = random.Random(seed)
+    levels = [[0]]
+    pairs: list[tuple[int, int]] = []
+    atoms_below = [frozenset()]  # the atoms below each element, by its pairs
+    for r in range(1, rng.randint(1, 4) + 1):
+        lower = levels[-1]
+        if not lower:
+            break
+        level = []
+        for _ in range(rng.randint(1, 4)):
+            if r == 1:
+                picks = [0]
+            elif rng.random() < 0.1:
+                picks = rng.sample(lower, min(rng.randint(1, r + 1), len(lower)))
+            else:
+                base = atoms_below[rng.choice(lower)]
+                u = base | {rng.choice([a for a in levels[1] if a not in base] or levels[1])}
+                if len(u) != r:
+                    continue
+                picks = []
+                for a in sorted(u):
+                    over = [y for y in lower if atoms_below[y] == u - {a}]
+                    picks.append(rng.choice(over or [y for y in lower if atoms_below[y] <= u]))
+            picks = sorted(set(picks))
+            x = len(atoms_below)
+            pairs.extend((y, x) for y in picks)
+            atoms_below.append(frozenset([x]) if r == 1 else frozenset().union(*(atoms_below[y] for y in picks)))
+            level.append(x)
+        levels.append(level)
+    size = len(atoms_below)
+    roll = rng.random()
+    if roll < 0.04 and size > 1:
+        a, b = rng.sample(range(size), 2)
+        if (a, b) not in pairs:
+            pairs.append((a, b))
+    elif roll < 0.08:
+        pairs.pop(rng.randrange(len(pairs)))
+    return size, pairs
+
+
+def validation_outcome(size: int, pairs) -> str:
+    """What ``build`` makes of a cover set: "accepted", or the class and
+    message of the error it raises."""
+    try:
+        SimplicialPoset.build(range(size), 0, pairs)
+    except PosetValidationError as e:
+        return f"{type(e).__name__}: {e}"
+    return "accepted"
+
+
+def render_validation(outcomes: list[str]) -> str:
+    by_kind: dict[str, list[str]] = {}
+    for case, outcome in enumerate(outcomes):
+        kind = re.sub(r"'[^']*'|\[[^\]]*\]|\d+", "_", outcome)
+        by_kind.setdefault(kind, []).append(f"{case}\t{outcome}\n")
+    lines = ["outcome\tcount\tcases_sha256"]
+    for kind, rows in sorted(by_kind.items()):
+        lines.append(f"{kind}\t{len(rows)}\t{_digest(''.join(rows))}")
+    return "\n".join(lines) + "\n"
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text(render())
     MODULE_SNAPSHOT.write_text(render_modules())
+    POSET_SNAPSHOT.write_text(render_posets())
+    VALIDATION_SNAPSHOT.write_text(render_validation(
+        [validation_outcome(*random_cover_set(seed)) for seed in range(VALIDATION_CASES)]))

@@ -181,6 +181,11 @@ def test_link():
     assert lk2.facets == frozenset({frozenset({1}), frozenset({2})})
     with pytest.raises(InvalidFaceError):
         c4.link({1, 3})
+    with pytest.raises(InvalidFaceError):
+        c4.link({0})
+    assert c4.contains_face((4, 1)) and c4.contains_face(()) and SimplicialComplex.empty(2).contains_face(())
+    assert not any(c4.contains_face(f) for f in [(1, 3), (0,), (5,), (1, 2, 3)])
+    assert not SimplicialComplex.void(2).contains_face(())
 
 
 def test_skeleton():

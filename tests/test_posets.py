@@ -41,7 +41,20 @@ from lcmkit.posets import (
 )
 from lcmkit.squarefree import from_complex, is_module_l_cm, module_l_cm_threshold
 from lcmkit.sweeps import poset_instances
-from oracles import module_threshold_by_definition, poset_threshold_by_definition
+from oracles import (
+    module_threshold_by_definition,
+    poset_threshold_by_definition,
+    simplicial_poset_defects,
+)
+from record_verdicts import (
+    POSET_SNAPSHOT,
+    VALIDATION_CASES,
+    VALIDATION_SNAPSHOT,
+    random_cover_set,
+    render_posets,
+    render_validation,
+    validation_outcome,
+)
 
 QQ = FieldSpec.rationals()
 
@@ -101,6 +114,32 @@ def test_invalid_posets():
         )
     with pytest.raises(PosetValidationError):
         SimplicialPoset.build(["o", "a"], "o", [("o", "a"), ("a", "o")])
+
+
+def test_validation_agrees_with_the_definition():
+    # build accepts a seeded random graded cover set exactly when the
+    # definition holds, and rejects it with the class and message recorded
+    # before the pairwise "ordered by atom sets" check was dropped
+    outcomes, defects_seen = [], set()
+    for seed in range(VALIDATION_CASES):
+        size, pairs = random_cover_set(seed)
+        outcome = validation_outcome(size, pairs)
+        defects = simplicial_poset_defects(size, 0, pairs)
+        assert (outcome == "accepted") == (not defects), (seed, outcome, defects)
+        outcomes.append(outcome)
+        defects_seen |= defects
+    # each of the three boolean-interval conditions fails somewhere
+    assert {"interval size", "shared support", "order"} <= defects_seen
+    assert "accepted" in outcomes
+    assert any("elements, expected" in o for o in outcomes)
+    assert any("share the atom set" in o for o in outcomes)
+    assert render_validation(outcomes).encode() == VALIDATION_SNAPSHOT.read_bytes()
+
+
+def test_poset_structure_snapshot():
+    # element order, ranks, supports, down-sets and upper covers of the
+    # poset suite, against the committed table
+    assert render_posets().encode() == POSET_SNAPSHOT.read_bytes()
 
 
 def test_cover_cycle_is_rejected():
