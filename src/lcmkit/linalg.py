@@ -13,17 +13,31 @@ matrix whether every entry is an int and converts only a matrix that is not
 (denominators cleared row by row over Q, ``FieldSpec.normalize`` over
 GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
 ranks and ``boundary_matrix``.  Reduced simplicial homology dimensions
-follow from the boundary ranks.  One global cache makes the repeated
-link/restriction lookups of the Cohen-Macaulay sweeps cheap: it holds the
-homology dimensions computed here and the CM verdicts of ``cm``, keyed by
-(computing function, facet family, characteristic), and
-``_cached_canonical`` is the only code that reads or writes it.  The family
-in the key is relabelled canonically (vertex support mapped, in order, onto
-bits 0..k-1): a simplicial isomorphism keeps both values, so the links of
-equal-size faces of a skeleton share one entry.  A family is looked up raw
-first and relabelled only on a miss.
-"""
+follow from the boundary ranks.
 
+A Q rank of int rows whose Bareiss core stayed empty is certified for
+every field.  Each row operation adds an integer multiple of a pivot row
+with a +-1 pivot, so the row lattice is unchanged; each pivot row is 1 on
+its own column and 0 on the columns of earlier pivots, so the pivot rows
+have a unitriangular r x r minor and the rank is r mod every prime (all
+Smith invariants are 1).  Every step that breaks this bumps the counter
+``_taint``: a Q rank that reached the core, rows that ``_int_rows``
+converted, and a Q value read from a characteristic-0 cache key.
+``_certified`` compares the counter around a computation.
+
+One global cache makes the repeated link/restriction lookups of the
+Cohen-Macaulay sweeps cheap: it holds the homology dimensions computed here
+and the CM verdicts of ``cm``, keyed by (computing function, facet family,
+characteristic), and ``_cached_canonical`` is the only code that reads or
+writes it.  The characteristic is ``None`` for a value that holds over every
+field: one computed over Q with no taint inside.  Anything else, every
+GF(p) value included, goes under its own characteristic, and a lookup tries
+``None`` before it.  The family in the key is relabelled canonically
+(vertex support mapped, in order, onto bits 0..k-1): a simplicial
+isomorphism keeps both values, so the links of equal-size faces of a
+skeleton share one entry.  A family is looked up raw first and relabelled
+only on a miss.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -35,6 +49,10 @@ from .complexes import SimplicialComplex, _relabel_masks, _support, mask_to_face
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
+
+# Bumped by every step whose Q result need not hold over GF(p); see the
+# module docstring.
+_taint = 0
 
 
 def _is_prime(p: int) -> bool:
@@ -169,9 +187,12 @@ def rank(matrix: SparseMatrix, fieldspec: FieldSpec) -> int:
 def _int_rows(rows: list[dict], fieldspec: FieldSpec) -> list[dict[int, int]]:
     """``rows`` themselves when every entry is an int; otherwise a copy with
     denominators cleared row by row over Q (row scaling preserves rank) or
-    every entry put through ``FieldSpec.normalize`` over GF(p)."""
+    every entry put through ``FieldSpec.normalize`` over GF(p).  A converted
+    matrix is not certified for every field."""
+    global _taint
     if all(type(v) is int for row in rows for v in row.values()):
         return rows
+    _taint += 1
     if fieldspec.characteristic:
         return [{c: fieldspec.normalize(v) for c, v in row.items()} for row in rows]
     scaled = []
@@ -189,9 +210,11 @@ def _rank_rows(rows: list[dict[int, int]], fieldspec: FieldSpec) -> int:
     exact int.  A pivot row is stored without its pivot column and scaled so
     that the pivot entry is 1.  Over Q the rows left with no +-1 entry are
     reduced against every pivot, and that leftover core goes to Bareiss
-    (Dumas, Saunders and Villard, J. Symb. Comput. 2001).  Over Q every
-    entry must be nonzero; the rows are consumed.
+    (Dumas, Saunders and Villard, J. Symb. Comput. 2001).  A Q rank with an
+    empty core holds over every field; one with a core bumps ``_taint``.
+    Over Q every entry must be nonzero; the rows are consumed.
     """
+    global _taint
     p = fieldspec.characteristic
     if p:
         rows = [{c: r for c, v in row.items() if (r := v % p)} for row in rows]
@@ -222,6 +245,8 @@ def _rank_rows(rows: list[dict[int, int]], fieldspec: FieldSpec) -> int:
         pivots.append((c, row))
     if not core:
         return len(pivots)
+    if not p:
+        _taint += 1
     cols: dict[int, int] = {}
     for row in core:
         _eliminate(row, index, pivots, 0)
@@ -264,6 +289,15 @@ def _eliminate(row: dict[int, int], index: dict[int, int],
                     row[x] = w
                 else:
                     del row[x]
+
+
+def _certified(compute, *args):
+    """``(compute(*args), certified)``; certified when no step inside bumped
+    ``_taint``, which for a Q computation means the value holds over every
+    field."""
+    before = _taint
+    value = compute(*args)
+    return value, _taint == before
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -356,9 +390,9 @@ def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> Homology
 
 
 # The one cache, keyed by (computing function, facet bitmask family,
-# characteristic).  Link and restriction families repeat heavily across
-# Cohen-Macaulay sweeps, and many more of them are equal up to relabelling;
-# see ``_cached_canonical``.
+# characteristic, or None for a value that holds over every field).  Link
+# and restriction families repeat heavily across Cohen-Macaulay sweeps, and
+# many more of them are equal up to relabelling; see ``_cached_canonical``.
 _CACHE: dict[tuple, object] = {}
 
 
@@ -375,21 +409,36 @@ def _cached_canonical(compute, facet_masks: frozenset[int], fieldspec: FieldSpec
 
     The raw key is looked up first, so a family seen before is never
     relabelled again.  On a miss the canonical key is looked up, and the
-    value is stored under both keys.
+    value is stored under both keys: under ``None`` when it was computed
+    over Q with no taint inside (or read from a ``None`` key), otherwise
+    under the characteristic.
     """
     p = fieldspec.characteristic
-    key = (compute, facet_masks, p)
-    hit = _CACHE.get(key)
+    hit, free = _lookup(compute, facet_masks, p)
     if hit is None:
         canon = _canonical_masks(facet_masks)
-        ckey = (compute, canon, p)
         if canon is not facet_masks:
-            hit = _CACHE.get(ckey)
+            hit, free = _lookup(compute, canon, p)
         if hit is None:
-            hit = compute(canon, fieldspec)
-            _CACHE[ckey] = hit
-        _CACHE[key] = hit
+            hit, free = _certified(compute, canon, fieldspec)
+            free = free and not p
+            _CACHE[(compute, canon, None if free else p)] = hit
+        _CACHE[(compute, facet_masks, None if free else p)] = hit
     return hit
+
+
+def _lookup(compute, facet_masks: frozenset[int], p: int):
+    """``(value or None, whether it holds over every field)`` from the
+    ``None`` key, else from the key of characteristic p.  A Q value found
+    only under 0 was not certified, so reading it bumps ``_taint``."""
+    global _taint
+    hit = _CACHE.get((compute, facet_masks, None))
+    if hit is not None:
+        return hit, True
+    hit = _CACHE.get((compute, facet_masks, p))
+    if hit is not None and not p:
+        _taint += 1
+    return hit, False
 
 
 def _canonical_masks(facet_masks: frozenset[int]) -> frozenset[int]:

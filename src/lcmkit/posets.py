@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import SimplicialComplex, _bits, _relabel_masks, _support, boundary_simplex, mask_to_face
@@ -45,6 +46,8 @@ class SimplicialPoset:
     atom sets) are derived.  ``uppers[x]`` (upper covers, in index order)
     and ``down_masks[x]`` (y <= x on bit y; ``down_set`` gives the indices)
     come from the same validating pass and take no part in comparison.
+    ``_chain_masks``, the facets of the order complex, is built on first
+    use and kept.
     Each [bottom, x] has 2^rank(x) elements of distinct supports, so y <= z
     exactly when supp(y) lies in supp(z).  Instances are built through
     ``build`` or the generators, which validate every invariant.
@@ -120,6 +123,26 @@ class SimplicialPoset:
 
     def __repr__(self):
         return f"SimplicialPoset({self.size} elements, rank {self.max_rank()})"
+
+    @cached_property
+    def _chain_masks(self) -> frozenset[int]:
+        """The saturated chains from an atom up to a maximal element, as
+        masks with the i-th nonbottom element (in index order) on bit i."""
+        nonbottom = [x for x in range(self.size) if x != self.bottom]
+        bit = {x: 1 << i for i, x in enumerate(nonbottom)}
+        chains: set[int] = set()
+
+        def grow(x: int, chain: int):
+            chain |= bit[x]
+            if self.uppers[x]:
+                for y in self.uppers[x]:
+                    grow(y, chain)
+            else:
+                chains.add(chain)
+
+        for a in self.atoms:
+            grow(a, 0)
+        return frozenset(chains)
 
 
 def _elements(mask: int) -> list[int]:
@@ -254,21 +277,7 @@ def _induced_subposet(poset: SimplicialPoset, kept: list[int]) -> SimplicialPose
 def order_complex(poset: SimplicialPoset) -> SimplicialComplex:
     """Complex of chains of the nonbottom part; facets are the saturated
     chains from an atom up to a maximal element."""
-    nonbottom = [x for x in range(poset.size) if x != poset.bottom]
-    bit = {x: 1 << i for i, x in enumerate(nonbottom)}
-    chains: set[int] = set()
-
-    def grow(x: int, chain: int):
-        chain |= bit[x]
-        if poset.uppers[x]:
-            for y in poset.uppers[x]:
-                grow(y, chain)
-        else:
-            chains.add(chain)
-
-    for a in poset.atoms:
-        grow(a, 0)
-    return SimplicialComplex(len(nonbottom), frozenset(chains))
+    return SimplicialComplex(poset.size - 1, poset._chain_masks)
 
 
 def is_poset_cm(poset: SimplicialPoset, fieldspec: FieldSpec) -> bool:
@@ -304,7 +313,7 @@ def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: 
     cells = [s for x, s in enumerate(poset.support_masks) if x != poset.bottom]
     groups = [_support(1 << bit for bit, s in enumerate(cells) if s >> a & 1)
               for a in range(poset.vertex_count)]
-    fails = _deletion_fails(order_complex(poset).facet_masks, poset.max_rank() - 1, fieldspec)
+    fails = _deletion_fails(poset._chain_masks, poset.max_rank() - 1, fieldspec)
     return _smallest_failing_deletion(groups, cap, fails)
 
 

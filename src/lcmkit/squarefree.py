@@ -8,8 +8,10 @@ views ``comp`` and ``mult`` are derived from the masks.  The commutativity
 of the maps is checked once per module: the entries where the two paths
 around a square differ are found on first use and kept, and each field
 only tests whether one of them survives reduction.  Betti numbers are
-computed degree by degree as homology of the Koszul complex on the masks;
-from them we read off projective dimension, Cohen-Macaulayness, the l-CM
+computed degree by degree as homology of the Koszul complex on the masks.
+A table computed over Q whose every rank is certified by ``linalg`` holds
+over every field; the module keeps it, and later fields copy it.  From the
+tables we read off projective dimension, Cohen-Macaulayness, the l-CM
 property under vertex deletions, and the Betti table of the canonical
 module of a CM module.
 """
@@ -28,7 +30,7 @@ from .errors import (
     VoidComplexError,
     ZeroModuleError,
 )
-from .linalg import FieldSpec, _int_rows, _rank_rows, faces_by_card
+from .linalg import FieldSpec, _certified, _int_rows, _rank_rows, faces_by_card
 
 # rows of exact entries (ints, or Fractions over Q)
 Matrix = tuple[tuple, ...]
@@ -69,6 +71,10 @@ class SquarefreeModule:
     variable numbers.  The constructor takes that vertex-set form; the
     commutativity of the maps is checked once per module, on first use.
     """
+
+    # Koszul entries computed over Q with every rank certified: they hold
+    # over every field (see ``koszul_betti``)
+    _free_betti: dict | None = None
 
     def __init__(self, n: int, comp: dict, mult: dict | None = None):
         if n < 0:
@@ -194,7 +200,11 @@ def from_complex(delta: SimplicialComplex) -> SquarefreeModule:
     comp = dict.fromkeys(chain(*faces_by_card(delta.facet_masks)), 1)
     full = (1 << delta.vertex_count) - 1
     mult = {(f, bit): ((1,),) for f in comp for bit in _bits(full ^ f) if f | bit in comp}
-    return SquarefreeModule._from_masks(delta.vertex_count, comp, mult)
+    module = SquarefreeModule._from_masks(delta.vertex_count, comp, mult)
+    # identity maps along the inclusions of a downward-closed family: both
+    # paths around every square are the identity, so nothing to scan
+    module._defects = []
+    return module
 
 
 def omega_module(n: int, deg) -> SquarefreeModule:
@@ -236,16 +246,29 @@ def module_skeleton(module: SquarefreeModule, i: int) -> SquarefreeModule:
 
 def koszul_betti(module: SquarefreeModule, fieldspec: FieldSpec) -> BettiTable:
     """Betti table of the module: the (i, F) entry is the dimension of the
-    i-th homology of the Koszul complex in squarefree degree F."""
+    i-th homology of the Koszul complex in squarefree degree F.
+
+    A Q table whose every rank ``linalg`` certifies is kept on the module;
+    any later field, once the maps are validated over it, copies it."""
     _check_betti_size(module.n)
     module.validate_over(fieldspec)
+    entries = module._free_betti
+    if entries is None:
+        entries, free = _certified(_koszul_entries, module, fieldspec)
+        if free and not fieldspec.characteristic:
+            module._free_betti = entries
+    return BettiTable(module.n, dict(entries))
+
+
+def _koszul_entries(module: SquarefreeModule,
+                    fieldspec: FieldSpec) -> dict[tuple[int, frozenset[int]], int]:
     entries: dict[tuple[int, frozenset[int]], int] = {}
     for deg in range(1 << module.n):
         if not any(s & deg == s for s in module.comp_masks):
             continue
         for i, b in _koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec).items():
             entries[(i, mask_to_face(deg))] = b
-    return BettiTable(module.n, entries)
+    return entries
 
 
 def _koszul_degree(comp: dict[int, int], mult: dict[tuple[int, int], Matrix], deg: int,

@@ -232,6 +232,32 @@ def test_verdicts_survive_relabelling(n, density, seed, extra, rng):
     assert not is_cohen_macaulay(rp2, GF2)
 
 
+def cone(delta):
+    """``delta`` with a new last vertex joined to every facet."""
+    apex = delta.vertex_count + 1
+    return SimplicialComplex.from_facets((f | {apex} for f in delta.facets), vertex_count=apex)
+
+
+# The apex link of the cone over RP² is RP², CM over Q but not over GF(2).
+# In the relabelled copy the apex is vertex 1 and RP² keeps its vertex
+# order, so its apex link reads the very cache entries of RP².
+RP2_CONE = cone(real_projective_plane())
+RP2_CONE_MOVED = relabel(RP2_CONE, [2, 3, 4, 5, 6, 7, 1], 7)
+
+
+@pytest.mark.parametrize("order", [(QQ, GF2), (GF2, QQ)], ids=["Q-first", "GF2-first"])
+def test_q_verdicts_that_read_rp2_stay_with_q(order):
+    # a Q verdict that reads a torsion-dependent value must not be stored
+    # for every field, whichever field asks first
+    want = {QQ: (True, 1), GF2: (False, 0)}
+    linalg._CACHE.clear()
+    for delta in (RP2_CONE, RP2_CONE_MOVED):
+        for f in order:
+            assert is_cohen_macaulay(delta, f) == want[f][0]
+        for f in order:
+            assert max_l(delta, f) == want[f][1]
+
+
 def _verdicts(delta):
     return [
         (is_cohen_macaulay(delta, f), l_cm_threshold(delta, f), reduced_homology(delta, f))
@@ -256,6 +282,8 @@ def test_cache_order_does_not_change_verdicts():
         relabel(boundary_simplex(3), [6, 2, 9, 4], 10),
         full_simplex(7).skeleton(3),
         complete_graph(5),
+        RP2_CONE,
+        RP2_CONE_MOVED,
     ]
     linalg._CACHE.clear()
     cold = [_verdicts(d) for d in deltas]

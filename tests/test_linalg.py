@@ -162,6 +162,39 @@ def test_rank_without_unit_entries(monkeypatch):
     assert cores == [4]  # prime fields never reach the core
 
 
+def certified_rank(matrix):
+    """Rank over Q and whether the kernel certified it for every field."""
+    return linalg._certified(rank, matrix, QQ)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), torsion=st.booleans())
+def test_certified_ranks_hold_over_every_field(seed, torsion):
+    # a certified Q rank comes from an elimination with +-1 pivots only, so
+    # every Smith invariant is 1 and the rank is the same mod every prime
+    rng = random.Random(seed)
+    rows = torsion_rows(rng, rng.choice((2, 3))) if torsion else sparse_rows(rng, 0.0)
+    mat = SparseMatrix.from_rows(rows)
+    r, certified = certified_rank(mat)
+    if certified:
+        assert all(abs(d) == 1 for d in snf_diagonal(rows))
+        for p in (2, 3, LARGE_PRIME):
+            assert rank(mat, FieldSpec(p)) == r
+
+
+def test_torsion_and_converted_entries_are_not_certified():
+    assert certified_rank(SparseMatrix.from_rows([[2]])) == (1, False)
+    # H_1(RP²; Z) = Z/2: the rank of the second boundary map drops mod 2
+    d2 = boundary_matrix(real_projective_plane(), 2, QQ)
+    assert certified_rank(d2) == (10, False)
+    assert rank(d2, GF2) == 9
+    assert certified_rank(SparseMatrix.from_rows([[1, 0], [0, -1]])) == (2, True)
+    assert certified_rank(boundary_matrix(boundary_simplex(3), 2, QQ)) == (3, True)
+    # Fractions and bools are converted first, so nothing is certified
+    assert certified_rank(SparseMatrix.from_rows([[Fraction(1, 2)]])) == (1, False)
+    assert certified_rank(SparseMatrix.from_rows([[True, 0], [0, 1]])) == (2, False)
+
+
 def test_sparse_matrix_validation():
     with pytest.raises(ValueError):
         SparseMatrix(1, 1, {(2, 0): 1})

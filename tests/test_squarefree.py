@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmkit.cm import BETTI_CAP, hochster_betti, is_cohen_macaulay, is_l_cm, l_cm_threshold
 from lcmkit.complexes import (
@@ -39,12 +41,13 @@ from lcmkit.squarefree import (
     thm25_condition_ii,
     thm25_condition_iii,
 )
-from lcmkit.sweeps import enumerate_complexes
+from lcmkit.sweeps import enumerate_complexes, random_complex
 from oracles import module_threshold_by_definition
 from record_verdicts import MODULE_SNAPSHOT, render_modules
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
+GF3 = FieldSpec.prime(3)
 
 E = frozenset()
 
@@ -126,6 +129,36 @@ def test_koszul_matches_hochster(fieldspec):
 def test_koszul_matches_hochster_exhaustive_n3(fieldspec):
     for delta in enumerate_complexes(3):
         assert koszul_betti(from_complex(delta), fieldspec) == hochster_betti(delta, fieldspec)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(6, 8), density=st.floats(0.3, 0.9), seed=st.integers(0, 10**6))
+def test_koszul_matches_hochster_on_random_complexes(n, density, seed):
+    # Q first, so the GF(2) and GF(3) tables may be copies of the Q table
+    delta = random_complex(n, density, seed)
+    module = from_complex(delta)
+    for fieldspec in (QQ, GF2, GF3):
+        assert koszul_betti(module, fieldspec) == hochster_betti(delta, fieldspec)
+
+
+@pytest.mark.parametrize("order", [(QQ, GF2), (GF2, QQ)], ids=["Q-first", "GF2-first"])
+def test_koszul_table_with_torsion_stays_with_q(order):
+    # multiplication by x_1 is 2: invertible over Q, where the module is
+    # free on one generator; zero over GF(2), where it splits as k + k(-{1})
+    want = {
+        QQ: {(0, E): 1},
+        GF2: {(0, E): 1, (0, frozenset({1})): 1, (1, frozenset({1})): 1},
+    }
+    module = SquarefreeModule(1, {(): 1, (1,): 1}, {((), 1): ((2,),)})
+    for fieldspec in order:
+        assert koszul_betti(module, fieldspec).entries == want[fieldspec]
+
+
+def test_copied_koszul_tables_are_fresh():
+    module = from_complex(cycle(4))
+    first = koszul_betti(module, QQ)
+    first.entries.clear()
+    assert koszul_betti(module, GF2) == hochster_betti(cycle(4), GF2)
 
 
 def test_koszul_betti_refuses_oversize_modules():
@@ -300,6 +333,19 @@ def test_nonvanishing_zero_component_never_dies(fieldspec):
     for size in range(0, 5):
         for drop in combinations(range(1, 5), size):
             assert not delete_variables(m, drop).is_zero
+
+
+def test_face_rings_of_complexes_have_no_defects():
+    # from_complex skips the scan; run it on a copy of the same data
+    rng = random.Random(5)
+    instances = [delta for n in range(1, 5) for delta in enumerate_complexes(n)]
+    instances += [random_complex(rng.randint(5, 7), rng.uniform(0.3, 0.9), rng.randrange(10**6))
+                  for _ in range(50)]
+    for delta in instances:
+        module = from_complex(delta)
+        assert module._defects == []
+        copy = SquarefreeModule._from_masks(module.n, module.comp_masks, module.mult_masks)
+        assert copy._defects == []
 
 
 def test_commutativity_validation():
