@@ -10,6 +10,7 @@ non-Cohen-Macaulay input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import cm as cmod
@@ -187,7 +188,10 @@ def _cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs far
+    more than a parse."""
     parser = argparse.ArgumentParser(
         prog="lcmkit",
         description="Cohen-Macaulay and l-CM checks for complexes, squarefree "

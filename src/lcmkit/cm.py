@@ -11,7 +11,9 @@ relabelled facet family, so isomorphic links are decided once.  Links and
 deletions are the facet-mask helpers of ``complexes``.  The l-CM property
 asks that every deletion of fewer than l vertices stays Cohen-Macaulay of
 the same dimension.  Betti numbers of the face ring are read off homology of
-induced subcomplexes.
+induced subcomplexes, one per degree bitmask; a ``BettiTable`` stores its
+entries under those masks, and only its ``entries`` view and ``get`` speak
+vertex sets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _deletion_masks, _link_masks, _support, mask_to_face
+from .complexes import SimplicialComplex, _bits, _deletion_masks, _link_masks, _mask, _support, _vertices, mask_to_face
 from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
@@ -29,48 +31,49 @@ BETTI_CAP = 16
 
 @dataclass
 class BettiTable:
-    """Multigraded Betti numbers: (homological index i, squarefree degree F) -> multiplicity."""
+    """Multigraded Betti numbers of a module over n variables.
+
+    ``entry_masks`` maps (homological index i, squarefree degree F) to the
+    multiplicity, F stored as its bitmask (vertex v on bit v-1), the way
+    complexes store ``facet_masks``; zero multiplicities are not stored.
+    ``entries`` derives the same table keyed by vertex sets.
+    """
 
     n: int
-    entries: dict[tuple[int, frozenset[int]], int] = field(default_factory=dict)
+    entry_masks: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for (i, deg), b in self.entries.items():
+        top = 1 << self.n
+        for (i, deg), b in self.entry_masks.items():
             if b <= 0:
                 raise ValueError("stored multiplicities must be positive")
             if i < 0:
                 raise ValueError("homological index must be >= 0")
-            if not all(1 <= v <= self.n for v in deg):
-                raise ValueError(f"degree {sorted(deg)} outside 1..{self.n}")
+            if not (isinstance(deg, int) and 0 <= deg < top):
+                raise ValueError(f"degree mask {deg!r} is not a subset of 1..{self.n}")
+
+    @property
+    def entries(self) -> dict[tuple[int, frozenset[int]], int]:
+        """The table keyed by (i, vertex set)."""
+        return {(i, mask_to_face(deg)): b for (i, deg), b in self.entry_masks.items()}
 
     def get(self, i: int, deg) -> int:
-        return self.entries.get((i, frozenset(deg)), 0)
+        """The entry at (i, vertex set); 0 for a degree outside 1..n."""
+        deg = tuple(deg)
+        if not all(1 <= v <= self.n for v in deg):
+            return 0
+        return self.entry_masks.get((i, _mask(deg)), 0)
 
     def projective_dimension(self) -> int:
         """Largest i with a nonzero entry; -1 for the empty table (zero module)."""
-        return max((i for i, _ in self.entries), default=-1)
+        return max((i for i, _ in self.entry_masks), default=-1)
 
-    def sorted_items(self):
-        return sorted(
-            ((i, tuple(sorted(deg)), b) for (i, deg), b in self.entries.items()),
-            key=lambda t: (t[0], t[1]),
-        )
-
-    def to_tsv(self, labels: tuple[int, ...] | None = None) -> str:
+    def to_tsv(self) -> str:
         """Render as `i<TAB>F<TAB>beta` rows sorted by (i, F); `-` for the empty degree."""
+        rows = sorted((i, _vertices(deg), b) for (i, deg), b in self.entry_masks.items())
         lines = ["i\tF\tbeta"]
-        for i, deg, b in self.sorted_items():
-            shown = deg if labels is None else tuple(labels[v - 1] for v in deg)
-            name = ",".join(str(v) for v in shown) if shown else "-"
-            lines.append(f"{i}\t{name}\t{b}")
+        lines.extend(f"{i}\t{','.join(map(str, deg)) or '-'}\t{b}" for i, deg, b in rows)
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BettiTable)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
 
 
 # -- Reisner criterion ------------------------------------------------------------
@@ -165,15 +168,14 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
     n = delta.vertex_count
     _check_betti_size(n)
     facet_masks = delta.facet_masks
-    entries: dict[tuple[int, frozenset[int]], int] = {}
+    entries: dict[tuple[int, int], int] = {}
     for fmask in range(1 << n):
         induced = _deletion_masks(facet_masks, ~fmask)
         dims = homology_dims_of_facets(induced, fieldspec)
         size = fmask.bit_count()
-        deg = mask_to_face(fmask)
         for j, h in enumerate(dims):
             if h:  # homology degree j-1 contributes at index #F - (j-1) - 1
-                entries[(size - j, deg)] = h
+                entries[(size - j, fmask)] = h
     return BettiTable(n, entries)
 
 

@@ -1,7 +1,9 @@
 """Finite simplicial complexes on vertex set {1..n}, stored by facets.
 
 A complex is determined by its maximal faces, stored as bitmasks (vertex v
-on bit v-1); all other faces are enumerated on demand.  Two degenerate
+on bit v-1); all other faces are enumerated on demand by one walk over the
+submasks of the facets (``_face_masks``), which ``faces``, ``all_faces``,
+``face_counts`` and ``linalg.faces_by_card`` share.  Two degenerate
 values are distinguished: the empty complex, whose only face is the empty
 set, and the void complex, which has no faces at all (its Stanley-Reisner
 ring is the zero ring).
@@ -9,13 +11,12 @@ ring is the zero ring).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import InvalidFaceError, ParseError, VoidComplexError
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -103,41 +104,19 @@ class SimplicialComplex:
         """All faces of dimension i; i = -1 yields {emptyset} unless void."""
         if self.is_void:
             return set()
-        if i == -1:
-            return {_EMPTY}
-        if i < -1:
-            return set()
-        out: set[frozenset[int]] = set()
-        for f in self.facets:
-            if len(f) >= i + 1:
-                for c in combinations(sorted(f), i + 1):
-                    out.add(frozenset(c))
-        return out
+        return {mask_to_face(m) for m in _face_masks(self.facet_masks) if m.bit_count() == i + 1}
 
     def all_faces(self) -> Iterator[frozenset[int]]:
-        """Every face including the empty one (nothing for the void complex)."""
-        if self.is_void:
-            return
-        seen: set[frozenset[int]] = set()
-        yield _EMPTY
-        for f in self.facets:
-            vs = sorted(f)
-            for k in range(1, len(vs) + 1):
-                for c in combinations(vs, k):
-                    fc = frozenset(c)
-                    if fc not in seen:
-                        seen.add(fc)
-                        yield fc
+        """Every face including the empty one, in bitmask order (nothing for
+        the void complex)."""
+        if not self.is_void:
+            yield from map(mask_to_face, sorted(_face_masks(self.facet_masks)))
 
     def face_counts(self) -> dict[int, int]:
         """Number of i-faces for i = -1 .. dim (empty for the void complex)."""
         if self.is_void:
             return {}
-        counts: dict[int, int] = {-1: 1}
-        for f in self.all_faces():
-            if f:
-                counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
-        return counts
+        return dict(sorted(Counter(m.bit_count() - 1 for m in _face_masks(self.facet_masks)).items()))
 
     def reduced_euler_characteristic(self) -> int:
         """Sum of (-1)^i over face dimensions i, including the empty face."""
@@ -164,10 +143,6 @@ class SimplicialComplex:
     def delete_vertices(self, drop: Iterable[int]) -> "SimplicialComplex":
         """Induced subcomplex on the complement of ``drop``."""
         return self.induced_subcomplex(set(range(1, self.vertex_count + 1)).difference(drop))
-
-    def restriction_labels(self, keep: Iterable[int]) -> tuple[int, ...]:
-        """Original labels in re-indexed order: entry k-1 is the old label of new vertex k."""
-        return tuple(sorted(set(keep)))
 
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
         """Link of a face, on the remaining vertices re-indexed onto 1..#rest."""
@@ -278,15 +253,25 @@ def _deletion_masks(facet_masks: frozenset[int], drop: int) -> frozenset[int]:
     return _maximal_masks(fm & ~drop for fm in facet_masks)
 
 
+def _vertices(mask: int) -> list[int]:
+    """The vertices of a mask, smallest first."""
+    return [b.bit_length() for b in _bits(mask)]
+
+
 def mask_to_face(mask: int) -> frozenset[int]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(_vertices(mask))
+
+
+def _face_masks(facet_masks: Iterable[int]) -> set[int]:
+    """Every face of the family: each submask of each facet, the empty face
+    included.  This is the one face walk."""
+    faces = {0}
+    for fm in facet_masks:
+        sub = fm
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & fm
+    return faces
 
 
 # -- standard shapes ----------------------------------------------------------

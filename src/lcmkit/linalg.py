@@ -45,7 +45,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .complexes import SimplicialComplex, _relabel_masks, _support, mask_to_face
+from .complexes import SimplicialComplex, _face_masks, _relabel_masks, _support, mask_to_face
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -451,19 +451,12 @@ def _canonical_masks(facet_masks: frozenset[int]) -> frozenset[int]:
 
 
 def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:
-    """All face bitmasks grouped by cardinality (index 0 holds the empty face)."""
-    top = max((m.bit_count() for m in facet_masks), default=0)
-    seen: set[int] = {0}
-    by_card: list[list[int]] = [[0]] + [[] for _ in range(top)]
-    for fm in facet_masks:
-        sub = fm
-        while sub:
-            if sub not in seen:
-                seen.add(sub)
-                by_card[sub.bit_count()].append(sub)
-            sub = (sub - 1) & fm
-    for level in by_card:
-        level.sort()
+    """All face bitmasks grouped by cardinality, each group in increasing
+    order (index 0 holds the empty face)."""
+    top = max(map(int.bit_count, facet_masks), default=0)
+    by_card: list[list[int]] = [[] for _ in range(top + 1)]
+    for m in sorted(_face_masks(facet_masks)):
+        by_card[m.bit_count()].append(m)
     return by_card
 
 

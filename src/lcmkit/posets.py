@@ -237,13 +237,6 @@ def join_set(poset: SimplicialPoset, x: int, y: int) -> frozenset[int]:
     return frozenset(z for z in ups if poset.down_masks[z] & upmask == 1 << z)
 
 
-def atom_class(poset: SimplicialPoset, atom_set) -> tuple[int, ...]:
-    """All elements whose atom support is exactly the given set of atoms."""
-    want = frozenset(atom_set)
-    return tuple(x for x, s in enumerate(poset.support_masks)
-                 if s.bit_count() == len(want) and all(v >= 1 and s >> (v - 1) & 1 for v in want))
-
-
 def restrict_poset(poset: SimplicialPoset, keep_atoms) -> SimplicialPoset:
     """Induced subposet of the elements supported inside the given atoms."""
     w = frozenset(keep_atoms)

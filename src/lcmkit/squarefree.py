@@ -209,7 +209,9 @@ def from_complex(delta: SimplicialComplex) -> SquarefreeModule:
 
 def omega_module(n: int, deg) -> SquarefreeModule:
     """The module with a single one-dimensional component at the given degree."""
-    return SquarefreeModule(n, {frozenset(deg): 1})
+    module = SquarefreeModule(n, {frozenset(deg): 1})
+    module._defects = []  # no maps, so nothing to commute
+    return module
 
 
 def restrict(module: SquarefreeModule, keep) -> SquarefreeModule:
@@ -238,7 +240,11 @@ def module_skeleton(module: SquarefreeModule, i: int) -> SquarefreeModule:
         raise ValueError("skeleton index must be >= 0")
     comp = {f: d for f, d in module.comp_masks.items() if f.bit_count() <= i}
     mult = {key: mat for key, mat in module.mult_masks.items() if key[0].bit_count() < i}
-    return SquarefreeModule._from_masks(module.n, comp, mult)
+    skeleton = SquarefreeModule._from_masks(module.n, comp, mult)
+    # the skeleton keeps exactly the squares whose top degree has at most i
+    # elements, with the same maps, in the same order
+    skeleton._defects = [x for x in module._defects if (x[0] | x[1] | x[2]).bit_count() <= i]
+    return skeleton
 
 
 # -- Koszul homology ---------------------------------------------------------------
@@ -260,14 +266,14 @@ def koszul_betti(module: SquarefreeModule, fieldspec: FieldSpec) -> BettiTable:
     return BettiTable(module.n, dict(entries))
 
 
-def _koszul_entries(module: SquarefreeModule,
-                    fieldspec: FieldSpec) -> dict[tuple[int, frozenset[int]], int]:
-    entries: dict[tuple[int, frozenset[int]], int] = {}
+def _koszul_entries(module: SquarefreeModule, fieldspec: FieldSpec) -> dict[tuple[int, int], int]:
+    """The Betti entries keyed by (i, degree bitmask)."""
+    entries: dict[tuple[int, int], int] = {}
     for deg in range(1 << module.n):
         if not any(s & deg == s for s in module.comp_masks):
             continue
         for i, b in _koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec).items():
-            entries[(i, mask_to_face(deg))] = b
+            entries[(i, deg)] = b
     return entries
 
 
@@ -366,7 +372,7 @@ def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int
     (Yanagawa, J. Algebra 2000)."""
     if module.is_zero:
         raise ZeroModuleError("the l-CM property is checked on nonzero modules")
-    entries = [(i, _mask(deg)) for i, deg in koszul_betti(module, fieldspec).entries]
+    entries = list(koszul_betti(module, fieldspec).entry_masks)
     n = module.n
     d = module_dim(module)
     def fails(drop: int) -> bool:
@@ -386,19 +392,13 @@ def thm25_condition_ii(table: BettiTable, n: int, d: int, l: int) -> bool:
     """Vanishing pattern characterizing l-CM for a CM module of dimension d:
     no entry at (i, F) with i > n - d - l + 1 and #F < i + d."""
     bound = n - d - l + 1
-    for (i, deg) in table.entries:
-        if i > bound and len(deg) < i + d:
-            return False
-    return True
+    return not any(i > bound and deg.bit_count() < i + d for i, deg in table.entry_masks)
 
 
 def thm25_condition_iii(canonical_table: BettiTable, l: int) -> bool:
     """Vanishing pattern for the canonical module's table: no entry at (i, F)
     with i < l - 1 and #F > i."""
-    for (i, deg) in canonical_table.entries:
-        if i < l - 1 and len(deg) > i:
-            return False
-    return True
+    return not any(i < l - 1 and deg.bit_count() > i for i, deg in canonical_table.entry_masks)
 
 
 def canonical_betti(table: BettiTable, n: int, d: int) -> BettiTable:
@@ -409,11 +409,8 @@ def canonical_betti(table: BettiTable, n: int, d: int) -> BettiTable:
             "canonical Betti numbers require a Cohen-Macaulay module "
             f"(projective dimension {table.projective_dimension()}, expected {n - d})"
         )
-    full = frozenset(range(1, n + 1))
-    entries = {}
-    for (i, deg), b in table.entries.items():
-        entries[(n - d - i, full - deg)] = b
-    return BettiTable(n, entries)
+    full = (1 << n) - 1
+    return BettiTable(n, {(n - d - i, full ^ deg): b for (i, deg), b in table.entry_masks.items()})
 
 
 def is_2cm_via_canonical(module: SquarefreeModule, fieldspec: FieldSpec) -> bool:
@@ -426,7 +423,7 @@ def is_2cm_via_canonical(module: SquarefreeModule, fieldspec: FieldSpec) -> bool
     if table.projective_dimension() != module.n - d:
         raise RequiresCohenMacaulayError("the canonical-module test requires a CM module")
     dual = canonical_betti(table, module.n, d)
-    return all(not deg for (i, deg) in dual.entries if i == 0)
+    return all(not deg for (i, deg) in dual.entry_masks if i == 0)
 
 
 # -- module file format ----------------------------------------------------------------

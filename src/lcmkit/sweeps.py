@@ -20,6 +20,7 @@ from .complexes import (
     SimplicialComplex,
     _mask,
     _maximal_masks,
+    _vertices,
     boundary_simplex,
     complete_graph,
     cycle,
@@ -114,13 +115,14 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
     if not 1 <= n <= 12:
         raise ValueError("random complexes support 1 <= n <= 12")
     rng = random.Random(seed)
-    faces: set[frozenset[int]] = {frozenset([v]) for v in range(1, n + 1)}
+    singletons = [1 << b for b in range(n)]
+    faces = set(singletons)
     for k in range(2, n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            f = frozenset(combo)
-            if all(f - {v} in faces for v in combo) and rng.random() < density:
+        for combo in combinations(singletons, k):
+            f = sum(combo)
+            if all(f ^ b in faces for b in combo) and rng.random() < density:
                 faces.add(f)
-    return SimplicialComplex.from_facets(faces, vertex_count=n)
+    return SimplicialComplex(n, _maximal_masks(faces))
 
 
 def standard_instances() -> list[tuple[str, SimplicialComplex]]:
@@ -254,13 +256,10 @@ def sweep_oracle(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
             koszul = sqmod.koszul_betti(module, spec)
             hochster = cmod.hochster_betti(delta, spec)
             if koszul != hochster:
-                diff = {
-                    key: (koszul.entries.get(key, 0), hochster.entries.get(key, 0))
-                    for key in set(koszul.entries) | set(hochster.entries)
-                    if koszul.entries.get(key, 0) != hochster.entries.get(key, 0)
-                }
-                report.record(name, f"field={spec.label()}",
-                              f"koszul!=hochster at {sorted((i, tuple(sorted(f))) for i, f in diff)}", "")
+                left, right = koszul.entry_masks, hochster.entry_masks
+                diff = sorted((i, tuple(_vertices(f))) for i, f in left.keys() | right.keys()
+                              if left.get((i, f)) != right.get((i, f)))
+                report.record(name, f"field={spec.label()}", f"koszul!=hochster at {diff}", "")
     report.elapsed = time.perf_counter() - t0
     return report
 

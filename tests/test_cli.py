@@ -147,3 +147,24 @@ def test_exit_codes():
 def test_missing_file():
     code, _, err = run_cli(["cm", "/nonexistent/path.facets"])
     assert code == 3
+
+
+def test_one_parser_serves_every_call():
+    # the parser is built once per process; each call must answer as it
+    # does when it is the first call on a freshly built parser
+    calls = [
+        (["lcm", "--l", "3"], C4_FILE),
+        (["lcm", "--max"], C4_FILE),
+        (["lcm", "--l", "3", "--max"], C4_FILE),  # usage error: exclusive options
+        (["betti", "--field", "p:2"], C4_FILE),
+    ]
+    cli.build_parser.cache_clear()
+    in_turn = [run_cli(args, text) for args, text in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    first = []
+    for args, text in calls:
+        cli.build_parser.cache_clear()
+        first.append(run_cli(args, text))
+    assert in_turn == first
+    assert [code for code, _, _ in first] == [0, 0, 2, 0]
+    assert "not allowed with argument" in first[2][2]

@@ -149,17 +149,33 @@ def test_tsv_format():
     assert lines[1] == "0\t-\t1"
     assert lines[2] == "1\t1,3\t1"
     assert tsv.endswith("\n")
-    relabeled = hochster_betti(cycle(4), QQ).to_tsv(labels=(10, 20, 30, 40))
-    assert "1\t10,30\t1" in relabeled
 
 
 def test_betti_table_validation():
     with pytest.raises(ValueError):
-        BettiTable(2, {(0, frozenset({1})): 0})
+        BettiTable(2, {(0, 0b01): 0})
     with pytest.raises(ValueError):
-        BettiTable(2, {(-1, frozenset({1})): 1})
-    with pytest.raises(ValueError):
-        BettiTable(2, {(0, frozenset({5})): 1})
+        BettiTable(2, {(-1, 0b01): 1})
+    # a degree is a bitmask below 2^n: not negative, not too large, not a set
+    for bad in (-1, 0b100, 1 << 70, frozenset({1}), 1.0):
+        with pytest.raises(ValueError):
+            BettiTable(2, {(0, bad): 1})
+    assert BettiTable(2, {(0, 0b11): 1}).entries == {(0, frozenset({1, 2})): 1}
+
+
+def test_betti_table_stores_masks():
+    t = hochster_betti(cycle(4), QQ)
+    assert t.entry_masks == {(0, 0): 1, (1, 0b0101): 1, (1, 0b1010): 1, (2, 0b1111): 1}
+    assert t.entries == {
+        (0, frozenset()): 1,
+        (1, frozenset({1, 3})): 1,
+        (1, frozenset({2, 4})): 1,
+        (2, frozenset({1, 2, 3, 4})): 1,
+    }
+    assert t == BettiTable(4, dict(t.entry_masks)) != BettiTable(5, dict(t.entry_masks))
+    assert t.get(1, [3, 1]) == 1 and t.get(1, (1, 2)) == 0
+    # vertices outside 1..n read 0
+    assert t.get(0, (0,)) == 0 and t.get(1, (1, 3, 5)) == 0 and t.get(1, (0, 1, 3)) == 0
 
 
 def _oracle_betti(delta, p):

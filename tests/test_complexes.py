@@ -17,6 +17,8 @@ from lcmkit.complexes import (
 )
 from lcmkit.errors import InvalidFaceError, ParseError, VoidComplexError
 from lcmkit.squarefree import from_complex, restrict
+from lcmkit.sweeps import enumerate_complexes
+from oracles import all_faces as oracle_faces
 
 
 def faceset(delta, i):
@@ -159,7 +161,6 @@ def test_induced_subcomplex():
     sub13 = c4.induced_subcomplex({2, 4})
     assert sub13.vertex_count == 2
     assert sub13.facets == frozenset({frozenset({1}), frozenset({2})})
-    assert c4.restriction_labels({2, 4}) == (2, 4)
 
 
 def test_delete_vertices():
@@ -230,6 +231,29 @@ def test_face_counts_and_euler():
     assert c4.face_counts() == {-1: 1, 0: 4, 1: 4}
     assert c4.reduced_euler_characteristic() == -1 + 4 - 4
     assert full_simplex(3).reduced_euler_characteristic() == 0
+
+
+def _face_views(delta):
+    """faces, all_faces and face_counts, each as a set of sorted vertex tuples
+    or a count dict, with every dimension from -2 up to one past the top."""
+    top = max(map(len, delta.facets), default=0)
+    by_dim = {tuple(sorted(f)) for i in range(-2, top + 1) for f in delta.faces(i)}
+    listed = [tuple(sorted(f)) for f in delta.all_faces()]
+    assert len(listed) == len(set(listed))  # each face once
+    return by_dim, set(listed), delta.face_counts()
+
+
+def test_face_walk_matches_oracle():
+    for n in range(1, 6):
+        for delta in enumerate_complexes(n):
+            want = oracle_faces(delta.facets)
+            counts = {}
+            for f in want:
+                counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
+            assert _face_views(delta) == (want, want, counts)
+    for n in (0, 3):
+        assert _face_views(SimplicialComplex.empty(n)) == ({()}, {()}, {-1: 1})
+        assert _face_views(SimplicialComplex.void(n)) == (set(), set(), {})
 
 
 def test_parse_and_format_roundtrip():

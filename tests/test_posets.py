@@ -22,7 +22,6 @@ from lcmkit.errors import (
 from lcmkit.linalg import FieldSpec
 from lcmkit.posets import (
     SimplicialPoset,
-    atom_class,
     delete_atoms,
     face_poset,
     face_ring_module,
@@ -176,18 +175,6 @@ def test_join_set():
     y = fp.index_of("3")
     assert join_set(fp, x, y) == frozenset()
     assert {fp.ids[z] for z in join_set(fp, x, fp.index_of("2"))} == {"1,2"}
-
-
-def test_partition_into_join_classes():
-    for p in [glued_simplices(2, 2), face_poset(cycle(4)), random_simplicial_poset(4, 3, 1)]:
-        total = 0
-        seen = set()
-        supports = {p.support[x] for x in range(p.size)}
-        for u in supports:
-            cls = atom_class(p, u)
-            total += len(cls)
-            seen.update(cls)
-        assert total == p.size and len(seen) == p.size
 
 
 def test_restrict_poset():

@@ -41,7 +41,7 @@ from lcmkit.squarefree import (
     thm25_condition_ii,
     thm25_condition_iii,
 )
-from lcmkit.sweeps import enumerate_complexes, random_complex
+from lcmkit.sweeps import complex_scope, enumerate_complexes, random_complex
 from oracles import module_threshold_by_definition
 from record_verdicts import MODULE_SNAPSHOT, render_modules
 
@@ -157,7 +157,7 @@ def test_koszul_table_with_torsion_stays_with_q(order):
 def test_copied_koszul_tables_are_fresh():
     module = from_complex(cycle(4))
     first = koszul_betti(module, QQ)
-    first.entries.clear()
+    first.entry_masks.clear()
     assert koszul_betti(module, GF2) == hochster_betti(cycle(4), GF2)
 
 
@@ -379,6 +379,44 @@ def test_commutativity_validation():
     koszul_betti(mod3, FieldSpec.prime(3))  # 4 == 1 mod 3
     with pytest.raises(InvalidModuleError):
         koszul_betti(mod3, QQ)
+
+
+def _scanned_defects(module):
+    # a fresh copy of the same data runs the commutativity scan
+    return SquarefreeModule._from_masks(module.n, module.comp_masks, module.mult_masks)._defects
+
+
+def test_skeleton_and_omega_defects_match_a_scan():
+    # module_skeleton filters its parent's defects and omega_module sets none:
+    # both must equal the explicit scan, on the thm27 scope and a module
+    # whose maps do not commute
+    bad = SquarefreeModule(
+        3,
+        {E: 1, frozenset({1}): 1, frozenset({2}): 1, frozenset({3}): 1,
+         frozenset({1, 2}): 1, frozenset({1, 3}): 1, frozenset({1, 2, 3}): 1},
+        {
+            (E, 1): ((1,),),
+            (E, 2): ((1,),),
+            (E, 3): ((1,),),
+            (frozenset({1}), 2): ((4,),),
+            (frozenset({2}), 1): ((1,),),
+            (frozenset({1}), 3): ((2,),),
+            (frozenset({3}), 1): ((1,),),
+            (frozenset({1, 2}), 3): ((1,),),
+            (frozenset({1, 3}), 2): ((3,),),
+        },
+    )
+    assert _scanned_defects(bad)
+    modules = [bad] + [from_complex(delta) for _, delta in complex_scope(max_n=4)]
+    modules += [omega_module(n, combo) for n in range(1, 5)
+                for k in range(n + 1) for combo in combinations(range(1, n + 1), k)]
+    for module in modules:
+        assert module._defects == _scanned_defects(module)
+        for i in range(module.n + 2):
+            skeleton = module_skeleton(module, i)
+            assert skeleton._defects == _scanned_defects(skeleton)
+    assert module_skeleton(bad, 3)._defects == _scanned_defects(bad)
+    assert module_skeleton(bad, 2)._defects and not module_skeleton(bad, 1)._defects
 
 
 def test_commutativity_error_names_the_first_surviving_defect():
