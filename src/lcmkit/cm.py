@@ -10,10 +10,12 @@ the one cache of ``linalg``, beside homology, keyed on the canonically
 relabelled facet family, so isomorphic links are decided once.  Links and
 deletions are the facet-mask helpers of ``complexes``.  The l-CM property
 asks that every deletion of fewer than l vertices stays Cohen-Macaulay of
-the same dimension.  Betti numbers of the face ring are read off homology of
-induced subcomplexes, one per degree bitmask; a ``BettiTable`` stores its
-entries under those masks, and only its ``entries`` view and ``get`` speak
-vertex sets.
+the same dimension.  The smallest failing deletion goes into the same cache,
+keyed also by the search's cap, so each family's deletions are walked once
+per cap, and once for every field when the Q search is certified.  Betti
+numbers of the face ring are read off homology of induced subcomplexes, one
+per degree bitmask; a ``BettiTable`` stores its entries under those masks,
+and only its ``entries`` view and ``get`` speak vertex sets.
 """
 
 from __future__ import annotations
@@ -110,8 +112,7 @@ def is_l_cm(delta: SimplicialComplex, l: int, fieldspec: FieldSpec) -> bool:
         raise ValueError("l must be >= 1")
     if delta.is_void:
         raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
-    cap = min(l - 1, delta.vertex_count)
-    return _vertex_deletion_threshold(delta, fieldspec, cap) > cap
+    return _vertex_deletion_threshold(delta, fieldspec, l - 1) >= l
 
 
 def max_l(delta: SimplicialComplex, fieldspec: FieldSpec) -> int:
@@ -129,9 +130,22 @@ def l_cm_threshold(delta: SimplicialComplex, fieldspec: FieldSpec) -> int:
 
 
 def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, cap: int) -> int:
-    groups = [1 << b for b in range(delta.vertex_count)]
-    fails = _deletion_fails(delta.facet_masks, delta.dimension(), fieldspec)
-    return _smallest_failing_deletion(groups, cap, fails)
+    """The deletion search with the given cap, through the one cache.  A
+    vertex off the support changes nothing when deleted, and deleting the
+    whole support of a nonempty family drops the dimension, so clipping the
+    cap to the support size keeps the answer and makes it a function of the
+    family alone.  {emptyset} survives every deletion: cap+1, whatever n."""
+    facet_masks = delta.facet_masks
+    if not facet_masks:
+        return cap + 1
+    cap = min(cap, _support(facet_masks).bit_count())
+    return _cached_canonical(_deletion_threshold, facet_masks, fieldspec, cap)
+
+
+def _deletion_threshold(facet_masks: frozenset[int], fieldspec: FieldSpec, cap: int) -> int:
+    dim = max(map(int.bit_count, facet_masks)) - 1
+    fails = _deletion_fails(facet_masks, dim, fieldspec)
+    return _smallest_failing_deletion(_bits(_support(facet_masks)), cap, fails)
 
 
 def _deletion_fails(facet_masks: frozenset[int], dim: int, fieldspec: FieldSpec):

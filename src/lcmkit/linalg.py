@@ -27,16 +27,17 @@ converted, and a Q value read from a characteristic-0 cache key.
 
 One global cache makes the repeated link/restriction lookups of the
 Cohen-Macaulay sweeps cheap: it holds the homology dimensions computed here
-and the CM verdicts of ``cm``, keyed by (computing function, facet family,
-characteristic), and ``_cached_canonical`` is the only code that reads or
-writes it.  The characteristic is ``None`` for a value that holds over every
-field: one computed over Q with no taint inside.  Anything else, every
-GF(p) value included, goes under its own characteristic, and a lookup tries
-``None`` before it.  The family in the key is relabelled canonically
+and the CM verdicts and vertex-deletion thresholds of ``cm``, keyed by
+(computing function, facet family, characteristic), with the search's cap
+appended for a threshold, and ``_cached_canonical`` is the only code that
+reads or writes it.  The characteristic is ``None`` for a value that holds
+over every field: one computed over Q with no taint inside.  Anything else,
+every GF(p) value included, goes under its own characteristic, and a lookup
+tries ``None`` before it.  The family in the key is relabelled canonically
 (vertex support mapped, in order, onto bits 0..k-1): a simplicial
-isomorphism keeps both values, so the links of equal-size faces of a
-skeleton share one entry.  A family is looked up raw first and relabelled
-only on a miss.
+isomorphism keeps every one of these values, so the links of equal-size
+faces of a skeleton share one entry.  A family is looked up raw first and
+relabelled only on a miss.
 """
 from __future__ import annotations
 
@@ -390,9 +391,10 @@ def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> Homology
 
 
 # The one cache, keyed by (computing function, facet bitmask family,
-# characteristic, or None for a value that holds over every field).  Link
-# and restriction families repeat heavily across Cohen-Macaulay sweeps, and
-# many more of them are equal up to relabelling; see ``_cached_canonical``.
+# characteristic, or None for a value that holds over every field), plus the
+# cap for a deletion threshold.  Link and restriction families repeat heavily
+# across Cohen-Macaulay sweeps, and many more of them are equal up to
+# relabelling; see ``_cached_canonical``.
 _CACHE: dict[tuple, object] = {}
 
 
@@ -402,10 +404,11 @@ def homology_dims_of_facets(facet_masks: frozenset[int], fieldspec: FieldSpec) -
     return _cached_canonical(_homology_dims, facet_masks, fieldspec)
 
 
-def _cached_canonical(compute, facet_masks: frozenset[int], fieldspec: FieldSpec):
-    """``compute(canonical family, fieldspec)`` through the one cache, for a
-    value that a simplicial isomorphism keeps (homology dimensions, CM
-    verdicts).
+def _cached_canonical(compute, facet_masks: frozenset[int], fieldspec: FieldSpec, *extra):
+    """``compute(canonical family, fieldspec, *extra)`` through the one
+    cache, for a value that a simplicial isomorphism keeps (homology
+    dimensions, CM verdicts, deletion thresholds).  ``extra`` (the cap of a
+    deletion search) is part of the key.
 
     The raw key is looked up first, so a family seen before is never
     relabelled again.  On a miss the canonical key is looked up, and the
@@ -414,28 +417,28 @@ def _cached_canonical(compute, facet_masks: frozenset[int], fieldspec: FieldSpec
     under the characteristic.
     """
     p = fieldspec.characteristic
-    hit, free = _lookup(compute, facet_masks, p)
+    hit, free = _lookup(compute, facet_masks, p, extra)
     if hit is None:
         canon = _canonical_masks(facet_masks)
         if canon is not facet_masks:
-            hit, free = _lookup(compute, canon, p)
+            hit, free = _lookup(compute, canon, p, extra)
         if hit is None:
-            hit, free = _certified(compute, canon, fieldspec)
+            hit, free = _certified(compute, canon, fieldspec, *extra)
             free = free and not p
-            _CACHE[(compute, canon, None if free else p)] = hit
-        _CACHE[(compute, facet_masks, None if free else p)] = hit
+            _CACHE[(compute, canon, None if free else p) + extra] = hit
+        _CACHE[(compute, facet_masks, None if free else p) + extra] = hit
     return hit
 
 
-def _lookup(compute, facet_masks: frozenset[int], p: int):
+def _lookup(compute, facet_masks: frozenset[int], p: int, extra: tuple):
     """``(value or None, whether it holds over every field)`` from the
     ``None`` key, else from the key of characteristic p.  A Q value found
     only under 0 was not certified, so reading it bumps ``_taint``."""
     global _taint
-    hit = _CACHE.get((compute, facet_masks, None))
+    hit = _CACHE.get((compute, facet_masks, None) + extra)
     if hit is not None:
         return hit, True
-    hit = _CACHE.get((compute, facet_masks, p))
+    hit = _CACHE.get((compute, facet_masks, p) + extra)
     if hit is not None and not p:
         _taint += 1
     return hit, False

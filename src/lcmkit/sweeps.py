@@ -275,6 +275,7 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
         posets = poset_instances(random_count=random_count, base_seed=seed)
     for name, poset in posets:
         module = pmod.face_ring_module(poset)
+        oc = None  # the order complex, built for the first field that needs it
         nv = poset.vertex_count
         for spec in fields:
             report.instances_checked += 1
@@ -287,7 +288,8 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                     report.record(name, f"field={spec.label()} l={l}",
                                   f"poset={lhs}", f"module={rhs}")
             if threshold >= 2:
-                oc = pmod.order_complex(poset)
+                if oc is None:
+                    oc = pmod.order_complex(poset)
                 if not cmod.is_l_cm(oc, 2, spec):
                     report.record(name, f"field={spec.label()}",
                                   "poset 2-CM", "order complex not 2-CM")
@@ -322,24 +324,26 @@ def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
         for name, delta in complexes:
             dim = delta.dimension()
             claims = [dim - 1] if scope == "thm12" else range(0, dim)
-            skeletons = None  # module skeletons, built for the first field that needs them
+            # claimed skeletons, built for the first field that needs them
+            skeletons = module_skeletons = None
             for spec in fields:
                 report.instances_checked += 1
                 l = cmod.max_l(delta, spec)
                 if l < 1 or dim < 1:
                     continue
-                for i in claims:
+                if skeletons is None:
+                    skeletons = [(i, delta.skeleton(i)) for i in claims]
+                for i, skel in skeletons:
                     want = l + dim - i
-                    got = cmod.is_l_cm(delta.skeleton(i), want, spec)
-                    if not got:
+                    if not cmod.is_l_cm(skel, want, spec):
                         report.record(name, f"field={spec.label()} i={i}",
                                       f"claim {want}-CM", "skeleton fails (deletion route)")
                 if scope == "thm27":
                     d = dim + 1
-                    if skeletons is None:
+                    if module_skeletons is None:
                         module = sqmod.from_complex(delta)
-                        skeletons = [sqmod.module_skeleton(module, i) for i in range(0, d)]
-                    for i, skel in enumerate(skeletons):
+                        module_skeletons = [sqmod.module_skeleton(module, i) for i in range(0, d)]
+                    for i, skel in enumerate(module_skeletons):
                         want = l + d - i
                         if not sqmod.is_module_l_cm(skel, want, spec):
                             report.record(name, f"field={spec.label()} module i={i}",

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,21 +55,25 @@ def test_is_l_cm_examples():
         assert is_l_cm(delta, 1, QQ) == is_cohen_macaulay(delta, QQ)
 
 
-def test_is_l_cm_matches_definition_through_public_ops(fieldspec):
-    # deletion route spelled out with public operations only
-    from itertools import combinations
+def _threshold_by_definition(delta, fieldspec):
+    # the deletion search spelled out with public operations, no threshold cache
+    n = delta.vertex_count
+    d = delta.dimension()
+    for size in range(0, n + 1):
+        for drop in combinations(range(1, n + 1), size):
+            cut = delta.delete_vertices(drop)
+            if cut.dimension() != d or not is_cohen_macaulay(cut, fieldspec):
+                return size
+    return n + 1
 
+
+def test_is_l_cm_matches_definition_through_public_ops(fieldspec):
     for delta in [cycle(4), boundary_simplex(2), path(3), TWO_EDGES, complete_graph(4)]:
         n = delta.vertex_count
-        d = delta.dimension()
+        threshold = _threshold_by_definition(delta, fieldspec)
         for l in range(1, n + 2):
-            expect = True
-            for size in range(0, min(l - 1, n) + 1):
-                for drop in combinations(range(1, n + 1), size):
-                    cut = delta.delete_vertices(drop)
-                    if cut.dimension() != d or not is_cohen_macaulay(cut, fieldspec):
-                        expect = False
-            assert is_l_cm(delta, l, fieldspec) == expect, (delta, l)
+            # l-CM: no deletion of at most l - 1 vertices fails
+            assert is_l_cm(delta, l, fieldspec) == (threshold > min(l - 1, n)), (delta, l)
 
 
 def test_max_l_examples():
@@ -263,15 +270,81 @@ RP2_CONE_MOVED = relabel(RP2_CONE, [2, 3, 4, 5, 6, 7, 1], 7)
 
 @pytest.mark.parametrize("order", [(QQ, GF2), (GF2, QQ)], ids=["Q-first", "GF2-first"])
 def test_q_verdicts_that_read_rp2_stay_with_q(order):
-    # a Q verdict that reads a torsion-dependent value must not be stored
-    # for every field, whichever field asks first
-    want = {QQ: (True, 1), GF2: (False, 0)}
+    # a Q verdict or deletion threshold that reads a torsion-dependent value
+    # must not be stored for every field, whichever field asks first
+    want = {QQ: (True, 1, True, False, 1), GF2: (False, 0, False, False, 0)}
     linalg._CACHE.clear()
     for delta in (RP2_CONE, RP2_CONE_MOVED):
         for f in order:
             assert is_cohen_macaulay(delta, f) == want[f][0]
         for f in order:
             assert max_l(delta, f) == want[f][1]
+        for f in order:
+            assert is_l_cm(delta, 1, f) == want[f][2]
+            assert is_l_cm(delta, 2, f) == want[f][3]
+        for f in order:
+            assert l_cm_threshold(delta, f) == want[f][4]
+
+
+def _threshold_instances():
+    rng = random.Random(12)
+    out = [delta for n in range(1, 5) for delta in enumerate_complexes(n)]
+    for delta in list(out):
+        n, extra = delta.vertex_count, rng.randint(1, 2)
+        out.append(relabel(delta, rng.sample(range(1, n + extra + 1), n), n + extra))
+    out.extend(SimplicialComplex.empty(k) for k in range(4))
+    out.extend([real_projective_plane(), RP2_CONE, RP2_CONE_MOVED])
+    return out
+
+
+def _threshold_answers(delta, kind, fieldspec):
+    if kind == "full":
+        return {("threshold", fieldspec): l_cm_threshold(delta, fieldspec),
+                ("max_l", fieldspec): max_l(delta, fieldspec)}
+    return {("is_l_cm", fieldspec, l): is_l_cm(delta, l, fieldspec)
+            for l in range(1, delta.vertex_count + 3)}
+
+
+THRESHOLD_FIELDS = (QQ, GF2, GF3)
+THRESHOLD_ORDERS = {
+    "cold": None,
+    "capped-first": [(kind, f) for kind in ("capped", "full") for f in THRESHOLD_FIELDS],
+    "full-first": [(kind, f) for kind in ("full", "capped") for f in THRESHOLD_FIELDS],
+    "Q-first": [(kind, f) for f in (QQ, GF2, GF3) for kind in ("full", "capped")],
+    "GF2-first": [(kind, f) for f in (GF2, GF3, QQ) for kind in ("capped", "full")],
+}
+
+
+@pytest.mark.parametrize("order", THRESHOLD_ORDERS)
+def test_cached_thresholds_match_definition_in_any_order(order):
+    # thresholds are cached per canonical family and cap, and certified Q
+    # searches answer every field: no fill order may change an answer
+    deltas = _threshold_instances()
+    linalg._CACHE.clear()
+    want = []
+    for delta in deltas:
+        n = delta.vertex_count
+        answers = {}
+        for f in THRESHOLD_FIELDS:
+            t = _threshold_by_definition(delta, f)
+            answers[("threshold", f)] = t
+            answers[("max_l", f)] = min(t, n)
+            answers.update({("is_l_cm", f, l): t > min(l - 1, n) for l in range(1, n + 3)})
+        want.append(answers)
+    linalg._CACHE.clear()
+    got = [{} for _ in deltas]
+    if THRESHOLD_ORDERS[order] is None:
+        for delta, answers in zip(deltas, got):
+            for kind in ("full", "capped"):
+                for f in THRESHOLD_FIELDS:
+                    linalg._CACHE.clear()
+                    answers.update(_threshold_answers(delta, kind, f))
+    else:
+        for kind, f in THRESHOLD_ORDERS[order]:
+            for delta, answers in zip(deltas, got):
+                answers.update(_threshold_answers(delta, kind, f))
+    for delta, g, w in zip(deltas, got, want):
+        assert g == w, delta
 
 
 def _verdicts(delta):
