@@ -13,9 +13,13 @@ asks that every deletion of fewer than l vertices stays Cohen-Macaulay of
 the same dimension.  The smallest failing deletion goes into the same cache,
 keyed also by the search's cap, so each family's deletions are walked once
 per cap, and once for every field when the Q search is certified.  Betti
-numbers of the face ring are read off homology of induced subcomplexes, one
-per degree bitmask; a ``BettiTable`` stores its entries under those masks,
-and only its ``entries`` view and ``get`` speak vertex sets.
+numbers of the face ring are read off homology of induced subcomplexes
+(Hochster's formula), one per degree bitmask, by a depth-first walk from the
+full vertex set: each degree's facets are filtered from its parent's, and a
+degree whose facets share a vertex is a cone with no homology, so it makes
+no entry, and its whole subtree is skipped when no degree below it can
+delete that vertex.  A ``BettiTable`` stores its entries under the degree
+masks, and only its ``entries`` view and ``get`` speak vertex sets.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _deletion_masks, _link_masks, _mask, _support, _vertices, mask_to_face
+from .complexes import SimplicialComplex, _apex, _bits, _deletion_masks, _link_masks, _mask, _support, _vertices, mask_to_face
 from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
@@ -176,20 +180,39 @@ def _smallest_failing_deletion(groups: list[int], cap: int, fails) -> int:
 
 def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable:
     """Betti table of the face ring: the (i, F) multiplicity is the dimension of
-    reduced homology of the subcomplex induced on F in degree #F - i - 1."""
+    reduced homology of the subcomplex induced on F in degree #F - i - 1
+    (Hochster's formula).
+
+    The degrees are walked depth first from the full vertex set.  A node F
+    with bound ``below`` has one child F - b for each bit b of F below
+    ``below``, with bound b, so every degree is reached once, by deleting
+    its missing vertices from the highest down.  The child's facets are its
+    parent's facets with b deleted, filtered from the parent's family, not
+    from the whole complex.  A family whose facets share a vertex is a cone,
+    with no homology, so it makes no entry; when a shared vertex lies at or
+    above ``below``, no node under it deletes that vertex, and the whole
+    subtree is skipped."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no face ring")
     n = delta.vertex_count
     _check_betti_size(n)
-    facet_masks = delta.facet_masks
     entries: dict[tuple[int, int], int] = {}
-    for fmask in range(1 << n):
-        induced = _deletion_masks(facet_masks, ~fmask)
-        dims = homology_dims_of_facets(induced, fieldspec)
-        size = fmask.bit_count()
-        for j, h in enumerate(dims):
-            if h:  # homology degree j-1 contributes at index #F - (j-1) - 1
-                entries[(size - j, fmask)] = h
+
+    def walk(fmask: int, family: frozenset[int], below: int) -> None:
+        apex = _apex(family)
+        if apex >= below:
+            return  # every node under this one is a cone on the same vertex
+        if not apex:
+            size = fmask.bit_count()
+            for j, h in enumerate(homology_dims_of_facets(family, fieldspec)):
+                if h:  # homology degree j-1 contributes at index #F - (j-1) - 1
+                    entries[(size - j, fmask)] = h
+        b = 1
+        while b < below:
+            walk(fmask ^ b, _deletion_masks(family, b), b)
+            b <<= 1
+
+    walk((1 << n) - 1, delta.facet_masks, 1 << n)
     return BettiTable(n, entries)
 
 

@@ -238,6 +238,19 @@ def _support(masks: Iterable[int]) -> int:
     return support
 
 
+def _apex(masks: Iterable[int]) -> int:
+    """The intersection of a family of bitmasks, 0 for an empty family: the
+    vertices on every facet.  A family with such a vertex v is a cone
+    v * lk(v), so it is contractible."""
+    it = iter(masks)
+    apex = next(it, 0)
+    for m in it:
+        apex &= m
+        if not apex:
+            break
+    return apex
+
+
 def _link_masks(facet_masks: frozenset[int], face: int) -> frozenset[int]:
     """The facets through ``face``, less ``face``: the link's facets, an
     antichain again."""

@@ -13,7 +13,10 @@ matrix whether every entry is an int and converts only a matrix that is not
 (denominators cleared row by row over Q, ``FieldSpec.normalize`` over
 GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
 ranks and ``boundary_matrix``.  Reduced simplicial homology dimensions
-follow from the boundary ranks.
+follow from the boundary ranks, except on a cone: a family whose facets all
+share a vertex v is v * lk(v), contractible, so ``_homology_dims`` answers
+zero in every degree with no rank.  That answer holds over every field and
+is certified; a single facet (a simplex) is the smallest cone.
 
 A Q rank of int rows whose Bareiss core stayed empty is certified for
 every field.  Each row operation adds an integer multiple of a pivot row
@@ -46,7 +49,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .complexes import SimplicialComplex, _face_masks, _relabel_masks, _support, mask_to_face
+from .complexes import SimplicialComplex, _apex, _face_masks, _relabel_masks, _support, mask_to_face
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -466,12 +469,8 @@ def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:
 def _homology_dims(facet_masks: frozenset[int], fieldspec: FieldSpec) -> tuple[int, ...]:
     if not facet_masks:
         return (1,)  # the empty complex: only the empty face
-    # Single facet: a simplex, contractible unless it is the empty complex.
-    if len(facet_masks) == 1:
-        top = next(iter(facet_masks)).bit_count() - 1
-        if top == -1:
-            return (1,)
-        return (0,) * (top + 2)
+    if _apex(facet_masks):  # a cone, a simplex included: contractible
+        return (0,) * (max(map(int.bit_count, facet_masks)) + 1)
     by_card = faces_by_card(facet_masks)
     top = len(by_card) - 1  # top cardinality; dimension is top-1
     ranks = [0] * (top + 2)  # ranks[k] = rank of boundary from card k to card k-1

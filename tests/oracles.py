@@ -3,14 +3,16 @@
 Everything here is deliberately written from scratch against the definitions,
 without touching lcmkit internals: Smith normal form over the integers for
 homology ranks, plain Gaussian elimination over Fractions for matrix ranks,
-a combinations-based face/boundary enumeration, and l-CM thresholds that
-rebuild every deletion through lcmkit's public constructions.
+a combinations-based face/boundary enumeration, and l-CM thresholds and
+Betti tables that rebuild every deletion or induced subcomplex through
+lcmkit's public constructions.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from lcmkit.cm import is_cohen_macaulay
+from lcmkit.cm import BettiTable, is_cohen_macaulay
+from lcmkit.linalg import reduced_homology
 from lcmkit.posets import delete_atoms, order_complex
 from lcmkit.squarefree import delete_variables, is_module_cm, module_dim
 
@@ -153,6 +155,21 @@ def is_cm_by_definition(delta, p: int) -> bool:
         if any(h for i, h in hom.items() if i < top):
             return False
     return True
+
+
+def hochster_betti_by_degree(delta, fieldspec) -> BettiTable:
+    """Hochster's formula one degree at a time, nothing pruned: every
+    induced subcomplex is rebuilt from the whole complex and its homology
+    read, cones included."""
+    n = delta.vertex_count
+    entries = {}
+    for size in range(n + 1):
+        for keep in combinations(range(1, n + 1), size):
+            dims = reduced_homology(delta.induced_subcomplex(keep), fieldspec).dims
+            for j, h in enumerate(dims):
+                if h:  # homology degree j-1 contributes at index #F - (j-1) - 1
+                    entries[(size - j, sum(1 << (v - 1) for v in keep))] = h
+    return BettiTable(n, entries)
 
 
 def poset_threshold_by_definition(poset, fieldspec) -> int:

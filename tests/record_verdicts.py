@@ -1,4 +1,5 @@
 """Record the snapshots that ``test_cm.test_verdict_snapshot``,
+``test_cm.test_hochster_snapshot``,
 ``test_squarefree.test_module_verdict_snapshot`` and
 ``test_posets.test_poset_structure_snapshot`` compare.
 
@@ -11,6 +12,14 @@ the module l-CM threshold, the Koszul Betti table rows (``i:F:beta``) and a
 digest of the module file, for the face ring modules of the poset suite with
 20 random posets, the face rings of every complex on at most four vertices
 and the one-component modules on at most three variables.
+
+``hochster_tables.tsv``: one row per (complex, field) over the same fields,
+a digest of the facet file and of the ``to_tsv()`` of ``hochster_betti``, for
+the boundaries of the 3- to 6-dimensional cross-polytopes under three seeded
+relabellings each, every skeleton of the simplex on at most nine vertices,
+the cone over RP², RP² joined with the square, 12 seeded random complexes on
+6-9 vertices, a relabelled 5-cycle on 8 vertices (vertex count above the
+support) and the empty complexes on 0 and 3 vertices.
 
 ``poset_structure.tsv``: one row per poset of the poset suite with 20 random
 posets (which holds ``glued_simplices(d, m)`` for d, m <= 3): a digest of the
@@ -27,18 +36,25 @@ Run from the repo root to rewrite the snapshots:
 
     PYTHONPATH=src python tests/record_verdicts.py
 
-Rewrite them only for a change that is meant to alter a verdict, the
-module file form or the structure of a built poset.
+Rewrite them only for a change that is meant to alter a verdict, a Betti
+table, the module file form or the structure of a built poset.
 """
 
 import hashlib
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
-from lcmkit.cm import l_cm_threshold
-from lcmkit.complexes import SimplicialComplex, boundary_simplex, real_projective_plane
+from lcmkit.cm import hochster_betti, l_cm_threshold
+from lcmkit.complexes import (
+    SimplicialComplex,
+    boundary_simplex,
+    cycle,
+    format_facet_file,
+    full_simplex,
+    real_projective_plane,
+)
 from lcmkit.errors import PosetValidationError
 from lcmkit.linalg import FieldSpec, reduced_homology
 from lcmkit.posets import SimplicialPoset, face_ring_module, format_poset_file
@@ -49,9 +65,10 @@ from lcmkit.squarefree import (
     module_l_cm_threshold,
     omega_module,
 )
-from lcmkit.sweeps import enumerate_complexes, poset_instances
+from lcmkit.sweeps import enumerate_complexes, poset_instances, random_complex
 
 SNAPSHOT = Path(__file__).parent / "data" / "verdicts.tsv"
+HOCHSTER_SNAPSHOT = Path(__file__).parent / "data" / "hochster_tables.tsv"
 MODULE_SNAPSHOT = Path(__file__).parent / "data" / "module_verdicts.tsv"
 POSET_SNAPSHOT = Path(__file__).parent / "data" / "poset_structure.tsv"
 VALIDATION_SNAPSHOT = Path(__file__).parent / "data" / "poset_validation.tsv"
@@ -82,6 +99,63 @@ def render() -> str:
             dims = ",".join(map(str, reduced_homology(delta, fieldspec).dims))
             threshold = l_cm_threshold(delta, fieldspec)
             lines.append(f"{name}\t{facets}\t{flag}\t{threshold}\t{dims}")
+    return "\n".join(lines) + "\n"
+
+
+def relabel(delta, perm, vertex_count):
+    """``delta`` with vertex v renamed perm[v - 1], on ``vertex_count`` vertices."""
+    return SimplicialComplex.from_facets(
+        ([perm[v - 1] for v in f] for f in delta.facets), vertex_count=vertex_count
+    )
+
+
+def cone(delta):
+    """``delta`` with a new last vertex joined to every facet."""
+    apex = delta.vertex_count + 1
+    return SimplicialComplex.from_facets((f | {apex} for f in delta.facets), vertex_count=apex)
+
+
+def join(a, b):
+    """The join: ``b``'s vertices follow ``a``'s."""
+    n = a.vertex_count
+    return SimplicialComplex.from_facets(
+        (f | {v + n for v in g} for f in a.facets for g in b.facets),
+        vertex_count=n + b.vertex_count,
+    )
+
+
+def cross_polytope(d):
+    """Boundary of the d-dimensional cross-polytope; 2i-1 and 2i are antipodal."""
+    facets = [[2 * i + 1 + c for i, c in enumerate(pick)] for pick in product((0, 1), repeat=d)]
+    return SimplicialComplex.from_facets(facets, vertex_count=2 * d)
+
+
+def hochster_instances():
+    rng = random.Random(13)
+    for d in range(3, 7):
+        for r in range(3):  # seeded relabellings put cone points on low and high bits
+            yield f"cross_{d}_r{r}", relabel(cross_polytope(d), rng.sample(range(1, 2 * d + 1), 2 * d), 2 * d)
+    for n in range(1, 10):
+        for k in range(0, n):
+            yield f"skel_{n}_{k}", full_simplex(n).skeleton(k)
+    rp2 = real_projective_plane()
+    yield "rp2_cone", cone(rp2)
+    yield "rp2_join_cross_2", join(rp2, cross_polytope(2))
+    for idx in range(12):
+        n = 6 + idx % 4
+        yield f"random_{idx}", random_complex(n, rng.uniform(0.3, 0.8), rng.randrange(10**6))
+    yield "cycle_5_on_8", relabel(cycle(5), [7, 2, 5, 1, 4], 8)
+    yield "empty_n0", SimplicialComplex.empty(0)
+    yield "empty_n3", SimplicialComplex.empty(3)
+
+
+def render_hochster() -> str:
+    lines = ["instance\tvertex_count\tfile_sha256\tfield\ttable_sha256"]
+    for name, delta in hochster_instances():
+        digest = _digest(format_facet_file(delta))
+        for flag, fieldspec in FIELDS:
+            table = _digest(hochster_betti(delta, fieldspec).to_tsv())
+            lines.append(f"{name}\t{delta.vertex_count}\t{digest}\t{flag}\t{table}")
     return "\n".join(lines) + "\n"
 
 
@@ -195,6 +269,7 @@ def render_validation(outcomes: list[str]) -> str:
 
 if __name__ == "__main__":
     SNAPSHOT.write_text(render())
+    HOCHSTER_SNAPSHOT.write_text(render_hochster())
     MODULE_SNAPSHOT.write_text(render_modules())
     POSET_SNAPSHOT.write_text(render_posets())
     VALIDATION_SNAPSHOT.write_text(render_validation(

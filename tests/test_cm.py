@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmkit import linalg
+from lcmkit import cm, linalg
 from lcmkit.cm import (
     BettiTable,
     hochster_betti,
@@ -16,6 +16,7 @@ from lcmkit.cm import (
 )
 from lcmkit.complexes import (
     SimplicialComplex,
+    _apex,
     boundary_simplex,
     complete_graph,
     cycle,
@@ -26,8 +27,17 @@ from lcmkit.complexes import (
 from lcmkit.errors import VoidComplexError
 from lcmkit.linalg import FieldSpec, reduced_homology
 from lcmkit.sweeps import enumerate_complexes, random_complex
-from oracles import is_cm_by_definition
-from record_verdicts import SNAPSHOT, render
+from oracles import hochster_betti_by_degree, is_cm_by_definition
+from record_verdicts import (
+    HOCHSTER_SNAPSHOT,
+    SNAPSHOT,
+    cone,
+    cross_polytope,
+    hochster_instances,
+    relabel,
+    render,
+    render_hochster,
+)
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -207,10 +217,36 @@ def _oracle_betti(delta, p):
     return entries
 
 
+@pytest.mark.parametrize("fieldspec", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
 def test_hochster_matches_snf_oracle(fieldspec):
-    p = fieldspec.characteristic
-    for delta in [cycle(4), path(3), TWO_EDGES, boundary_simplex(2)]:
-        assert hochster_betti(delta, fieldspec).entries == _oracle_betti(delta, p)
+    # the pruned walk against the SNF oracle on small complexes, the snapshot
+    # instances with at most 7 vertices among them (the cone over RP², whose
+    # base has 2-torsion), and against the unpruned per-degree loop on the rest
+    small = [("cycle_4", cycle(4)), ("path_3", path(3)), ("two_edges", TWO_EDGES)]
+    for name, delta in [*small, *hochster_instances()]:
+        got = hochster_betti(delta, fieldspec)
+        if delta.vertex_count <= 7:
+            assert got.entries == _oracle_betti(delta, fieldspec.characteristic), name
+        else:
+            assert got.to_tsv() == hochster_betti_by_degree(delta, fieldspec).to_tsv(), name
+
+
+def test_hochster_walk_skips_cones(monkeypatch):
+    # the induced subcomplexes of the cross-polytope boundary that are not
+    # cones are the 2^d unions of antipodal pairs; no other degree is looked up
+    seen = []
+
+    def lookup(family, fieldspec):
+        seen.append(family)
+        return linalg.homology_dims_of_facets(family, fieldspec)
+
+    monkeypatch.setattr(cm, "homology_dims_of_facets", lookup)
+    for d in range(1, 6):
+        seen.clear()
+        perm = random.Random(d).sample(range(1, 2 * d + 1), 2 * d)
+        hochster_betti(relabel(cross_polytope(d), perm, 2 * d), QQ)
+        assert len(seen) == 2**d
+        assert not any(_apex(fam) for fam in seen)
 
 
 def test_is_cm_matches_snf_oracle_exhaustive_n3(fieldspec):
@@ -220,13 +256,6 @@ def test_is_cm_matches_snf_oracle_exhaustive_n3(fieldspec):
             assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, p)
     for delta in [real_projective_plane(), boundary_simplex(3), TWO_EDGES]:
         assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, p)
-
-
-def relabel(delta, perm, vertex_count):
-    """``delta`` with vertex v renamed perm[v - 1], on ``vertex_count`` vertices."""
-    return SimplicialComplex.from_facets(
-        ([perm[v - 1] for v in f] for f in delta.facets), vertex_count=vertex_count
-    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -253,12 +282,6 @@ def test_verdicts_survive_relabelling(n, density, seed, extra, rng):
     rp2 = relabel(real_projective_plane(), perm, n + extra)
     assert is_cohen_macaulay(rp2, QQ)
     assert not is_cohen_macaulay(rp2, GF2)
-
-
-def cone(delta):
-    """``delta`` with a new last vertex joined to every facet."""
-    apex = delta.vertex_count + 1
-    return SimplicialComplex.from_facets((f | {apex} for f in delta.facets), vertex_count=apex)
 
 
 # The apex link of the cone over RP² is RP², CM over Q but not over GF(2).
@@ -378,6 +401,13 @@ def test_cache_order_does_not_change_verdicts():
     cold = [_verdicts(d) for d in deltas]
     warm = [_verdicts(d) for d in deltas[::-1]]
     assert warm == cold[::-1]
+
+
+def test_hochster_snapshot():
+    # Betti tables over Q, GF(2), GF(3) of relabelled cross-polytopes,
+    # simplex skeleta, RP² cones and joins, random and empty complexes,
+    # against the committed table, recorded with the unpruned per-degree loop
+    assert render_hochster().encode() == HOCHSTER_SNAPSHOT.read_bytes()
 
 
 def test_verdict_snapshot():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lcmkit.complexes import (
     SimplicialComplex,
+    _apex,
     _maximal_masks,
     boundary_simplex,
     cycle,
@@ -50,6 +51,13 @@ def test_facets_normalized():
     delta = SimplicialComplex.from_facets([(1, 2, 3), (1, 2), (2,), ()])
     assert delta.facets == frozenset({frozenset({1, 2, 3})})
     assert delta.vertex_count == 3
+
+
+def test_apex_is_the_intersection():
+    assert _apex([]) == 0
+    assert _apex(iter([0b1011])) == 0b1011
+    assert _apex([0b0111, 0b1110, 0b0110]) == 0b0110
+    assert _apex([0b011, 0b101, 0b110]) == 0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

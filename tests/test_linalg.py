@@ -19,6 +19,7 @@ from lcmkit.linalg import (
     SparseMatrix,
     boundary_matrix,
     faces_by_card,
+    homology_dims_of_facets,
     rank,
     reduced_homology,
 )
@@ -346,6 +347,23 @@ def test_cone_homology_vanishes(fieldspec):
             [f | {apex} for f in pool], vertex_count=apex
         )
         assert reduced_homology(cone, fieldspec).is_zero()
+
+
+def test_cone_rule(monkeypatch):
+    # a family whose facets share a vertex is answered zero with no rank, and
+    # the answer is certified for every field, even over a 2-torsion base
+    rp2 = real_projective_plane()
+    rp2_cone = frozenset(m | 1 << 6 for m in rp2.facet_masks)
+    linalg._CACHE.clear()
+    assert homology_dims_of_facets(rp2.facet_masks, GF2) == (0, 0, 1, 1)
+    monkeypatch.setattr(linalg, "_rank_rows", None)  # any rank would raise
+    assert homology_dims_of_facets(rp2_cone, GF2) == (0,) * 5  # degrees -1..3
+    assert linalg._certified(linalg._homology_dims, rp2_cone, QQ) == ((0,) * 5, True)
+    assert homology_dims_of_facets(frozenset(), QQ) == (1,)
+    assert homology_dims_of_facets(frozenset({0b1011}), QQ) == (0,) * 4
+    monkeypatch.undo()
+    # all facets but one through vertex 1: the triangle's boundary, a circle
+    assert homology_dims_of_facets(frozenset({0b011, 0b101, 0b110}), QQ) == (0, 0, 1)
 
 
 def test_void_complex_errors(fieldspec):
