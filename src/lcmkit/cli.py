@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import time
 
 from . import cm as cmod
 from . import complexes as cxmod
@@ -167,22 +168,25 @@ def _cmd_verify(args) -> int:
         raise TooLargeError(
             f"--n is capped at {sweeps.EXHAUSTIVE_CAP} for exhaustive sweeps"
         )
-    reports = []
     if args.sweep == "thm25":
-        reports.append(sweeps.sweep_thm25(fields=fields, max_n=args.n, seed=args.seed))
+        runs = [lambda: sweeps.sweep_thm25(fields=fields, max_n=args.n, seed=args.seed)]
     elif args.sweep == "oracle":
-        reports.append(sweeps.sweep_oracle(fields=fields, max_n=args.n, seed=args.seed))
-        reports.append(sweeps.sweep_routes(fields=fields, seed=args.seed))
+        runs = [lambda: sweeps.sweep_oracle(fields=fields, max_n=args.n, seed=args.seed),
+                lambda: sweeps.sweep_routes(fields=fields, seed=args.seed)]
     elif args.sweep in ("thm12", "thm27", "thm44"):
-        reports.append(
-            sweeps.sweep_skeleton(args.sweep, fields=fields, max_n=args.n, seed=args.seed)
-        )
+        runs = [lambda: sweeps.sweep_skeleton(args.sweep, fields=fields, max_n=args.n,
+                                              seed=args.seed)]
     elif args.sweep == "remark45":
-        reports.append(sweeps.sweep_remark45(fields=fields))
-    for report in reports:
+        runs = [lambda: sweeps.sweep_remark45(fields=fields)]
+    passed = True
+    for sweep in runs:
+        t0 = time.perf_counter()
+        report = sweep()
+        elapsed = time.perf_counter() - t0
         sys.stdout.write(report.to_text())
-        sys.stderr.write(f"# {report.theorem_id}: {report.elapsed:.2f}s\n")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_SWEEP_FAILED
+        sys.stderr.write(f"# {report.theorem_id}: {elapsed:.2f}s\n")
+        passed = passed and report.passed
+    return EXIT_OK if passed else EXIT_SWEEP_FAILED
 
 
 # -- parser -------------------------------------------------------------------------

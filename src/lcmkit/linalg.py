@@ -249,8 +249,7 @@ def _rank_rows(rows: list[dict[int, int]], fieldspec: FieldSpec) -> int:
         pivots.append((c, row))
     if not core:
         return len(pivots)
-    if not p:
-        _taint += 1
+    _taint += 1  # a core forms only over Q: over GF(p) every nonzero residue is a pivot
     cols: dict[int, int] = {}
     for row in core:
         _eliminate(row, index, pivots, 0)

@@ -109,8 +109,7 @@ class SquarefreeModule:
             src = self.comp_masks.get(f, 0)
             dst = self.comp_masks.get(f | bit, 0)
             m = _as_matrix(mat, dst, src)
-            if src == 0 or dst == 0:
-                continue  # maps into or out of a zero component carry nothing
+            # a map into or out of a zero component is a zero matrix
             if not _is_zero_matrix(m):
                 self.mult_masks[(f, bit)] = m
 
@@ -415,14 +414,11 @@ def canonical_betti(table: BettiTable, n: int, d: int) -> BettiTable:
 
 def is_2cm_via_canonical(module: SquarefreeModule, fieldspec: FieldSpec) -> bool:
     """2-CM test through the canonical module: true iff the canonical module is
-    generated in degree zero (no generator in a nonempty squarefree degree)."""
+    generated in degree zero (no generator in a nonempty squarefree degree).
+    ``canonical_betti`` refuses a module that is not Cohen-Macaulay."""
     if module.is_zero:
         raise ZeroModuleError("the 2-CM test is for nonzero modules")
-    table = koszul_betti(module, fieldspec)
-    d = module_dim(module)
-    if table.projective_dimension() != module.n - d:
-        raise RequiresCohenMacaulayError("the canonical-module test requires a CM module")
-    dual = canonical_betti(table, module.n, d)
+    dual = canonical_betti(koszul_betti(module, fieldspec), module.n, module_dim(module))
     return all(not deg for (i, deg) in dual.entry_masks if i == 0)
 
 

@@ -9,7 +9,6 @@ sweep passed.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -18,7 +17,7 @@ from . import posets as pmod
 from . import squarefree as sqmod
 from .complexes import (
     SimplicialComplex,
-    _mask,
+    _bits,
     _maximal_masks,
     _vertices,
     boundary_simplex,
@@ -43,7 +42,6 @@ class SweepReport:
     theorem_id: str
     instances_checked: int = 0
     failures: list[tuple[str, str, str, str]] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -81,29 +79,22 @@ def enumerate_complexes(n: int):
         )
     # A complex with all n vertices is a downward-closed family of subsets of
     # size >= 2 together with all singletons; enumerate those families.
-    subs = []
-    for k in range(2, n + 1):
-        subs.extend(tuple(c) for c in combinations(range(1, n + 1), k))
-    subs.sort(key=lambda s: (len(s), s))
-    pos = {s: i for i, s in enumerate(subs)}
-    chosen = [False] * len(subs)
-    sub_masks = [_mask(s) for s in subs]
-    singletons = [1 << b for b in range(n)]
-
-    def emit() -> SimplicialComplex:
-        maximal = _maximal_masks([m for m, c in zip(sub_masks, chosen) if c] + singletons)
-        return SimplicialComplex(n, maximal)
+    subs = sorted((m for m in range(1 << n) if m.bit_count() >= 2),
+                  key=lambda m: (m.bit_count(), _vertices(m)))
+    # the boundary faces each subset needs; a pair needs only its vertices,
+    # which are always chosen
+    needs = [[m ^ b for b in _bits(m)] if m.bit_count() > 2 else [] for m in subs]
+    chosen = {1 << b for b in range(n)}
 
     def rec(i: int):
         if i == len(subs):
-            yield emit()
+            yield SimplicialComplex(n, _maximal_masks(chosen))
             return
         yield from rec(i + 1)
-        s = subs[i]
-        if len(s) == 2 or all(chosen[pos[t]] for t in combinations(s, len(s) - 1)):
-            chosen[i] = True
+        if all(f in chosen for f in needs[i]):
+            chosen.add(subs[i])
             yield from rec(i + 1)
-            chosen[i] = False
+            chosen.remove(subs[i])
 
     yield from rec(0)
 
@@ -154,21 +145,11 @@ def poset_instances(random_count: int = 50, base_seed: int = 0) -> list[tuple[st
     """The poset sweep suite: face posets of small standard complexes, glued
     top cells over a simplex boundary, and seeded random simplicial posets."""
     out: list[tuple[str, pmod.SimplicialPoset]] = []
-    small = [
-        ("cycle_3", cycle(3)),
-        ("cycle_4", cycle(4)),
-        ("cycle_5", cycle(5)),
-        ("path_3", path(3)),
-        ("path_4", path(4)),
-        ("two_disjoint_edges", SimplicialComplex.from_facets([(1, 2), (3, 4)])),
-        ("boundary_simplex_2", boundary_simplex(2)),
-        ("boundary_simplex_3", boundary_simplex(3)),
-        ("full_simplex_2", full_simplex(2)),
-        ("full_simplex_3", full_simplex(3)),
-        ("complete_graph_4", complete_graph(4)),
-    ]
-    for name, delta in small:
-        out.append((f"face_poset({name})", pmod.face_poset(delta)))
+    named = dict(standard_instances())
+    for name in ("cycle_3", "cycle_4", "cycle_5", "path_3", "path_4", "two_disjoint_edges",
+                 "boundary_simplex_2", "boundary_simplex_3", "full_simplex_2",
+                 "full_simplex_3", "complete_graph_4"):
+        out.append((f"face_poset({name})", pmod.face_poset(named[name])))
     for d in range(1, 4):
         for m in range(1, 4):
             out.append((f"glued_{d}_{m}", pmod.glued_simplices(d, m)))
@@ -208,7 +189,6 @@ def sweep_thm25(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
     """For every Cohen-Macaulay face ring in scope and every l in 2..n+1,
     checks that the deletion definition of l-CM, the Betti vanishing pattern,
     and the canonical-dual vanishing pattern agree."""
-    t0 = time.perf_counter()
     report = SweepReport("thm25")
     if scope is None:
         scope = complex_scope(max_n=max_n, base_seed=seed)
@@ -237,7 +217,6 @@ def sweep_thm25(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                         f"deletion={lhs}",
                         f"betti={mid} dual={rhs}",
                     )
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -245,7 +224,6 @@ def sweep_oracle(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                  max_n: int = 4, seed: int = 0) -> SweepReport:
     """Koszul-homology Betti numbers of the face ring against the
     induced-subcomplex-homology route, entrywise."""
-    t0 = time.perf_counter()
     report = SweepReport("oracle")
     if scope is None:
         scope = complex_scope(max_n=max_n, base_seed=seed)
@@ -260,7 +238,6 @@ def sweep_oracle(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                 diff = sorted((i, tuple(_vertices(f))) for i, f in left.keys() | right.keys()
                               if left.get((i, f)) != right.get((i, f)))
                 report.record(name, f"field={spec.label()}", f"koszul!=hochster at {diff}", "")
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -269,7 +246,6 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
     """Topological route (order complex of every atom deletion) against the
     algebraic route (face ring as a squarefree module), all l up to #V + 1;
     plus: a 2-CM poset has a 2-CM order complex."""
-    t0 = time.perf_counter()
     report = SweepReport("routes")
     if posets is None:
         posets = poset_instances(random_count=random_count, base_seed=seed)
@@ -293,7 +269,6 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                 if not cmod.is_l_cm(oc, 2, spec):
                     report.record(name, f"field={spec.label()}",
                                   "poset 2-CM", "order complex not 2-CM")
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -315,7 +290,6 @@ def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
     """
     if scope not in ("thm12", "thm27", "thm44"):
         raise ValueError(f"unknown scope {scope!r}")
-    t0 = time.perf_counter()
     report = SweepReport(scope)
 
     if scope in ("thm12", "thm27"):
@@ -384,7 +358,6 @@ def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                         report.record(name, f"field={spec.label()} i={i}",
                                       f"claim {want}-CM", "poset skeleton fails")
 
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -392,7 +365,6 @@ def sweep_remark45(fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS) -> SweepRepor
     """Two top cells glued along a simplex boundary: Cohen-Macaulay, never
     2-CM (every atom deletion drops the rank), while the order complex is
     2-CM; for d = 1, 2, 3."""
-    t0 = time.perf_counter()
     report = SweepReport("remark45")
     for d in range(1, 4):
         poset = pmod.glued_simplices(d, 2)
@@ -411,5 +383,4 @@ def sweep_remark45(fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS) -> SweepRepor
             if not cmod.is_l_cm(pmod.order_complex(poset), 2, spec):
                 report.record(name, f"field={spec.label()}",
                               "expected 2-CM order complex", "not 2-CM")
-    report.elapsed = time.perf_counter() - t0
     return report

@@ -1,9 +1,11 @@
+import dataclasses
 import io
+import re
 import sys
 
 import pytest
 
-from lcmkit import cli
+from lcmkit import cli, sweeps
 from lcmkit.complexes import cycle, format_facet_file, parse_facet_file
 from lcmkit.posets import format_poset_file, glued_simplices
 
@@ -121,6 +123,18 @@ def test_verify_oracle_small():
     lines = out.splitlines()
     assert any(line.startswith("oracle\t") for line in lines)
     assert any(line.startswith("routes\t") for line in lines)
+
+
+def test_verify_times_each_sweep_once():
+    # the CLI times each sweep call; the reports carry no clock of their own
+    code, out, err = run_cli(["verify", "oracle", "--n", "3"])
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"# oracle: \d+\.\d\ds", lines[0])
+    assert re.fullmatch(r"# routes: \d+\.\d\ds", lines[1])
+    assert out == sweeps.sweep_oracle(max_n=3).to_text() + sweeps.sweep_routes().to_text()
+    assert "elapsed" not in {f.name for f in dataclasses.fields(sweeps.SweepReport)}
 
 
 def test_verify_rejects_oversize_n():

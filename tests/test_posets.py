@@ -38,7 +38,7 @@ from lcmkit.posets import (
     random_simplicial_poset,
     restrict_poset,
 )
-from lcmkit.squarefree import from_complex, is_module_l_cm, module_l_cm_threshold
+from lcmkit.squarefree import SquarefreeModule, from_complex, is_module_l_cm, module_l_cm_threshold
 from lcmkit.sweeps import poset_instances
 from oracles import (
     module_threshold_by_definition,
@@ -285,6 +285,31 @@ def test_thresholds_match_definition_oracles(fieldspec):
         m = face_ring_module(p)
         assert poset_l_cm_threshold(p, fieldspec) == poset_threshold_by_definition(p, fieldspec), name
         assert module_l_cm_threshold(m, fieldspec) == module_threshold_by_definition(m, fieldspec), name
+
+
+def _scanned_defects(module):
+    """The defects of the same data found by the explicit commutativity scan."""
+    return SquarefreeModule._from_masks(module.n, module.comp_masks, module.mult_masks)._defects
+
+
+def test_poset_face_rings_need_no_scan():
+    # every interval of a simplicial poset is boolean, so the commutativity
+    # scan that face_ring_module skips finds nothing
+    posets = [p for _, p in poset_instances(random_count=50)]
+    posets += [glued_simplices(d, m) for d in range(1, 4) for m in range(1, 4)]
+    shapes = [(3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3), (5, 4)]
+    posets += [random_simplicial_poset(*shapes[k % len(shapes)], 1000 + k) for k in range(200)]
+    for p in posets:
+        module = face_ring_module(p)
+        assert module._defects == []
+        assert _scanned_defects(module) == []
+    # the scan does see one changed entry: in glued_1_2 the path through {2}
+    # still reaches the second top cell, and the path through {1} no longer does
+    module = face_ring_module(glued_simplices(1, 2))
+    assert module.mult_masks[(0b01, 0b10)] == ((1,), (1,))
+    broken = dict(module.mult_masks)
+    broken[(0b01, 0b10)] = ((1,), (0,))
+    assert _scanned_defects(SquarefreeModule._from_masks(module.n, module.comp_masks, broken))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

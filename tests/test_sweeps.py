@@ -182,6 +182,20 @@ def test_random_complex_is_pinned():
     assert digest.hexdigest() == "2c7053b3d48793fa68b66f2a27114abc92faa47d7e3fc7ec0ed0df4a9e6057a4"
 
 
+def test_enumeration_is_pinned():
+    # every complex on 1..5 vertices with its index, hashed in emission order;
+    # the value was recorded from the tuple-subset enumeration, so the
+    # bitmask one emits the same complexes in the same order
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 6):
+        for index, delta in enumerate(enumerate_complexes(n)):
+            digest.update(repr((n, index, sorted(delta.facet_masks))).encode())
+            count += 1
+    assert count == 7020
+    assert digest.hexdigest() == "4585ba40f49ff49db12241171ae8df9f47179cb0c6789a9b82a159a346eb3930"
+
+
 def test_oracle_sweep_reports_differing_degrees(monkeypatch):
     from lcmkit import squarefree
     from lcmkit.cm import BettiTable
