@@ -6,13 +6,17 @@ homology below its dimension (Reisner, Adv. Math. 1976).  Since the link of
 G in lk v is lk(G + v), this is checked by vertex links: a complex is CM iff
 every vertex link is CM and its own homology vanishes below its dimension
 (Stanley, Combinatorics and Commutative Algebra, ch. II).  Verdicts go into
-the one cache of ``linalg``, beside homology, keyed on the canonically
-relabelled facet family, so isomorphic links are decided once.  Links and
-deletions are the facet-mask helpers of ``complexes``.  The l-CM property
-asks that every deletion of fewer than l vertices stays Cohen-Macaulay of
-the same dimension.  The smallest failing deletion goes into the same cache,
-keyed also by the search's cap, so each family's deletions are walked once
-per cap, and once for every field when the Q search is certified.  Betti
+the one cache of ``linalg``, beside homology, keyed on the facet family
+relabelled in vertex order, so links that differ only in the placement of
+their vertices are decided once.  Links and deletions are the facet-mask
+helpers of ``complexes``.  The l-CM property asks that every deletion of
+fewer than l vertices stays Cohen-Macaulay of the same dimension.  The
+smallest failing deletion goes into the same cache, keyed also by the
+search's cap, on the family relabelled by an isomorphism-invariant vertex
+order (``linalg._invariant_masks``), so isomorphic families are mostly
+searched once per cap, and once for every field when the Q search is
+certified.  The search runs on the caller's own family, so its deletions
+read the verdicts already cached under the caller's labels.  Betti
 numbers of the face ring are read off homology of induced subcomplexes
 (Hochster's formula), one per degree bitmask, by a depth-first walk from the
 full vertex set: each degree's facets are filtered from its parent's, and a
@@ -143,7 +147,7 @@ def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, c
     if not facet_masks:
         return cap + 1
     cap = min(cap, _support(facet_masks).bit_count())
-    return _cached_canonical(_deletion_threshold, facet_masks, fieldspec, cap)
+    return _cached_canonical(_deletion_threshold, facet_masks, fieldspec, cap, invariant=True)
 
 
 def _deletion_threshold(facet_masks: frozenset[int], fieldspec: FieldSpec, cap: int) -> int:

@@ -26,7 +26,7 @@ from lcmkit.complexes import (
 )
 from lcmkit.errors import VoidComplexError
 from lcmkit.linalg import FieldSpec, reduced_homology
-from lcmkit.sweeps import enumerate_complexes, random_complex
+from lcmkit.sweeps import enumerate_complexes, random_complex, sweep_skeleton
 from oracles import hochster_betti_by_degree, is_cm_by_definition
 from record_verdicts import (
     HOCHSTER_SNAPSHOT,
@@ -285,10 +285,14 @@ def test_verdicts_survive_relabelling(n, density, seed, extra, rng):
 
 
 # The apex link of the cone over RP² is RP², CM over Q but not over GF(2).
-# In the relabelled copy the apex is vertex 1 and RP² keeps its vertex
-# order, so its apex link reads the very cache entries of RP².
+# In the relabelled copies the apex is vertex 1 or vertex 4 and RP² keeps its
+# vertex order, so their apex links read the very cache entries of RP².  The
+# apex lies on more facets than any other vertex, so the invariant key of a
+# threshold puts it last: the middle copy shares the thresholds of RP2_CONE
+# through that key alone.
 RP2_CONE = cone(real_projective_plane())
 RP2_CONE_MOVED = relabel(RP2_CONE, [2, 3, 4, 5, 6, 7, 1], 7)
+RP2_CONE_MIDDLE = relabel(RP2_CONE, [1, 2, 3, 5, 6, 7, 4], 7)
 
 
 @pytest.mark.parametrize("order", [(QQ, GF2), (GF2, QQ)], ids=["Q-first", "GF2-first"])
@@ -296,8 +300,11 @@ def test_q_verdicts_that_read_rp2_stay_with_q(order):
     # a Q verdict or deletion threshold that reads a torsion-dependent value
     # must not be stored for every field, whichever field asks first
     want = {QQ: (True, 1, True, False, 1), GF2: (False, 0, False, False, 0)}
+    middle = RP2_CONE_MIDDLE.facet_masks
+    assert linalg._canonical_masks(middle) != RP2_CONE.facet_masks
+    assert linalg._invariant_masks(middle) == RP2_CONE.facet_masks
     linalg._CACHE.clear()
-    for delta in (RP2_CONE, RP2_CONE_MOVED):
+    for delta in (RP2_CONE, RP2_CONE_MOVED, RP2_CONE_MIDDLE):
         for f in order:
             assert is_cohen_macaulay(delta, f) == want[f][0]
         for f in order:
@@ -309,14 +316,31 @@ def test_q_verdicts_that_read_rp2_stay_with_q(order):
             assert l_cm_threshold(delta, f) == want[f][4]
 
 
+def _shuffled(delta, rng):
+    """``delta`` with its vertices permuted so that the order of its support
+    changes; None when the support has fewer than two vertices."""
+    n = delta.vertex_count
+    support = sorted(delta.vertices)
+    while len(support) > 1:
+        perm = rng.sample(range(1, n + 1), n)
+        images = [perm[v - 1] for v in support]
+        if images != sorted(images):
+            return relabel(delta, perm, n)
+    return None
+
+
 def _threshold_instances():
     rng = random.Random(12)
-    out = [delta for n in range(1, 5) for delta in enumerate_complexes(n)]
-    for delta in list(out):
+    base = [delta for n in range(1, 5) for delta in enumerate_complexes(n)]
+    out = list(base)
+    for delta in base:
         n, extra = delta.vertex_count, rng.randint(1, 2)
         out.append(relabel(delta, rng.sample(range(1, n + extra + 1), n), n + extra))
+    # the same complexes out of vertex order: only the invariant key of a
+    # threshold joins them to the labelling that filled it
+    out.extend(moved for delta in base if (moved := _shuffled(delta, rng)) is not None)
     out.extend(SimplicialComplex.empty(k) for k in range(4))
-    out.extend([real_projective_plane(), RP2_CONE, RP2_CONE_MOVED])
+    out.extend([real_projective_plane(), RP2_CONE, RP2_CONE_MOVED, RP2_CONE_MIDDLE])
     return out
 
 
@@ -370,6 +394,19 @@ def test_cached_thresholds_match_definition_in_any_order(order):
         assert g == w, delta
 
 
+def test_isomorphic_families_share_one_threshold_search(monkeypatch):
+    # thresholds are keyed by an isomorphism-invariant vertex order: the thm12
+    # sweep over its n <= 4 scope (Q, GF(2)) runs 61 deletion searches, where
+    # the vertex-order key ran 159
+    calls = []
+    search = cm._deletion_threshold
+    monkeypatch.setattr(cm, "_deletion_threshold", lambda *args: calls.append(args) or search(*args))
+    linalg._CACHE.clear()
+    assert sweep_skeleton("thm12", fields=(QQ, GF2), max_n=4).passed
+    linalg._CACHE.clear()
+    assert len(calls) <= 61
+
+
 def _verdicts(delta):
     return [
         (is_cohen_macaulay(delta, f), l_cm_threshold(delta, f), reduced_homology(delta, f))
@@ -396,6 +433,7 @@ def test_cache_order_does_not_change_verdicts():
         complete_graph(5),
         RP2_CONE,
         RP2_CONE_MOVED,
+        RP2_CONE_MIDDLE,
     ]
     linalg._CACHE.clear()
     cold = [_verdicts(d) for d in deltas]

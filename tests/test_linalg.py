@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from lcmkit import linalg
 from lcmkit.complexes import (
     SimplicialComplex,
+    _bits,
+    _support,
     boundary_simplex,
     cycle,
     full_simplex,
@@ -23,6 +26,7 @@ from lcmkit.linalg import (
     rank,
     reduced_homology,
 )
+from lcmkit.sweeps import enumerate_complexes, random_complex
 
 from oracles import boundary_rows, gauss_rank_fractions, homology_via_snf, snf_diagonal
 
@@ -364,6 +368,45 @@ def test_cone_rule(monkeypatch):
     monkeypatch.undo()
     # all facets but one through vertex 1: the triangle's boundary, a circle
     assert homology_dims_of_facets(frozenset({0b011, 0b101, 0b110}), QQ) == (0, 0, 1)
+
+
+def _moved(masks, new):
+    """The family with each bit b moved to new[b]."""
+    return frozenset(sum(new[b] for b in _bits(m)) for m in masks)
+
+
+def _key_families():
+    # every complex on <= 4 vertices and seeded random ones on 5-7 vertices
+    rng = random.Random(15)
+    out = [delta.facet_masks for n in range(1, 5) for delta in enumerate_complexes(n)]
+    for _ in range(24):
+        n = rng.randint(5, 7)
+        out.append(random_complex(n, rng.choice((0.3, 0.5, 0.7)), rng.randrange(2**31)).facet_masks)
+    return out
+
+
+def test_invariant_key_is_a_relabelling():
+    # the key of a deletion threshold is the family's image under some
+    # bijection of its support onto bits 0..k-1, found here by brute force
+    for masks in _key_families():
+        key = linalg._invariant_masks(masks)
+        bits = _bits(_support(masks))
+        images = (_moved(masks, dict(zip(bits, (1 << i for i in perm))))
+                  for perm in permutations(range(len(bits))))
+        assert any(image == key for image in images), masks
+
+
+def test_invariant_key_ignores_order_preserving_relabellings():
+    # ties keep vertex order, so a family moved onto any vertices in the same
+    # order reads the same key
+    rng = random.Random(16)
+    for masks in _key_families():
+        key = linalg._invariant_masks(masks)
+        bits = _bits(_support(masks))
+        for extra in (0, 1, 3):
+            spots = sorted(rng.sample(range(len(bits) + extra), len(bits)))
+            moved = _moved(masks, {b: 1 << s for b, s in zip(bits, spots)})
+            assert linalg._invariant_masks(moved) == key, masks
 
 
 def test_void_complex_errors(fieldspec):
