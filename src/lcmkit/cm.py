@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _apex, _bits, _deletion_masks, _link_masks, _mask, _support, _vertices, mask_to_face
+from .complexes import SimplicialComplex, _apex, _bits, _deletion_masks, _face_text, _link_masks, _mask, _support, _vertices, mask_to_face
 from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
@@ -80,9 +80,9 @@ class BettiTable:
 
     def to_tsv(self) -> str:
         """Render as `i<TAB>F<TAB>beta` rows sorted by (i, F); `-` for the empty degree."""
-        rows = sorted((i, _vertices(deg), b) for (i, deg), b in self.entry_masks.items())
+        rows = sorted(self.entry_masks.items(), key=lambda item: (item[0][0], _vertices(item[0][1])))
         lines = ["i\tF\tbeta"]
-        lines.extend(f"{i}\t{','.join(map(str, deg)) or '-'}\t{b}" for i, deg, b in rows)
+        lines.extend(f"{i}\t{_face_text(deg)}\t{b}" for (i, deg), b in rows)
         return "\n".join(lines) + "\n"
 
 

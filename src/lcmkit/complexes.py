@@ -275,6 +275,17 @@ def mask_to_face(mask: int) -> frozenset[int]:
     return frozenset(_vertices(mask))
 
 
+def _face_key(mask: int) -> tuple[int, list[int]]:
+    """Size first, then lexicographic vertex order: the one order of faces
+    in files, ids and enumerations."""
+    return mask.bit_count(), _vertices(mask)
+
+
+def _face_text(mask: int) -> str:
+    """The vertices comma-joined, `-` for the empty face."""
+    return ",".join(map(str, _vertices(mask))) or "-"
+
+
 def _face_masks(facet_masks: Iterable[int]) -> set[int]:
     """Every face of the family: each submask of each facet, the empty face
     included.  This is the one face walk."""
@@ -386,6 +397,6 @@ def format_facet_file(delta: SimplicialComplex) -> str:
     if delta.is_void:
         raise VoidComplexError("the void complex has no file form")
     lines = [f"n {delta.vertex_count}"]
-    for f in sorted(delta.facets, key=lambda f: (len(f), sorted(f))):
-        lines.append(" ".join(str(v) for v in sorted(f)))
+    for f in sorted(delta.facet_masks, key=_face_key):
+        lines.append(" ".join(map(str, _vertices(f))))
     return "\n".join(lines) + "\n"

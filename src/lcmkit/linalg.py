@@ -26,7 +26,8 @@ have a unitriangular r x r minor and the rank is r mod every prime (all
 Smith invariants are 1).  Every step that breaks this bumps the counter
 ``_taint``: a Q rank that reached the core, rows that ``_int_rows``
 converted, and a Q value read from a characteristic-0 cache key.
-``_certified`` compares the counter around a computation.
+``_certified`` alone decides whether a value holds over every field: it
+was computed over Q and the counter did not move around the computation.
 
 One global cache makes the repeated link/restriction lookups of the
 Cohen-Macaulay sweeps cheap: it holds the homology dimensions computed here
@@ -58,7 +59,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .complexes import SimplicialComplex, _apex, _face_masks, _relabel_masks, _support, mask_to_face
+from .complexes import SimplicialComplex, _apex, _face_key, _face_masks, _relabel_masks, _support
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -303,13 +304,13 @@ def _eliminate(row: dict[int, int], index: dict[int, int],
                     del row[x]
 
 
-def _certified(compute, *args):
-    """``(compute(*args), certified)``; certified when no step inside bumped
-    ``_taint``, which for a Q computation means the value holds over every
-    field."""
+def _certified(compute, data, fieldspec: FieldSpec, *extra):
+    """``(compute(data, fieldspec, *extra), free)``, free when the value
+    holds over every field: it was computed over Q and no step inside bumped
+    ``_taint``."""
     before = _taint
-    value = compute(*args)
-    return value, _taint == before
+    value = compute(data, fieldspec, *extra)
+    return value, _taint == before and not fieldspec.characteristic
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -385,7 +386,7 @@ def boundary_matrix(delta: SimplicialComplex, i: int, fieldspec: FieldSpec) -> S
     if not 0 <= i <= delta.dimension():
         raise ValueError(f"need 0 <= i <= {delta.dimension()}")
     by_card = faces_by_card(delta.facet_masks)
-    below, cells = (sorted(level, key=lambda m: sorted(mask_to_face(m))) for level in by_card[i : i + 2])
+    below, cells = (sorted(level, key=_face_key) for level in by_card[i : i + 2])
     entries = {
         (c, r): fieldspec.normalize(v)
         for r, row in enumerate(_boundary_rows(cells, below))
@@ -448,7 +449,6 @@ def _cached_canonical(compute, facet_masks: frozenset[int], fieldspec: FieldSpec
             hit, free = _lookup(compute, canon, p, extra)
         if hit is None:
             hit, free = _certified(compute, facet_masks if invariant else canon, fieldspec, *extra)
-            free = free and not p
             _CACHE[(compute, canon, None if free else p) + extra] = hit
         _CACHE[(compute, facet_masks, None if free else p) + extra] = hit
     return hit

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _relabel_masks, _support, boundary_simplex, mask_to_face
+from .complexes import SimplicialComplex, _bits, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
 from .cm import _deletion_fails, _smallest_failing_deletion, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
@@ -32,7 +32,7 @@ from .errors import (
     RankMismatchError,
     VoidComplexError,
 )
-from .linalg import FieldSpec, faces_by_card
+from .linalg import FieldSpec
 from .squarefree import SquarefreeModule
 
 
@@ -336,12 +336,10 @@ def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:
                         mat[r][c] = 1
             mult[(f, bit)] = tuple(tuple(row) for row in mat)
     comp = {f: len(members) for f, members in classes.items()}
-    module = SquarefreeModule._from_masks(poset.vertex_count, comp, mult)
     # when supp z = supp x + {j, k} and x < z, [x, z] is boolean, so each
     # path from x reaches z through exactly one cell; when x is not below z,
     # neither path does.  Both paths around a square agree: nothing to scan
-    module._defects = []
-    return module
+    return SquarefreeModule._from_masks(poset.vertex_count, comp, mult, [])
 
 
 # -- generators ------------------------------------------------------------------
@@ -351,9 +349,8 @@ def face_poset(delta: SimplicialComplex) -> SimplicialPoset:
     """The poset of faces of a complex, ordered by inclusion."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no face poset")
-    # sorted by their single-bit lists, a level is in lexicographic vertex order
-    faces = [f for level in faces_by_card(delta.facet_masks) for f in sorted(level, key=_bits)]
-    ids = tuple(",".join(str(b.bit_length()) for b in _bits(f)) or "-" for f in faces)
+    faces = sorted(_face_masks(delta.facet_masks), key=_face_key)
+    ids = tuple(map(_face_text, faces))
     index = {f: i for i, f in enumerate(faces)}
     covers = frozenset((index[f ^ b], index[f]) for f in faces for b in _bits(f))
     return _validate(ids, index[0], covers)
@@ -383,14 +380,11 @@ def random_simplicial_poset(n: int, rank: int, seed: int) -> SimplicialPoset:
     if n < 1 or rank < 1:
         raise ValueError("need n >= 1 and rank >= 1")
     rng = random.Random(seed)
-    ids = ["-"] + [str(v) for v in range(1, n + 1)]
+    support = [0] + [1 << v for v in range(n)]  # support masks, by element
+    ids = list(map(_face_text, support))
     covers: list[tuple[int, int]] = [(0, v) for v in range(1, n + 1)]
-    by_support: dict[int, list[int]] = {0: [0]}  # support mask -> its elements
-    below, support = [1], [0]  # down-set and support masks, by element
-    for v in range(n):
-        by_support[1 << v] = [v + 1]
-        below.append(1 | 2 << v)
-        support.append(1 << v)
+    by_support = {s: [x] for x, s in enumerate(support)}  # support mask -> its elements
+    below = [1] + [1 | 2 << v for v in range(n)]  # down-set masks, by element
 
     for r in range(2, rank + 1):
         for combo in combinations(_bits((1 << n) - 1), r):
@@ -405,7 +399,7 @@ def random_simplicial_poset(n: int, rank: int, seed: int) -> SimplicialPoset:
                     if union.bit_count() == len({support[y] for y in _elements(union)}) == (1 << r) - 1:
                         x = len(ids)
                         copy = len(by_support.get(u, []))
-                        ids.append(",".join(str(b.bit_length()) for b in combo) + f".{copy}")
+                        ids.append(f"{_face_text(u)}.{copy}")
                         covers.extend((y, x) for y in set(picks))
                         by_support.setdefault(u, []).append(x)
                         below.append(union | 1 << x)

@@ -5,8 +5,9 @@ dimensions of its components at the 2^n squarefree degrees together with the
 multiplication maps between adjacent components, every degree as a bitmask
 (vertex v on bit v-1), as complexes store their facets.  The vertex-set
 views ``comp`` and ``mult`` are derived from the masks.  The commutativity
-of the maps is checked once per module: the entries where the two paths
-around a square differ are found on first use and kept, and each field
+of the maps is scanned once, where outside maps enter (the constructor):
+the entries where the two paths around a square differ are kept, each
+derived module carries the ones of its parent that it keeps, and each field
 only tests whether one of them survives reduction.  Betti numbers are
 computed degree by degree as homology of the Koszul complex on the masks.
 A table computed over Q whose every rank is certified by ``linalg`` holds
@@ -18,11 +19,10 @@ module of a CM module.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, combinations
 
 from .cm import BettiTable, _check_betti_size, _smallest_failing_deletion
-from .complexes import SimplicialComplex, _bits, _mask, _relabel_masks, mask_to_face
+from .complexes import SimplicialComplex, _bits, _face_key, _face_text, _mask, _relabel_masks, mask_to_face
 from .errors import (
     InvalidModuleError,
     ParseError,
@@ -68,8 +68,9 @@ class SquarefreeModule:
     j-th variable, of shape comp[F + {j}] x comp[F]; maps that are absent,
     zero, or would touch a zero component are the zero map and not stored.
     ``comp`` and ``mult`` derive the same data keyed by vertex sets and
-    variable numbers.  The constructor takes that vertex-set form; the
-    commutativity of the maps is checked once per module, on first use.
+    variable numbers.  The constructor takes that vertex-set form and scans
+    the maps for commutativity defects; ``_from_masks`` takes the stored
+    form with defects the caller already knows.
     """
 
     # Koszul entries computed over Q with every rank certified: they hold
@@ -112,13 +113,16 @@ class SquarefreeModule:
             # a map into or out of a zero component is a zero matrix
             if not _is_zero_matrix(m):
                 self.mult_masks[(f, bit)] = m
+        self._defects = _scan_defects(self)
 
     @classmethod
-    def _from_masks(cls, n: int, comp_masks: dict, mult_masks: dict) -> "SquarefreeModule":
+    def _from_masks(cls, n: int, comp_masks: dict, mult_masks: dict, defects: list) -> "SquarefreeModule":
         """A module from data already in stored form: nonzero components,
-        nonzero maps between them."""
+        nonzero maps between them, and the defects ``_scan_defects`` would
+        find on them."""
         module = cls.__new__(cls)
         module.n, module.comp_masks, module.mult_masks = n, comp_masks, mult_masks
+        module._defects = defects
         return module
 
     # -- basic structure ----------------------------------------------------
@@ -163,21 +167,6 @@ class SquarefreeModule:
     def __repr__(self):
         return f"SquarefreeModule(n={self.n}, {len(self.comp_masks)} components)"
 
-    @cached_property
-    def _defects(self) -> list[tuple[int, int, int, object]]:
-        """(F, bit of j, bit of k, a nonzero entry of x_k x_j - x_j x_k at F)
-        for every entry where the two paths from F to F + {j, k} differ."""
-        out = []
-        for f in self.comp_masks:
-            for jb, kb in combinations(_bits(((1 << self.n) - 1) ^ f), 2):
-                if not self.comp_masks.get(f | jb | kb):
-                    continue
-                left = _mat_mul(self._map(f | jb, kb), self._map(f, jb))
-                right = _mat_mul(self._map(f | kb, jb), self._map(f, kb))
-                for lrow, rrow in zip(left, right):
-                    out.extend((f, jb, kb, a - b) for a, b in zip(lrow, rrow) if a != b)
-        return out
-
     def validate_over(self, fieldspec: FieldSpec) -> None:
         """Check the commutativity of the multiplication maps over the field."""
         for f, jb, kb, diff in self._defects:
@@ -186,6 +175,21 @@ class SquarefreeModule:
                     f"maps at degree {sorted(mask_to_face(f))} do not commute for "
                     f"variables {jb.bit_length()},{kb.bit_length()} over {fieldspec.label()}"
                 )
+
+
+def _scan_defects(module: SquarefreeModule) -> list[tuple[int, int, int, object]]:
+    """(F, bit of j, bit of k, a nonzero entry of x_k x_j - x_j x_k at F)
+    for every entry where the two paths from F to F + {j, k} differ."""
+    out = []
+    for f in module.comp_masks:
+        for jb, kb in combinations(_bits(((1 << module.n) - 1) ^ f), 2):
+            if not module.comp_masks.get(f | jb | kb):
+                continue
+            left = _mat_mul(module._map(f | jb, kb), module._map(f, jb))
+            right = _mat_mul(module._map(f | kb, jb), module._map(f, kb))
+            for lrow, rrow in zip(left, right):
+                out.extend((f, jb, kb, a - b) for a, b in zip(lrow, rrow) if a != b)
+    return out
 
 
 # -- constructions ---------------------------------------------------------------
@@ -199,18 +203,14 @@ def from_complex(delta: SimplicialComplex) -> SquarefreeModule:
     comp = dict.fromkeys(chain(*faces_by_card(delta.facet_masks)), 1)
     full = (1 << delta.vertex_count) - 1
     mult = {(f, bit): ((1,),) for f in comp for bit in _bits(full ^ f) if f | bit in comp}
-    module = SquarefreeModule._from_masks(delta.vertex_count, comp, mult)
     # identity maps along the inclusions of a downward-closed family: both
     # paths around every square are the identity, so nothing to scan
-    module._defects = []
-    return module
+    return SquarefreeModule._from_masks(delta.vertex_count, comp, mult, [])
 
 
 def omega_module(n: int, deg) -> SquarefreeModule:
     """The module with a single one-dimensional component at the given degree."""
-    module = SquarefreeModule(n, {frozenset(deg): 1})
-    module._defects = []  # no maps, so nothing to commute
-    return module
+    return SquarefreeModule(n, {frozenset(deg): 1})
 
 
 def restrict(module: SquarefreeModule, keep) -> SquarefreeModule:
@@ -226,7 +226,11 @@ def restrict(module: SquarefreeModule, keep) -> SquarefreeModule:
     # the map is, and the new bit of its variable is the difference
     mult = {(new[f], new[f | bit] ^ new[f]): mat
             for (f, bit), mat in module.mult_masks.items() if f | bit in new}
-    return SquarefreeModule._from_masks(len(w), comp, mult)
+    # the restriction keeps exactly the squares inside the kept variables,
+    # with the same maps, in the same order
+    defects = [(*_relabel_masks((f, jb, kb), wmask), diff)
+               for f, jb, kb, diff in module._defects if (f | jb | kb) & wmask == f | jb | kb]
+    return SquarefreeModule._from_masks(len(w), comp, mult, defects)
 
 
 def delete_variables(module: SquarefreeModule, drop) -> SquarefreeModule:
@@ -239,11 +243,10 @@ def module_skeleton(module: SquarefreeModule, i: int) -> SquarefreeModule:
         raise ValueError("skeleton index must be >= 0")
     comp = {f: d for f, d in module.comp_masks.items() if f.bit_count() <= i}
     mult = {key: mat for key, mat in module.mult_masks.items() if key[0].bit_count() < i}
-    skeleton = SquarefreeModule._from_masks(module.n, comp, mult)
     # the skeleton keeps exactly the squares whose top degree has at most i
     # elements, with the same maps, in the same order
-    skeleton._defects = [x for x in module._defects if (x[0] | x[1] | x[2]).bit_count() <= i]
-    return skeleton
+    defects = [x for x in module._defects if (x[0] | x[1] | x[2]).bit_count() <= i]
+    return SquarefreeModule._from_masks(module.n, comp, mult, defects)
 
 
 # -- Koszul homology ---------------------------------------------------------------
@@ -260,7 +263,7 @@ def koszul_betti(module: SquarefreeModule, fieldspec: FieldSpec) -> BettiTable:
     entries = module._free_betti
     if entries is None:
         entries, free = _certified(_koszul_entries, module, fieldspec)
-        if free and not fieldspec.characteristic:
+        if free:
             module._free_betti = entries
     return BettiTable(module.n, dict(entries))
 
@@ -429,10 +432,6 @@ def is_2cm_via_canonical(module: SquarefreeModule, fieldspec: FieldSpec) -> bool
 #   map <F> <j> <rows>      nonzero maps; rows `;`-separated, entries space-separated
 
 
-def _format_degree(deg: frozenset[int]) -> str:
-    return ",".join(str(v) for v in sorted(deg)) if deg else "-"
-
-
 def _parse_degree(text: str, lineno: int) -> frozenset[int]:
     if text == "-":
         return frozenset()
@@ -447,12 +446,11 @@ def _parse_degree(text: str, lineno: int) -> frozenset[int]:
 
 def format_module_file(module: SquarefreeModule) -> str:
     lines = [f"n {module.n}"]
-    comp = module.comp
-    for f in sorted(comp, key=lambda f: (len(f), sorted(f))):
-        lines.append(f"comp {_format_degree(f)} {comp[f]}")
-    for (f, j), mat in sorted(module.mult.items(), key=lambda t: (len(t[0][0]), sorted(t[0][0]), t[0][1])):
-        rows = " ; ".join(" ".join(str(v) for v in row) for row in mat)
-        lines.append(f"map {_format_degree(f)} {j} {rows}")
+    for f in sorted(module.comp_masks, key=_face_key):
+        lines.append(f"comp {_face_text(f)} {module.comp_masks[f]}")
+    for f, bit in sorted(module.mult_masks, key=lambda key: (_face_key(key[0]), key[1])):
+        rows = " ; ".join(" ".join(str(v) for v in row) for row in module.mult_masks[(f, bit)])
+        lines.append(f"map {_face_text(f)} {bit.bit_length()} {rows}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,6 +18,7 @@ from . import squarefree as sqmod
 from .complexes import (
     SimplicialComplex,
     _bits,
+    _face_key,
     _maximal_masks,
     _vertices,
     boundary_simplex,
@@ -79,8 +80,7 @@ def enumerate_complexes(n: int):
         )
     # A complex with all n vertices is a downward-closed family of subsets of
     # size >= 2 together with all singletons; enumerate those families.
-    subs = sorted((m for m in range(1 << n) if m.bit_count() >= 2),
-                  key=lambda m: (m.bit_count(), _vertices(m)))
+    subs = sorted((m for m in range(1 << n) if m.bit_count() >= 2), key=_face_key)
     # the boundary faces each subset needs; a pair needs only its vertices,
     # which are always chosen
     needs = [[m ^ b for b in _bits(m)] if m.bit_count() > 2 else [] for m in subs]
@@ -133,12 +133,10 @@ def standard_instances() -> list[tuple[str, SimplicialComplex]]:
     return out
 
 
-def random_instances(count: int = 5, n: int = 6, density: float = 0.5,
-                     base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
-    return [
-        (f"random_n{n}_d{density}_s{base_seed + k}", random_complex(n, density, base_seed + k))
-        for k in range(count)
-    ]
+def random_instances(count: int = 5, base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
+    """Seeded random complexes on 6 vertices at density 0.5."""
+    return [(f"random_n6_d0.5_s{base_seed + k}", random_complex(6, 0.5, base_seed + k))
+            for k in range(count)]
 
 
 def poset_instances(random_count: int = 50, base_seed: int = 0) -> list[tuple[str, pmod.SimplicialPoset]]:
@@ -169,16 +167,12 @@ def _enumerated(max_n: int):
             yield f"enum_n{n}_{idx}", delta
 
 
-def complex_scope(max_n: int = 4, include_standard: bool = True,
-                  random_count: int = 5, base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
+def complex_scope(max_n: int = 4, random_count: int = 5,
+                  base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
     """Default complex instance list: exhaustive up to max_n, the standard
     names, and a few seeded random complexes."""
-    out = list(_enumerated(max_n))
-    if include_standard:
-        out.extend(standard_instances())
-    if random_count:
-        out.extend(random_instances(count=random_count, base_seed=base_seed))
-    return out
+    return [*_enumerated(max_n), *standard_instances(),
+            *random_instances(count=random_count, base_seed=base_seed)]
 
 
 # -- equivalence sweeps ------------------------------------------------------------

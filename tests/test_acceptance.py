@@ -56,7 +56,7 @@ def report(num: int, ok: bool, elapsed: float, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def full_scope():
-    return complex_scope(max_n=5, include_standard=True, random_count=5)
+    return complex_scope(max_n=5, random_count=5)
 
 
 def test_criterion_1_thm25_equivalences(full_scope):
@@ -145,7 +145,7 @@ def test_criterion_7_rp2_field_sensitivity():
 def test_criterion_8_corollary26():
     t0 = time.perf_counter()
     failures = []
-    scope = complex_scope(max_n=4, include_standard=True, random_count=5)
+    scope = complex_scope(max_n=4, random_count=5)
     for name, delta in scope:
         for spec in (QQ, GF2):
             if not is_cohen_macaulay(delta, spec):

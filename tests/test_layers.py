@@ -31,15 +31,16 @@ def test_modules_import_only_earlier_layers():
         assert imported <= allowed, f"{name} imports {sorted(imported - allowed)}"
 
 
-def _cache_uses(tree: ast.AST) -> list[str | None]:
-    """The enclosing function of every ``_CACHE`` name or attribute in a
-    module; None for a use outside any function."""
+def _uses(tree: ast.AST, name: str, stores: bool = False) -> list[str | None]:
+    """The enclosing function of every ``name`` name or attribute in a
+    module, or of every assignment to it with ``stores``; None for a use
+    outside any function."""
     out = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Name) and child.id == "_CACHE" or (
-                    isinstance(child, ast.Attribute) and child.attr == "_CACHE"):
+            if (isinstance(child, ast.Name) and child.id == name or isinstance(child, ast.Attribute)
+                    and child.attr == name) and (not stores or isinstance(child.ctx, ast.Store)):
                 out.append(where)
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
             visit(child, inner)
@@ -48,12 +49,48 @@ def _cache_uses(tree: ast.AST) -> list[str | None]:
     return out
 
 
+def _trees() -> dict[str, ast.AST]:
+    src = Path(lcmkit.__file__).parent
+    return {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py")}
+
+
 def test_one_cache_writer():
     # the one cache is defined once and read or written only by the two
     # functions that keep its keys
-    src = Path(lcmkit.__file__).parent
-    uses = {p.stem: _cache_uses(ast.parse(p.read_text())) for p in src.glob("*.py")}
+    uses = {name: _uses(tree, "_CACHE") for name, tree in _trees().items()}
     uses = {name: found for name, found in uses.items() if found}
     assert set(uses) == {"linalg"}
     assert uses["linalg"].count(None) == 1
     assert set(uses["linalg"]) == {None, "_cached_canonical", "_lookup"}
+
+
+def test_defects_are_set_where_a_module_is_built():
+    # the constructor scans outside maps; derived modules pass their
+    # parent's defects to _from_masks.  Nothing else sets them, posets never
+    # name them, and no lazy property computes them
+    trees = _trees()
+    writers = {name: _uses(tree, "_defects", stores=True) for name, tree in trees.items()}
+    writers = {name: sorted(found) for name, found in writers.items() if found}
+    assert writers == {"squarefree": ["__init__", "_from_masks"]}
+    assert not _uses(trees["posets"], "_defects")
+    imported = {a.name for node in ast.walk(trees["squarefree"]) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "cached_property" not in imported and not _uses(trees["squarefree"], "cached_property")
+
+
+def test_mutant_targets_occur_once():
+    # tests/mutants.py replaces each old text in place, so a refactor that
+    # moves one must update its row; each row names tests that exist
+    from mutants import MUTANTS
+
+    src = Path(lcmkit.__file__).parent
+    root = src.parents[1]
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert (src / mutant.file).read_text().count(mutant.old) == 1, mutant.name
+        assert mutant.tests, mutant.name
+        for node in mutant.tests:
+            path, test = node.split("::")
+            defined = {f.name for f in ast.walk(ast.parse((root / path).read_text()))
+                       if isinstance(f, ast.FunctionDef)}
+            assert test.split("[")[0] in defined, node

@@ -38,7 +38,7 @@ from lcmkit.posets import (
     random_simplicial_poset,
     restrict_poset,
 )
-from lcmkit.squarefree import SquarefreeModule, from_complex, is_module_l_cm, module_l_cm_threshold
+from lcmkit.squarefree import SquarefreeModule, _scan_defects, from_complex, is_module_l_cm, module_l_cm_threshold
 from lcmkit.sweeps import poset_instances
 from oracles import (
     module_threshold_by_definition,
@@ -287,11 +287,6 @@ def test_thresholds_match_definition_oracles(fieldspec):
         assert module_l_cm_threshold(m, fieldspec) == module_threshold_by_definition(m, fieldspec), name
 
 
-def _scanned_defects(module):
-    """The defects of the same data found by the explicit commutativity scan."""
-    return SquarefreeModule._from_masks(module.n, module.comp_masks, module.mult_masks)._defects
-
-
 def test_poset_face_rings_need_no_scan():
     # every interval of a simplicial poset is boolean, so the commutativity
     # scan that face_ring_module skips finds nothing
@@ -302,14 +297,14 @@ def test_poset_face_rings_need_no_scan():
     for p in posets:
         module = face_ring_module(p)
         assert module._defects == []
-        assert _scanned_defects(module) == []
+        assert _scan_defects(module) == []
     # the scan does see one changed entry: in glued_1_2 the path through {2}
     # still reaches the second top cell, and the path through {1} no longer does
     module = face_ring_module(glued_simplices(1, 2))
     assert module.mult_masks[(0b01, 0b10)] == ((1,), (1,))
     broken = dict(module.mult_masks)
     broken[(0b01, 0b10)] = ((1,), (0,))
-    assert _scanned_defects(SquarefreeModule._from_masks(module.n, module.comp_masks, broken))
+    assert _scan_defects(SquarefreeModule._from_masks(module.n, module.comp_masks, broken, []))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

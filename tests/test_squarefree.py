@@ -23,6 +23,7 @@ from lcmkit.errors import (
 from lcmkit.linalg import FieldSpec
 from lcmkit.squarefree import (
     SquarefreeModule,
+    _scan_defects,
     canonical_betti,
     delete_variables,
     format_module_file,
@@ -336,7 +337,7 @@ def test_nonvanishing_zero_component_never_dies(fieldspec):
 
 
 def test_face_rings_of_complexes_have_no_defects():
-    # from_complex skips the scan; run it on a copy of the same data
+    # from_complex skips the scan; run it on the same data
     rng = random.Random(5)
     instances = [delta for n in range(1, 5) for delta in enumerate_complexes(n)]
     instances += [random_complex(rng.randint(5, 7), rng.uniform(0.3, 0.9), rng.randrange(10**6))
@@ -344,8 +345,7 @@ def test_face_rings_of_complexes_have_no_defects():
     for delta in instances:
         module = from_complex(delta)
         assert module._defects == []
-        copy = SquarefreeModule._from_masks(module.n, module.comp_masks, module.mult_masks)
-        assert copy._defects == []
+        assert _scan_defects(module) == []
 
 
 def test_commutativity_validation():
@@ -381,16 +381,10 @@ def test_commutativity_validation():
         koszul_betti(mod3, QQ)
 
 
-def _scanned_defects(module):
-    # a fresh copy of the same data runs the commutativity scan
-    return SquarefreeModule._from_masks(module.n, module.comp_masks, module.mult_masks)._defects
-
-
-def test_skeleton_and_omega_defects_match_a_scan():
-    # module_skeleton filters its parent's defects and omega_module sets none:
-    # both must equal the explicit scan, on the thm27 scope and a module
-    # whose maps do not commute
-    bad = SquarefreeModule(
+def noncommuting_module():
+    # squares that do not commute over Q: at the empty degree for variables
+    # 1,2 and 1,3, and at {1}, {2} and {3} below the top degree {1,2,3}
+    return SquarefreeModule(
         3,
         {E: 1, frozenset({1}): 1, frozenset({2}): 1, frozenset({3}): 1,
          frozenset({1, 2}): 1, frozenset({1, 3}): 1, frozenset({1, 2, 3}): 1},
@@ -406,17 +400,49 @@ def test_skeleton_and_omega_defects_match_a_scan():
             (frozenset({1, 3}), 2): ((3,),),
         },
     )
-    assert _scanned_defects(bad)
+
+
+def test_skeleton_and_omega_defects_match_a_scan():
+    # module_skeleton filters its parent's defects: they must equal the
+    # explicit scan, on the thm27 scope and a module whose maps do not commute
+    bad = noncommuting_module()
+    assert bad._defects
     modules = [bad] + [from_complex(delta) for _, delta in complex_scope(max_n=4)]
     modules += [omega_module(n, combo) for n in range(1, 5)
                 for k in range(n + 1) for combo in combinations(range(1, n + 1), k)]
     for module in modules:
-        assert module._defects == _scanned_defects(module)
+        assert module._defects == _scan_defects(module)
         for i in range(module.n + 2):
             skeleton = module_skeleton(module, i)
-            assert skeleton._defects == _scanned_defects(skeleton)
-    assert module_skeleton(bad, 3)._defects == _scanned_defects(bad)
+            assert skeleton._defects == _scan_defects(skeleton)
+    assert module_skeleton(bad, 3)._defects == _scan_defects(bad)
     assert module_skeleton(bad, 2)._defects and not module_skeleton(bad, 1)._defects
+
+
+def test_restriction_defects_match_a_scan():
+    # restrict relabels its parent's defects inside the kept variables; on
+    # every subset they must equal the scan of the restriction
+    bad = noncommuting_module()
+    for k in range(4):
+        for keep in combinations(range(1, 4), k):
+            cut = restrict(bad, keep)
+            assert cut._defects == _scan_defects(cut), keep
+            assert delete_variables(bad, set(range(1, 4)) - set(keep))._defects == cut._defects
+    assert restrict(bad, (1, 2))._defects and restrict(bad, (1, 3))._defects
+    assert not restrict(bad, (2, 3))._defects
+
+
+def test_restriction_validates_exactly_the_kept_squares():
+    # the squares that fail over Q have top degree {1,2}, {1,3} or {1,2,3}
+    bad = noncommuting_module()
+    for k in range(4):
+        for keep in combinations(range(1, 4), k):
+            cut = restrict(bad, keep)
+            if {1, 2} <= set(keep) or {1, 3} <= set(keep):
+                with pytest.raises(InvalidModuleError):
+                    koszul_betti(cut, QQ)
+            else:
+                koszul_betti(cut, QQ)
 
 
 def test_commutativity_error_names_the_first_surviving_defect():
