@@ -10,19 +10,23 @@ the one cache of ``linalg``, beside homology, keyed on the facet family
 relabelled in vertex order, so links that differ only in the placement of
 their vertices are decided once.  Links and deletions are the facet-mask
 helpers of ``complexes``.  The l-CM property asks that every deletion of
-fewer than l vertices stays Cohen-Macaulay of the same dimension.  The
-smallest failing deletion goes into the same cache, keyed also by the
-search's cap, on the family relabelled by an isomorphism-invariant vertex
-order (``linalg._invariant_masks``), so isomorphic families are mostly
-searched once per cap, and once for every field when the Q search is
-certified.  The search runs on the caller's own family, so its deletions
-read the verdicts already cached under the caller's labels.  Betti
-numbers of the face ring are read off homology of induced subcomplexes
-(Hochster's formula), one per degree bitmask, by a depth-first walk from the
-full vertex set: each degree's facets are filtered from its parent's, and a
-degree whose facets share a vertex is a cone with no homology, so it makes
-no entry, and its whole subtree is skipped when no degree below it can
-delete that vertex.  A ``BettiTable`` stores its entries under the degree
+fewer than l vertices stays Cohen-Macaulay of the same dimension.  One
+search finds the smallest failing deletion for complexes, posets and
+modules, and the rules that turn its threshold into an l-CM verdict or a
+largest l live here for all three (``_is_l_cm``, ``_max_l``); the
+deletion test of complexes and posets keeps the dimension of the family
+it is given.  A complex's smallest failing deletion goes into the same
+cache, keyed also by the search's cap, on the family relabelled by an
+isomorphism-invariant vertex order (``linalg._invariant_masks``), so
+isomorphic families are mostly searched once per cap, and once for every
+field when the Q search is certified.  The search runs on the caller's
+own family, so its deletions read the verdicts already cached under the
+caller's labels.  Betti numbers of the face ring are read off homology of
+induced subcomplexes (Hochster's formula), one per degree bitmask, by a
+depth-first walk from the full vertex set: each degree's facets are
+filtered from its parent's, and a degree whose facets share a vertex is a
+cone with no homology, so it makes no entry, and its whole subtree is
+skipped when no degree below it can delete that vertex.  A ``BettiTable`` stores its entries under the degree
 masks, and only its ``entries`` view and ``get`` speak vertex sets.
 """
 
@@ -116,25 +120,36 @@ def is_cohen_macaulay(delta: SimplicialComplex, fieldspec: FieldSpec) -> bool:
 def is_l_cm(delta: SimplicialComplex, l: int, fieldspec: FieldSpec) -> bool:
     """True iff deleting any fewer than l vertices leaves a Cohen-Macaulay
     complex of unchanged dimension."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if delta.is_void:
-        raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
-    return _vertex_deletion_threshold(delta, fieldspec, l - 1) >= l
+    return _is_l_cm(l, delta.vertex_count, _vertex_deletion_threshold, delta, fieldspec)
 
 
 def max_l(delta: SimplicialComplex, fieldspec: FieldSpec) -> int:
     """Largest l in [1, n] such that the complex is l-CM; 0 when not CM."""
-    return min(l_cm_threshold(delta, fieldspec), delta.vertex_count)
+    return _max_l(l_cm_threshold(delta, fieldspec), delta.vertex_count)
 
 
 def l_cm_threshold(delta: SimplicialComplex, fieldspec: FieldSpec) -> int:
     """Smallest cardinality of a vertex deletion breaking Cohen-Macaulayness
     or dropping the dimension; n+1 when every deletion passes.  The complex
     is l-CM exactly when this threshold is >= l."""
-    if delta.is_void:
-        raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
     return _vertex_deletion_threshold(delta, fieldspec, delta.vertex_count)
+
+
+def _is_l_cm(l: int, n: int, threshold, subject, fieldspec: FieldSpec) -> bool:
+    """The l-CM verdict for a complex, poset or module with n vertices,
+    atoms or variables.  ``threshold(subject, fieldspec, cap)`` is the
+    smallest failing deletion of at most cap of them, cap+1 when none
+    fails; a deletion of more than n is never asked for."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    cap = min(l - 1, n)
+    return threshold(subject, fieldspec, cap) > cap
+
+
+def _max_l(threshold: int, n: int) -> int:
+    """The largest l in [1, n] with an l-CM verdict, from the full threshold
+    over n vertices, atoms or variables; 0 when not CM."""
+    return min(threshold, n)
 
 
 def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, cap: int) -> int:
@@ -143,6 +158,8 @@ def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, c
     whole support of a nonempty family drops the dimension, so clipping the
     cap to the support size keeps the answer and makes it a function of the
     family alone.  {emptyset} survives every deletion: cap+1, whatever n."""
+    if delta.is_void:
+        raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
     facet_masks = delta.facet_masks
     if not facet_masks:
         return cap + 1
@@ -151,14 +168,14 @@ def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, c
 
 
 def _deletion_threshold(facet_masks: frozenset[int], fieldspec: FieldSpec, cap: int) -> int:
-    dim = max(map(int.bit_count, facet_masks)) - 1
-    fails = _deletion_fails(facet_masks, dim, fieldspec)
-    return _smallest_failing_deletion(_bits(_support(facet_masks)), cap, fails)
+    return _smallest_failing_deletion(_bits(_support(facet_masks)), cap, _deletion_fails(facet_masks, fieldspec))
 
 
-def _deletion_fails(facet_masks: frozenset[int], dim: int, fieldspec: FieldSpec):
+def _deletion_fails(facet_masks: frozenset[int], fieldspec: FieldSpec):
     """Predicate on a deleted vertex mask: the deletion is not Cohen-Macaulay
-    or has dimension other than ``dim``."""
+    or has another dimension than the family.  The empty family has
+    dimension -1, as {emptyset} does."""
+    dim = max(map(int.bit_count, facet_masks), default=0) - 1
 
     def fails(drop: int) -> bool:
         cut = _deletion_masks(facet_masks, drop)

@@ -351,17 +351,24 @@ def real_projective_plane() -> SimplicialComplex:
 # -- facet file format ---------------------------------------------------------
 #
 # Optional header line `n <int>`; one facet per line as space-separated
-# positive integers; `#` starts a comment line.  An empty facet list with a
-# header denotes the empty complex {emptyset}.
+# positive integers.  An empty facet list with a header denotes the empty
+# complex {emptyset}.  In this and the module and poset formats, `#` starts
+# a comment that runs to the end of its line, and blank lines are skipped.
+
+
+def _content_lines(text: str):
+    """(line number from 1, stripped text before any `#`) for each line of
+    an input file that has content there."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_facet_file(text: str) -> SimplicialComplex:
     n: int | None = None
     facets: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "n":
             if n is not None or facets:

@@ -4,15 +4,17 @@ boolean algebras.
 Cells are the nonbottom elements; the atoms (rank-1 elements) play the role
 of vertices.  A poset stores bitmasks from one topological pass over the
 covers, made when it is validated: each element's support (atom v, in
-element order, on bit v-1) and down-set (element x on bit x).  An interval
-[bottom, x] with 2^rank(x) elements of distinct supports is boolean: if
-supp(y) lies in supp(z), y is the one element of [bottom, z] with its
-support, so y <= z.
+element order, on bit v-1) and down-set (element x on bit x).  The pass
+starts from the elements that cover nothing and refuses the poset unless
+the bottom is the only one.  An interval [bottom, x] with 2^rank(x)
+elements of distinct supports is boolean: if supp(y) lies in supp(z), y is
+the one element of [bottom, z] with its support, so y <= z.
 The order complex of the nonbottom part triangulates the cell complex the
-poset describes, so Cohen-Macaulayness is decided there.  The face ring is
-carried as a squarefree module over the polynomial ring on the atoms: one
-basis element per cell, multiplication sending a cell to the sum of the
-cells covering it with the right support.
+poset describes, so Cohen-Macaulayness is decided there; l-CM verdicts cut
+each atom deletion out of it and take their rules from ``cm``.  The face
+ring is carried as a squarefree module over the polynomial ring on the
+atoms: one basis element per cell, multiplication sending a cell to the sum
+of the cells covering it with the right support.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
-from .cm import _deletion_fails, _smallest_failing_deletion, is_cohen_macaulay
+from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
+from .cm import _deletion_fails, _is_l_cm, _max_l, _smallest_failing_deletion, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
     NonBooleanIntervalError,
@@ -154,9 +156,10 @@ def _ranks_and_down_sets(
     ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """Rank, down-set mask and upper covers of every element, from one
-    topological pass over the covers.  Raises when two saturated chains from
-    the bottom to one element differ in length, or when the covers contain a
-    cycle."""
+    topological pass over the covers, seeded with the elements that cover
+    nothing.  Raises when those are not exactly the bottom, when two
+    saturated chains from the bottom to one element differ in length, or
+    when the covers contain a cycle."""
     size = len(ids)
     indeg = [0] * size
     uppers: list[list[int]] = [[] for _ in range(size)]
@@ -168,6 +171,11 @@ def _ranks_and_down_sets(
     below = [1 << x for x in range(size)]
     visited = 0
     queue = [x for x in range(size) if indeg[x] == 0]
+    if queue != [bottom]:
+        names = sorted(ids[x] for x in queue)
+        raise MultipleMinimalError(
+            f"expected the single minimal element {ids[bottom]!r}, found {names}"
+        )
     while queue:
         x = queue.pop()
         visited += 1
@@ -189,13 +197,6 @@ def _ranks_and_down_sets(
 
 def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, int]]) -> SimplicialPoset:
     size = len(ids)
-    has_lower = {b for _, b in covers}
-    minimal = [x for x in range(size) if x not in has_lower]
-    if minimal != [bottom]:
-        names = sorted(ids[x] for x in minimal)
-        raise MultipleMinimalError(
-            f"expected the single minimal element {ids[bottom]!r}, found {names}"
-        )
     rank, below, uppers = _ranks_and_down_sets(ids, bottom, covers)
     atoms = tuple(x for x in range(size) if rank[x] == 1)
     support = _relabel_masks(below, _support(1 << a for a in atoms))
@@ -281,15 +282,12 @@ def is_poset_cm(poset: SimplicialPoset, fieldspec: FieldSpec) -> bool:
 def is_poset_l_cm(poset: SimplicialPoset, l: int, fieldspec: FieldSpec) -> bool:
     """True iff deleting any fewer than l atoms leaves a Cohen-Macaulay poset
     of unchanged rank."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    cap = min(l - 1, poset.vertex_count)
-    return _atom_deletion_threshold(poset, fieldspec, cap) > cap
+    return _is_l_cm(l, poset.vertex_count, _atom_deletion_threshold, poset, fieldspec)
 
 
 def max_poset_l(poset: SimplicialPoset, fieldspec: FieldSpec) -> int:
     """Largest l in [1, #atoms] such that the poset is l-CM; 0 when not CM."""
-    return min(poset_l_cm_threshold(poset, fieldspec), poset.vertex_count)
+    return _max_l(poset_l_cm_threshold(poset, fieldspec), poset.vertex_count)
 
 
 def poset_l_cm_threshold(poset: SimplicialPoset, fieldspec: FieldSpec) -> int:
@@ -302,11 +300,13 @@ def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: 
     # The order complex of an atom deletion is the subcomplex of the order
     # complex induced on the cells supported off the deleted atoms: atom a
     # removes the vertices (nonbottom cells, in order_complex's numbering)
-    # whose support contains a.
+    # whose support contains a.  The longest chains end at the elements of
+    # top rank, so a deletion keeps the rank exactly when it keeps the
+    # dimension of the order complex.
     cells = [s for x, s in enumerate(poset.support_masks) if x != poset.bottom]
     groups = [_support(1 << bit for bit, s in enumerate(cells) if s >> a & 1)
               for a in range(poset.vertex_count)]
-    fails = _deletion_fails(poset._chain_masks, poset.max_rank() - 1, fieldspec)
+    fails = _deletion_fails(poset._chain_masks, fieldspec)
     return _smallest_failing_deletion(groups, cap, fails)
 
 
@@ -419,10 +419,7 @@ def parse_poset_file(text: str) -> SimplicialPoset:
     ids: list[str] = []
     bottom: str | None = None
     covers: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "elements":
             ids.extend(parts[1:])

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .cm import BettiTable, _check_betti_size, _smallest_failing_deletion
-from .complexes import SimplicialComplex, _bits, _face_key, _face_text, _mask, _relabel_masks, mask_to_face
+from .cm import BettiTable, _check_betti_size, _is_l_cm, _max_l, _smallest_failing_deletion
+from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_text, _mask, _relabel_masks, mask_to_face
 from .errors import (
     InvalidModuleError,
     ParseError,
@@ -353,15 +353,14 @@ def is_module_cm(module: SquarefreeModule, fieldspec: FieldSpec) -> bool:
 
 def is_module_l_cm(module: SquarefreeModule, l: int, fieldspec: FieldSpec) -> bool:
     """True iff deleting any fewer than l variables leaves the zero module or
-    a Cohen-Macaulay module of unchanged dimension."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    return module_l_cm_threshold(module, fieldspec) > min(l - 1, module.n)
+    a Cohen-Macaulay module of unchanged dimension.  Every cap reads the
+    full threshold: one Koszul table answers them all."""
+    return _is_l_cm(l, module.n, lambda m, fs, cap: module_l_cm_threshold(m, fs), module, fieldspec)
 
 
 def max_module_l(module: SquarefreeModule, fieldspec: FieldSpec) -> int:
     """Largest l in [1, n] such that the module is l-CM; 0 when not CM."""
-    return min(module_l_cm_threshold(module, fieldspec), module.n)
+    return _max_l(module_l_cm_threshold(module, fieldspec), module.n)
 
 
 def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int:
@@ -458,10 +457,7 @@ def parse_module_file(text: str) -> SquarefreeModule:
     n: int | None = None
     comp: dict[frozenset[int], int] = {}
     mult: dict[tuple[frozenset[int], int], tuple] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         try:
             if parts[0] == "n" and len(parts) == 2:

@@ -133,12 +133,6 @@ def standard_instances() -> list[tuple[str, SimplicialComplex]]:
     return out
 
 
-def random_instances(count: int = 5, base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
-    """Seeded random complexes on 6 vertices at density 0.5."""
-    return [(f"random_n6_d0.5_s{base_seed + k}", random_complex(6, 0.5, base_seed + k))
-            for k in range(count)]
-
-
 def poset_instances(random_count: int = 50, base_seed: int = 0) -> list[tuple[str, pmod.SimplicialPoset]]:
     """The poset sweep suite: face posets of small standard complexes, glued
     top cells over a simplex boundary, and seeded random simplicial posets."""
@@ -167,12 +161,12 @@ def _enumerated(max_n: int):
             yield f"enum_n{n}_{idx}", delta
 
 
-def complex_scope(max_n: int = 4, random_count: int = 5,
-                  base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
+def complex_scope(max_n: int = 4, base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
     """Default complex instance list: exhaustive up to max_n, the standard
-    names, and a few seeded random complexes."""
+    names, and five seeded random complexes on 6 vertices at density 0.5."""
     return [*_enumerated(max_n), *standard_instances(),
-            *random_instances(count=random_count, base_seed=base_seed)]
+            *((f"random_n6_d0.5_s{s}", random_complex(6, 0.5, s))
+              for s in range(base_seed, base_seed + 5))]
 
 
 # -- equivalence sweeps ------------------------------------------------------------
@@ -236,13 +230,13 @@ def sweep_oracle(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
 
 
 def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
-                 random_count: int = 50, seed: int = 0) -> SweepReport:
+                 seed: int = 0) -> SweepReport:
     """Topological route (order complex of every atom deletion) against the
     algebraic route (face ring as a squarefree module), all l up to #V + 1;
     plus: a 2-CM poset has a 2-CM order complex."""
     report = SweepReport("routes")
     if posets is None:
-        posets = poset_instances(random_count=random_count, base_seed=seed)
+        posets = poset_instances(base_seed=seed)
     for name, poset in posets:
         module = pmod.face_ring_module(poset)
         oc = None  # the order complex, built for the first field that needs it
@@ -271,7 +265,7 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
 
 def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                    max_n: int = 4, random_poset_count: int = 50,
-                   complexes=None, posets=None, seed: int = 0) -> SweepReport:
+                   complexes=None, seed: int = 0) -> SweepReport:
     """Skeleton theorems.  scope selects the slice:
 
     - "thm12": for complexes certified l-CM, the codimension-1 skeleton is
@@ -337,9 +331,7 @@ def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                                               f"claim {l + d - i}-CM", "module skeleton fails")
 
     if scope == "thm44":
-        if posets is None:
-            posets = poset_instances(random_count=random_poset_count, base_seed=seed)
-        for name, poset in posets:
+        for name, poset in poset_instances(random_count=random_poset_count, base_seed=seed):
             d = poset.max_rank()
             for spec in fields:
                 report.instances_checked += 1

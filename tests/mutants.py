@@ -110,7 +110,6 @@ MUTANTS = (
         "                        for a, b in zip(lrow, rrow) if a != b][:1])\n",
         ("tests/test_squarefree.py::test_commutativity_validation",
          "tests/test_squarefree.py::test_commutativity_error_names_the_first_surviving_defect"),
-        survivor=True,
     ),
     Mutant(
         "restrict-drops-defects", "squarefree.py",
@@ -130,6 +129,25 @@ MUTANTS = (
         "    return value, _taint == before and not fieldspec.characteristic\n",
         "    return value, _taint == before\n",
         ("tests/test_cm.py::test_q_verdicts_that_read_rp2_stay_with_q",),
+    ),
+    Mutant(
+        "l-cm-cap-unclipped", "cm.py",
+        "    cap = min(l - 1, n)\n",
+        "    cap = l - 1\n",
+        ("tests/test_squarefree.py::test_is_module_l_cm",),
+    ),
+    Mutant(
+        "kept-dimension-of-empty-family", "cm.py",
+        "    dim = max(map(int.bit_count, facet_masks), default=0) - 1\n",
+        "    dim = max(map(int.bit_count, facet_masks), default=1) - 1\n",
+        ("tests/test_posets.py::test_poset_cm_examples",),
+    ),
+    Mutant(
+        "no-single-minimal-check", "posets.py",
+        "    if queue != [bottom]:\n",
+        "    if False:\n",
+        ("tests/test_posets.py::test_invalid_posets",
+         "tests/test_posets.py::test_validation_agrees_with_the_definition"),
     ),
 )
 

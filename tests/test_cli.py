@@ -156,6 +156,10 @@ def test_exit_codes():
     assert code == 2  # needs --l or --max
     code, _, _ = run_cli(["lcm", "--l", "0", "--field", "q"], stdin_text=C4_FILE)
     assert code == 4  # l must be >= 1
+    code, _, err = run_cli(["verify", "thm12", "--fields", ","])
+    assert (code, err) == (3, "error: need at least one field\n")
+    code, _, err = run_cli(["restrict", "--keep", "x"], stdin_text=C4_FILE)
+    assert (code, err) == (3, "error: bad vertex list 'x'\n")
 
 
 def test_missing_file():

@@ -280,7 +280,7 @@ def test_parse_facet_file():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "n x\n", "1 2\nn 3\n", "0 1\n", "1 1\n", "n 2\n1 3\n", "1 a\n"],
+    ["", "n x\n", "1 2\nn 3\n", "0 1\n", "1 1\n", "n 2\n1 3\n", "1 a\n", "n 1 2\n", "n -1\n"],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError):

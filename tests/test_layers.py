@@ -64,6 +64,26 @@ def test_one_cache_writer():
     assert set(uses["linalg"]) == {None, "_cached_canonical", "_lookup"}
 
 
+def test_rules_have_one_owner():
+    # cm turns every front's threshold into its l-CM verdicts and reads the
+    # dimension a deletion keeps; complexes reads the lines of every input
+    # format; the poset's topological pass finds its minimal elements
+    trees = _trees()
+    callers = {name: sorted(set(found)) for name, tree in trees.items()
+               for found in [_uses(tree, "_is_l_cm") + _uses(tree, "_max_l")] if found}
+    assert callers == {"cm": ["is_l_cm", "max_l"], "posets": ["is_poset_l_cm", "max_poset_l"],
+                       "squarefree": ["is_module_l_cm", "max_module_l"]}
+    src = Path(lcmkit.__file__).parent
+    texts = {p.stem: p.read_text() for p in src.glob("*.py")}
+    for needle, owner in [('"l must be >= 1"', "cm"), ("min(l - 1", "cm"), ('split("#"', "complexes")]:
+        assert [name for name, text in texts.items() if needle in text] == [owner], needle
+    readers = {name: sorted(set(found)) for name, tree in trees.items()
+               for found in [_uses(tree, "_content_lines")] if found}
+    assert readers == {"complexes": ["parse_facet_file"], "posets": ["parse_poset_file"],
+                       "squarefree": ["parse_module_file"]}
+    assert _uses(trees["posets"], "MultipleMinimalError") == ["_ranks_and_down_sets"]
+
+
 def test_defects_are_set_where_a_module_is_built():
     # the constructor scans outside maps; derived modules pass their
     # parent's defects to _from_masks.  Nothing else sets them, posets never

@@ -115,6 +115,21 @@ def test_invalid_posets():
         SimplicialPoset.build(["o", "a"], "o", [("o", "a"), ("a", "o")])
 
 
+@pytest.mark.parametrize("ids, bottom, covers, message", [
+    (["o", "a", "o"], "o", [], "duplicate element ids"),
+    ([], "o", [], "a simplicial poset has at least the bottom element"),
+    (["o", "a#1"], "o", [], "id 'a#1' would break the poset file format"),
+    (["o", "a 1"], "o", [], "id 'a 1' would break the poset file format"),
+    (["o", "a"], "x", [], "bottom 'x' is not an element"),
+    (["o", "a"], "o", [("o", "b")], "cover ('o', 'b') references unknown element"),
+    (["o", "a"], "o", [("o", "a"), ("a", "a")], "cover ('a', 'a') is a loop"),
+])
+def test_build_rejects_malformed_input(ids, bottom, covers, message):
+    with pytest.raises(PosetValidationError) as err:
+        SimplicialPoset.build(ids, bottom, covers)
+    assert str(err.value) == message
+
+
 def test_validation_agrees_with_the_definition():
     # build accepts a seeded random graded cover set exactly when the
     # definition holds, and rejects it with the class and message recorded
@@ -235,6 +250,13 @@ def test_poset_cm_examples(fieldspec):
         assert not is_poset_l_cm(p, 2, fieldspec)
         assert is_l_cm(order_complex(p), 2, fieldspec)
     assert max_poset_l(glued_simplices(3, 1), QQ) == 1  # boolean poset
+    # the bottom alone: no atom to delete, and the empty deletion keeps the
+    # empty order complex
+    just_bottom = SimplicialPoset.build(["o"], "o", [])
+    assert poset_l_cm_threshold(just_bottom, fieldspec) == 1
+    assert is_poset_l_cm(just_bottom, 3, fieldspec)
+    with pytest.raises(ValueError, match="^l must be >= 1$"):
+        is_poset_l_cm(just_bottom, 0, fieldspec)
 
 
 def test_poset_l_cm_matches_complex_route(fieldspec):
@@ -365,6 +387,8 @@ def test_poset_file_parse_errors():
         parse_poset_file("elements o a\n")
     with pytest.raises(ParseError):
         parse_poset_file("elements o a\nbottom o\ncover o\n")
+    with pytest.raises(ParseError, match="^line 4: repeated bottom line$"):
+        parse_poset_file("elements o a\nbottom o\n# again\nbottom a\n")
 
 
 def test_poset_file_is_purely_structural():

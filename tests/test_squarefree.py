@@ -201,6 +201,10 @@ def test_is_module_l_cm(fieldspec):
     assert not is_module_l_cm(c4, 3, fieldspec)
     with pytest.raises(ZeroModuleError):
         is_module_l_cm(SquarefreeModule(2, {}), 1, fieldspec)
+    with pytest.raises(ValueError, match="^l must be >= 1$"):
+        is_module_l_cm(c4, 0, fieldspec)
+    # no deletion fails, and l - 1 past n asks for no more than n variables
+    assert is_module_l_cm(omega_module(2, ()), 4, fieldspec)
 
 
 def test_module_l_cm_equals_complex_l_cm(fieldspec):
@@ -379,6 +383,16 @@ def test_commutativity_validation():
     koszul_betti(mod3, FieldSpec.prime(3))  # 4 == 1 mod 3
     with pytest.raises(InvalidModuleError):
         koszul_betti(mod3, QQ)
+    # a square whose paths differ by 2 in one entry and by 1 in the other:
+    # the 2 vanishes over GF(2), the 1 does not
+    two_entries = SquarefreeModule(
+        2, {(): 1, (1,): 1, (2,): 1, (1, 2): 2},
+        {((), 1): [[1]], ((), 2): [[1]], ((1,), 2): [[2], [1]], ((2,), 1): [[0], [0]]},
+    )
+    with pytest.raises(InvalidModuleError):
+        two_entries.validate_over(GF2)
+    with pytest.raises(InvalidModuleError):
+        koszul_betti(two_entries, GF2)
 
 
 def noncommuting_module():
@@ -517,6 +531,8 @@ def test_module_file_parse_errors():
         parse_module_file("n 2\ncomp - 1\ncomp 1,1 1\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_module_file("n 2\nn 3\ncomp - 1\n")
+    with pytest.raises(ParseError, match="^line 2: bad integer in 'comp 1 x'$"):
+        parse_module_file("n 2\ncomp 1 x\n")
 
 
 def test_glued_edges_module_is_free_but_not_degree_zero_generated():

@@ -10,7 +10,6 @@ from lcmkit.sweeps import (
     enumerate_complexes,
     poset_instances,
     random_complex,
-    random_instances,
     standard_instances,
     sweep_oracle,
     sweep_remark45,
