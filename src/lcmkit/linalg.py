@@ -7,16 +7,17 @@ pivots only on units of the field: any nonzero residue over GF(p), only
 with no +-1 entry form a small core that goes to fraction-free (Bareiss)
 elimination.  No floating point anywhere.  The public ``rank``, the
 boundary ranks of ``_homology_dims`` and the Koszul ranks of ``squarefree``
-all enter there.  Only ``rank`` and the Koszul route can carry Fractions;
-they pass their rows through ``_int_rows`` first, which checks once per
-matrix whether every entry is an int and converts only a matrix that is not
-(denominators cleared row by row over Q, ``FieldSpec.normalize`` over
-GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
-ranks and ``boundary_matrix``.  Reduced simplicial homology dimensions
-follow from the boundary ranks, except on a cone: a family whose facets all
-share a vertex v is v * lk(v), contractible, so ``_homology_dims`` answers
-zero in every degree with no rank.  That answer holds over every field and
-is certified; a single facet (a simplex) is the smallest cone.
+all enter there.  Boundary and Koszul rows are ints by construction (a
+squarefree module refuses any other map entry).  Only the public ``rank``
+can carry Fractions: it checks once per matrix whether every entry is an
+int and converts only a matrix that is not (denominators cleared row by row
+over Q, ``FieldSpec.normalize`` over GF(p)).  Boundary rows are assembled
+once, on bitmask faces, for both the ranks and ``boundary_matrix``.
+Reduced simplicial homology dimensions follow from the boundary ranks,
+except on a cone: a family whose facets all share a vertex v is v * lk(v),
+contractible, so ``_homology_dims`` answers zero in every degree with no
+rank.  That answer holds over every field and is certified; a single facet
+(a simplex) is the smallest cone.
 
 A Q rank of int rows whose Bareiss core stayed empty is certified for
 every field.  Each row operation adds an integer multiple of a pivot row
@@ -24,8 +25,8 @@ with a +-1 pivot, so the row lattice is unchanged; each pivot row is 1 on
 its own column and 0 on the columns of earlier pivots, so the pivot rows
 have a unitriangular r x r minor and the rank is r mod every prime (all
 Smith invariants are 1).  Every step that breaks this bumps the counter
-``_taint``: a Q rank that reached the core, rows that ``_int_rows``
-converted, and a Q value read from a characteristic-0 cache key.
+``_taint``: a Q rank that reached the core, rows that ``rank`` converted,
+and a Q value read from a characteristic-0 cache key.
 ``_certified`` alone decides whether a value holds over every field: it
 was computed over Q and the counter did not move around the computation.
 
@@ -191,29 +192,28 @@ class SparseMatrix:
 
 
 def rank(matrix: SparseMatrix, fieldspec: FieldSpec) -> int:
-    """Exact rank of ``matrix`` over the given field."""
-    rows: dict[int, dict[int, object]] = {}
-    for (r, c), v in matrix.entries.items():
-        rows.setdefault(r, {})[c] = v
-    return _rank_rows(_int_rows(list(rows.values()), fieldspec), fieldspec)
+    """Exact rank of ``matrix`` over the given field.
 
-
-def _int_rows(rows: list[dict], fieldspec: FieldSpec) -> list[dict[int, int]]:
-    """``rows`` themselves when every entry is an int; otherwise a copy with
-    denominators cleared row by row over Q (row scaling preserves rank) or
-    every entry put through ``FieldSpec.normalize`` over GF(p).  A converted
-    matrix is not certified for every field."""
+    Rows of ints go to ``_rank_rows`` as they are.  Any other entry makes a
+    converted copy: denominators cleared row by row over Q (row scaling
+    preserves rank), or every entry put through ``FieldSpec.normalize`` over
+    GF(p).  A converted matrix is not certified for every field."""
     global _taint
-    if all(type(v) is int for row in rows for v in row.values()):
-        return rows
-    _taint += 1
-    if fieldspec.characteristic:
-        return [{c: fieldspec.normalize(v) for c, v in row.items()} for row in rows]
-    scaled = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row.values()))
-        scaled.append({c: int(v * scale) for c, v in row.items()})
-    return scaled
+    by_row: dict[int, dict[int, object]] = {}
+    for (r, c), v in matrix.entries.items():
+        by_row.setdefault(r, {})[c] = v
+    rows = list(by_row.values())
+    if not all(type(v) is int for row in rows for v in row.values()):
+        _taint += 1
+        if fieldspec.characteristic:
+            rows = [{c: fieldspec.normalize(v) for c, v in row.items()} for row in rows]
+        else:
+            scaled = []
+            for row in rows:
+                scale = lcm(*(v.denominator for v in row.values()))
+                scaled.append({c: int(v * scale) for c, v in row.items()})
+            rows = scaled
+    return _rank_rows(rows, fieldspec)
 
 
 def _rank_rows(rows: list[dict[int, int]], fieldspec: FieldSpec) -> int:

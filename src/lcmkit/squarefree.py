@@ -8,8 +8,10 @@ views ``comp`` and ``mult`` are derived from the masks.  The commutativity
 of the maps is scanned once, where outside maps enter (the constructor):
 the entries where the two paths around a square differ are kept, each
 derived module carries the ones of its parent that it keeps, and each field
-only tests whether one of them survives reduction.  Betti numbers are
-computed degree by degree as homology of the Koszul complex on the masks.
+only tests whether one of them survives reduction.  Every map entry is an
+int (the constructor refuses anything else), so Betti numbers are computed
+degree by degree as homology of the Koszul complex on the masks, whose rows
+go to the rank kernel as they are.
 A table computed over Q whose every rank is certified by ``linalg`` holds
 over every field; the module keeps it, and later fields copy it.  From the
 tables we read off projective dimension, Cohen-Macaulayness, the l-CM
@@ -30,21 +32,10 @@ from .errors import (
     VoidComplexError,
     ZeroModuleError,
 )
-from .linalg import FieldSpec, _certified, _int_rows, _rank_rows, faces_by_card
+from .linalg import FieldSpec, _certified, _rank_rows, faces_by_card
 
-# rows of exact entries (ints, or Fractions over Q)
+# rows of int entries
 Matrix = tuple[tuple, ...]
-
-
-def _as_matrix(rows, nrows: int, ncols: int) -> Matrix:
-    mat = tuple(tuple(r) for r in rows)
-    if len(mat) != nrows or any(len(r) != ncols for r in mat):
-        raise ValueError(f"expected a {nrows}x{ncols} matrix")
-    return mat
-
-
-def _is_zero_matrix(mat: Matrix) -> bool:
-    return all(v == 0 for row in mat for v in row)
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -68,9 +59,13 @@ class SquarefreeModule:
     j-th variable, of shape comp[F + {j}] x comp[F]; maps that are absent,
     zero, or would touch a zero component are the zero map and not stored.
     ``comp`` and ``mult`` derive the same data keyed by vertex sets and
-    variable numbers.  The constructor takes that vertex-set form and scans
-    the maps for commutativity defects; ``_from_masks`` takes the stored
-    form with defects the caller already knows.
+    variable numbers.  The constructor takes that vertex-set form, refuses
+    a variable count, component dimension or map entry that is not exactly
+    an ``int`` (as the module file format does), and scans the maps for
+    commutativity defects; ``_from_masks`` takes the stored form with defects the caller
+    already knows.  Integer maps lose no module over Q: with D a common
+    denominator, rescaling the basis at degree F by D^-|F| multiplies every
+    map by D.
     """
 
     # Koszul entries computed over Q with every rank certified: they hold
@@ -78,6 +73,8 @@ class SquarefreeModule:
     _free_betti: dict | None = None
 
     def __init__(self, n: int, comp: dict, mult: dict | None = None):
+        if type(n) is not int:
+            raise ValueError(f"ambient variable count {n!r} is not an integer")
         if n < 0:
             raise ValueError("ambient variable count must be >= 0")
         self.n = n
@@ -87,7 +84,7 @@ class SquarefreeModule:
             f = frozenset(deg)
             if not all(isinstance(v, int) and 1 <= v <= n for v in f):
                 raise ValueError(f"degree {sorted(f)} outside 1..{n}")
-            if not isinstance(d, int):
+            if type(d) is not int:
                 raise ValueError(f"component dimension {d!r} at degree {sorted(f)} is not an integer")
             if d < 0:
                 raise ValueError("component dimensions must be >= 0")
@@ -109,9 +106,14 @@ class SquarefreeModule:
             seen_maps.add((f, bit))
             src = self.comp_masks.get(f, 0)
             dst = self.comp_masks.get(f | bit, 0)
-            m = _as_matrix(mat, dst, src)
+            m = tuple(tuple(r) for r in mat)
+            if len(m) != dst or any(len(r) != src for r in m):
+                raise ValueError(f"expected a {dst}x{src} matrix")
+            for v in chain.from_iterable(m):
+                if type(v) is not int:
+                    raise ValueError(f"map entry {v!r} at degree {sorted(face)} for variable {j} is not an integer")
             # a map into or out of a zero component is a zero matrix
-            if not _is_zero_matrix(m):
+            if any(map(any, m)):
                 self.mult_masks[(f, bit)] = m
         self._defects = _scan_defects(self)
 
@@ -274,62 +276,55 @@ def _koszul_entries(module: SquarefreeModule, fieldspec: FieldSpec) -> dict[tupl
     for deg in range(1 << module.n):
         if not any(s & deg == s for s in module.comp_masks):
             continue
-        for i, b in _koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec).items():
-            entries[(i, deg)] = b
+        for i, b in enumerate(_koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec)):
+            if b:
+                entries[(i, deg)] = b
     return entries
 
 
 def _koszul_degree(comp: dict[int, int], mult: dict[tuple[int, int], Matrix], deg: int,
-                   fieldspec: FieldSpec) -> dict[int, int]:
-    """Homology dimensions of the Koszul complex of one squarefree degree."""
+                   fieldspec: FieldSpec) -> list[int]:
+    """Homology dimensions of the Koszul complex of one squarefree degree,
+    by homological index.
+
+    Term i has one block comp[deg - G] for each G inside deg with #G = i.
+    The differential sends basis vector b of block G to the sum over j in G
+    of sign(j, G) * mult(deg - G, j)(e_b) in block G - {j}: each j reaches
+    its own block, so no entries add up."""
     size = deg.bit_count()
-    # basis of term i: pairs (G, b) with G a submask of deg, #G = i, b < comp[deg - G]
-    bases: list[list[tuple[int, int]]] = [[] for _ in range(size + 1)]
+    dims = [0] * (size + 1)
+    offset: dict[int, int] = {}  # G -> first column of its block in term #G
     g = deg
     while True:
         d = comp.get(deg ^ g, 0)
         if d:
-            bases[g.bit_count()].extend((g, b) for b in range(d))
+            offset[g] = dims[g.bit_count()]
+            dims[g.bit_count()] += d
         if not g:
             break
         g = (g - 1) & deg
-    ranks = [0] * (size + 2)  # ranks[i] = rank of d_i : term i -> term i-1
-    for i in range(1, size + 1):
-        ranks[i] = _koszul_rank(mult, deg, bases[i], bases[i - 1], fieldspec)
-    out: dict[int, int] = {}
-    for i in range(size + 1):
-        h = len(bases[i]) - ranks[i] - ranks[i + 1]
-        if h:
-            out[i] = h
-    return out
-
-
-def _koszul_rank(mult, deg: int, upper, lower, fieldspec: FieldSpec) -> int:
-    """Rank of the Koszul differential sending (G, b) to
-    sum over j in G of sign(j, G) * mult(deg - G, j)(e_b) at (G - {j}, .)."""
-    if not upper or not lower:
-        return 0
-    col_index = {key: c for c, key in enumerate(lower)}
-    rows = []
-    for g, b in upper:
-        # each j in G reaches its own column block G - {j}, so no entries add up
-        row = {}
+    rows: list[list[dict[int, int]]] = [[] for _ in range(size + 1)]  # rows[i]: d_i
+    for g in offset:
+        if not g:
+            continue
         src_deg = deg ^ g
-        sign = 1
-        rem = g
-        while rem:
-            bit = rem & (-rem)
-            mat = mult.get((src_deg, bit))
-            if mat is not None:
-                target = g ^ bit
-                for r, mrow in enumerate(mat):
-                    v = mrow[b]
-                    if v:
-                        row[col_index[(target, r)]] = sign * v
-            sign = -sign
-            rem ^= bit
-        rows.append(row)
-    return _rank_rows(_int_rows(rows, fieldspec), fieldspec)
+        for b in range(comp[src_deg]):
+            row = {}
+            sign = 1
+            rem = g
+            while rem:
+                bit = rem & (-rem)
+                mat = mult.get((src_deg, bit))
+                if mat is not None:
+                    start = offset[g ^ bit]
+                    for r, mrow in enumerate(mat):
+                        if mrow[b]:
+                            row[start + r] = sign * mrow[b]
+                sign = -sign
+                rem ^= bit
+            rows[g.bit_count()].append(row)
+    ranks = [0, *(_rank_rows(r, fieldspec) for r in rows[1:]), 0]  # ranks[i]: rank of d_i
+    return [dims[i] - ranks[i] - ranks[i + 1] for i in range(size + 1)]
 
 
 # -- dimension and Cohen-Macaulayness ------------------------------------------------

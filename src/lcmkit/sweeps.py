@@ -193,6 +193,10 @@ def sweep_thm25(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
             if module is None:
                 module = sqmod.from_complex(delta)
             table = sqmod.koszul_betti(module, spec)
+            pd = table.projective_dimension()
+            if pd != n - d:  # the routes disagree on CM: there is no dual to read
+                report.record(name, f"field={spec.label()}", "deletion=CM", f"koszul pd={pd} expected {n - d}")
+                continue
             dual = sqmod.canonical_betti(table, n, d)
             for l in range(2, n + 2):
                 lhs = threshold >= l

@@ -149,6 +149,24 @@ MUTANTS = (
         ("tests/test_posets.py::test_invalid_posets",
          "tests/test_posets.py::test_validation_agrees_with_the_definition"),
     ),
+    Mutant(
+        "koszul-sign-not-alternating", "squarefree.py",
+        "                sign = -sign\n",
+        "                sign = sign\n",
+        ("tests/test_squarefree.py::test_koszul_matches_definition_oracle",),
+    ),
+    Mutant(
+        "koszul-wrong-block", "squarefree.py",
+        "                    start = offset[g ^ bit]\n",
+        "                    start = offset[g]\n",
+        ("tests/test_squarefree.py::test_koszul_matches_definition_oracle",),
+    ),
+    Mutant(
+        "module-door-accepts-non-int", "squarefree.py",
+        "                if type(v) is not int:\n",
+        "                if False:\n",
+        ("tests/test_squarefree.py::test_module_door_refuses_non_int_entries",),
+    ),
 )
 
 

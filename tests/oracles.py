@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch against the definitions,
 without touching lcmkit internals: Smith normal form over the integers for
 homology ranks, plain Gaussian elimination over Fractions for matrix ranks,
-a combinations-based face/boundary enumeration, and l-CM thresholds and
+a combinations-based face/boundary enumeration, Koszul Betti tables of
+squarefree modules from dense differentials, and l-CM thresholds and
 Betti tables that rebuild every deletion or induced subcomplex through
 lcmkit's public constructions.
 """
@@ -169,6 +170,38 @@ def hochster_betti_by_degree(delta, fieldspec) -> BettiTable:
             for j, h in enumerate(dims):
                 if h:  # homology degree j-1 contributes at index #F - (j-1) - 1
                     entries[(size - j, sum(1 << (v - 1) for v in keep))] = h
+    return BettiTable(n, entries)
+
+
+def koszul_betti_by_definition(module, fieldspec) -> BettiTable:
+    """Betti table of a squarefree module from the dense Koszul complex of
+    every degree F: term i has a basis vector (G, b) for each G inside F
+    with #G = i and b < dim M_{F-G}, and (G, b) goes to the sum over the
+    t-th smallest j of G of (-1)^t * x_j e_b at (G - {j}, .).  Ranks come
+    from the Smith normal form: over Q its nonzero diagonal entries, over
+    GF(p) the ones p does not divide."""
+    n = module.n
+    p = fieldspec.characteristic
+    entries = {}
+    for size in range(n + 1):
+        for deg in combinations(range(1, n + 1), size):
+            basis = [[(g, b) for g in combinations(deg, i)
+                      for b in range(module.component(set(deg) - set(g)))] for i in range(size + 1)]
+            ranks = [0] * (size + 2)
+            for i in range(1, size + 1):
+                index = {key: r for r, key in enumerate(basis[i - 1])}
+                rows = [[0] * len(basis[i]) for _ in basis[i - 1]]
+                for c, (g, b) in enumerate(basis[i]):
+                    for t, j in enumerate(g):
+                        mat = module.map_matrix(set(deg) - set(g), j)
+                        for r, mrow in enumerate(mat):
+                            rows[index[(tuple(v for v in g if v != j), r)]][c] += (-1) ** t * mrow[b]
+                diag = snf_diagonal(rows)
+                ranks[i] = len(diag) if p == 0 else sum(1 for x in diag if x % p)
+            for i in range(size + 1):
+                h = len(basis[i]) - ranks[i] - ranks[i + 1]
+                if h:
+                    entries[(i, sum(1 << (v - 1) for v in deg))] = h
     return BettiTable(n, entries)
 
 

@@ -137,6 +137,27 @@ def test_verify_times_each_sweep_once():
     assert "elapsed" not in {f.name for f in dataclasses.fields(sweeps.SweepReport)}
 
 
+def test_verify_thm25_reports_a_route_disagreement(monkeypatch):
+    # a Koszul table that is not CM where the deletion route says CM is a
+    # failure line of the report, not an abort with no report
+    from lcmkit import squarefree
+    from lcmkit.cm import BettiTable
+
+    real = squarefree.koszul_betti
+
+    def with_top_entry(module, fieldspec):
+        entries = real(module, fieldspec).entry_masks
+        return BettiTable(module.n, {**entries, (module.n, (1 << module.n) - 1): 1})
+
+    monkeypatch.setattr(squarefree, "koszul_betti", with_top_entry)
+    code, out, _ = run_cli(["verify", "thm25", "--n", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "thm25\tenum_n1_0\tfield=Q\tdeletion=CM\tkoszul pd=1 expected 0" in lines
+    assert "thm25\tcycle_4\tfield=GF(2)\tdeletion=CM\tkoszul pd=4 expected 2" in lines
+    assert lines[-1].endswith("\tFAIL")
+
+
 def test_verify_rejects_oversize_n():
     code, _, err = run_cli(["verify", "thm25", "--n", "9"])
     assert code == 4

@@ -98,6 +98,20 @@ def test_defects_are_set_where_a_module_is_built():
     assert "cached_property" not in imported and not _uses(trees["squarefree"], "cached_property")
 
 
+def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
+    # a module holds int entries only, so its one Koszul assembly per degree
+    # hands its rows to the kernel with no conversion step; only the public
+    # rank converts
+    trees = _trees()
+    callers = {name: sorted(set(found)) for name, tree in trees.items()
+               for found in [_uses(tree, "_rank_rows")] if found}
+    assert callers == {"linalg": ["_homology_dims", "rank"], "squarefree": ["_koszul_degree"]}
+    src = Path(lcmkit.__file__).parent
+    texts = {p.stem: p.read_text() for p in src.glob("*.py")}
+    assert "Fraction" not in texts["squarefree"]
+    assert not [name for name, text in texts.items() if "_koszul_rank" in text or "_int_rows" in text]
+
+
 def test_mutant_targets_occur_once():
     # tests/mutants.py replaces each old text in place, so a refactor that
     # moves one must update its row; each row names tests that exist

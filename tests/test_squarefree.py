@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from lcmkit.errors import (
     ZeroModuleError,
 )
 from lcmkit.linalg import FieldSpec
+from lcmkit.posets import face_ring_module
 from lcmkit.squarefree import (
     SquarefreeModule,
     _scan_defects,
@@ -42,8 +44,8 @@ from lcmkit.squarefree import (
     thm25_condition_ii,
     thm25_condition_iii,
 )
-from lcmkit.sweeps import complex_scope, enumerate_complexes, random_complex
-from oracles import module_threshold_by_definition
+from lcmkit.sweeps import complex_scope, enumerate_complexes, poset_instances, random_complex
+from oracles import koszul_betti_by_definition, module_threshold_by_definition
 from record_verdicts import MODULE_SNAPSHOT, render_modules
 
 QQ = FieldSpec.rationals()
@@ -142,6 +144,33 @@ def test_koszul_matches_hochster_on_random_complexes(n, density, seed):
         assert koszul_betti(module, fieldspec) == hochster_betti(delta, fieldspec)
 
 
+def torsion_module():
+    # multiplication by x_1 is 2
+    return SquarefreeModule(1, {(): 1, (1,): 1}, {((), 1): ((2,),)})
+
+
+def koszul_oracle_modules():
+    # poset face rings (components of any dimension), their skeletons and
+    # one-variable deletions, torsion, a free module not generated in degree
+    # zero, and every one-component module on up to 3 variables
+    rings = [face_ring_module(poset) for _, poset in poset_instances(random_count=20)]
+    out = [torsion_module(), glued_edges_module()]
+    out += [omega_module(n, deg) for n in range(4) for k in range(n + 1)
+            for deg in combinations(range(1, n + 1), k)]
+    for ring in rings:
+        out.append(ring)
+        out += [module_skeleton(ring, i) for i in range(module_dim(ring))]
+        out += [delete_variables(ring, {v}) for v in range(1, ring.n + 1)]
+    return out
+
+
+@pytest.mark.parametrize("fieldspec", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_koszul_matches_definition_oracle(fieldspec):
+    # fresh modules per field, so no table is copied from another field
+    for module in koszul_oracle_modules():
+        assert koszul_betti(module, fieldspec) == koszul_betti_by_definition(module, fieldspec), module
+
+
 @pytest.mark.parametrize("order", [(QQ, GF2), (GF2, QQ)], ids=["Q-first", "GF2-first"])
 def test_koszul_table_with_torsion_stays_with_q(order):
     # multiplication by x_1 is 2: invertible over Q, where the module is
@@ -150,7 +179,7 @@ def test_koszul_table_with_torsion_stays_with_q(order):
         QQ: {(0, E): 1},
         GF2: {(0, E): 1, (0, frozenset({1})): 1, (1, frozenset({1})): 1},
     }
-    module = SquarefreeModule(1, {(): 1, (1,): 1}, {((), 1): ((2,),)})
+    module = torsion_module()
     for fieldspec in order:
         assert koszul_betti(module, fieldspec).entries == want[fieldspec]
 
@@ -493,6 +522,13 @@ def test_module_shape_validation():
         SquarefreeModule(2, {frozenset({1}): 1}, {(frozenset({1}), 1): ((1,),)})
     with pytest.raises(ValueError, match="not an integer"):
         SquarefreeModule(1, {(): 1.5})
+    # a bool is written as text the module file parser refuses
+    with pytest.raises(ValueError, match=r"^component dimension True at degree \[1\] is not an integer$"):
+        SquarefreeModule(1, {(): 1, (1,): True}, {((), 1): [[1]]})
+    with pytest.raises(ValueError, match="^ambient variable count True is not an integer$"):
+        SquarefreeModule(True, {(): 1, (1,): 1}, {((), 1): [[1]]})
+    with pytest.raises(ValueError, match="^ambient variable count 1.0 is not an integer$"):
+        SquarefreeModule(1.0, {(): 1})
     # two keys naming one degree, or one map
     with pytest.raises(ValueError, match="given twice"):
         SquarefreeModule(2, {(1, 2): 1, (2, 1): 1})
@@ -501,6 +537,16 @@ def test_module_shape_validation():
     with pytest.raises(ValueError, match="given twice"):
         SquarefreeModule(3, {(1, 2): 1, (1, 2, 3): 1},
                          {((1, 2), 3): ((1,),), ((2, 1), 3): ((1,),)})
+
+
+@pytest.mark.parametrize("entry", [0.5, "1", True, Fraction(1, 3)], ids=repr)
+def test_module_door_refuses_non_int_entries(entry):
+    # the module file format reads only ints, and so does every rank: 0.5
+    # was truncated to 0 over GF(2) and broke the rank over Q, a bool or
+    # Fraction was written as text the parser refuses, and "1" read back as
+    # a different module
+    with pytest.raises(ValueError, match=r"^map entry .+ at degree \[\] for variable 1 is not an integer$"):
+        SquarefreeModule(1, {(): 1, (1,): 1}, {((), 1): [[entry]]})
 
 
 def test_module_file_roundtrip():
