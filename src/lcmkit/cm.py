@@ -19,7 +19,11 @@ it is given.  A complex's smallest failing deletion goes into the same
 cache, keyed also by the search's cap, on the family relabelled by an
 isomorphism-invariant vertex order (``linalg._invariant_masks``), so
 isomorphic families are mostly searched once per cap, and once for every
-field when the Q search is certified.  The search runs on the caller's
+field when the Q search is certified.  A CM complex is pure, so a family
+whose facets differ in size is decided with no homology: its threshold is
+0 before any key is made or looked up, for its deletion of size 0, the
+family itself, fails; its Reisner verdict is False with no link walked,
+and that verdict is cached like any other.  The search runs on the caller's
 own family, so its deletions read the verdicts already cached under the
 caller's labels.  Betti numbers of the face ring are read off homology of
 induced subcomplexes (Hochster's formula), one per degree bitmask, by a
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _apex, _bits, _deletion_masks, _face_text, _link_masks, _mask, _support, _vertices, mask_to_face
+from .complexes import SimplicialComplex, _apex, _bits, _deletion_masks, _face_text, _is_pure, _link_masks, _mask, _support, _vertices, mask_to_face
 from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
@@ -101,9 +105,12 @@ def _facets_cm(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
 def _reisner(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
     """A complex is CM iff every vertex link is CM and its own reduced
     homology vanishes below its dimension, since the link of G in lk v is
-    lk(G + v).  The links go first: a failing link spares the homology."""
+    lk(G + v).  A CM complex is pure, so a family that is not fails with no
+    link walked.  The links go first: a failing link spares the homology."""
     if len(facet_masks) <= 1:  # a simplex or {emptyset}
         return True
+    if not _is_pure(facet_masks):
+        return False
     for v in _bits(_support(facet_masks)):
         if not _facets_cm(_link_masks(facet_masks, v), fieldspec):
             return False
@@ -157,12 +164,16 @@ def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, c
     vertex off the support changes nothing when deleted, and deleting the
     whole support of a nonempty family drops the dimension, so clipping the
     cap to the support size keeps the answer and makes it a function of the
-    family alone.  {emptyset} survives every deletion: cap+1, whatever n."""
+    family alone.  {emptyset} survives every deletion: cap+1, whatever n.
+    A family that is not pure is not CM, so its deletion of size 0, the
+    family itself, fails: 0, for every field and cap, with no cache work."""
     if delta.is_void:
         raise VoidComplexError("the void complex has no Cohen-Macaulay verdict")
     facet_masks = delta.facet_masks
     if not facet_masks:
         return cap + 1
+    if not _is_pure(facet_masks):
+        return 0
     cap = min(cap, _support(facet_masks).bit_count())
     return _cached_canonical(_deletion_threshold, facet_masks, fieldspec, cap, invariant=True)
 

@@ -91,7 +91,7 @@ class SimplicialComplex:
         """True when all facets have equal cardinality."""
         if self.is_void:
             raise VoidComplexError("the void complex has no dimension")
-        return len(set(map(int.bit_count, self.facet_masks))) <= 1
+        return _is_pure(self.facet_masks)
 
     def contains_face(self, face: Iterable[int]) -> bool:
         f = frozenset(face)
@@ -228,6 +228,11 @@ def _maximal_masks(masks: Iterable[int]) -> frozenset[int]:
         else:
             kept.append(m)
     return frozenset(kept)
+
+
+def _is_pure(facet_masks: Iterable[int]) -> bool:
+    """True when all facets have one size; the empty family is pure."""
+    return len(set(map(int.bit_count, facet_masks))) <= 1
 
 
 def _support(masks: Iterable[int]) -> int:

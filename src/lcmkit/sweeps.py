@@ -79,22 +79,31 @@ def enumerate_complexes(n: int):
             "use random_complex beyond that"
         )
     # A complex with all n vertices is a downward-closed family of subsets of
-    # size >= 2 together with all singletons; enumerate those families.
+    # size >= 2 together with all singletons; enumerate those families.  A
+    # subset can be added once its boundary faces are chosen, and a pair's
+    # two vertices always are.  Each family is emitted, then grown by each
+    # addable later subset, the last first: the lexicographic order in which
+    # leaving a subset out comes before adding it.
     subs = sorted((m for m in range(1 << n) if m.bit_count() >= 2), key=_face_key)
-    # the boundary faces each subset needs; a pair needs only its vertices,
-    # which are always chosen
-    needs = [[m ^ b for b in _bits(m)] if m.bit_count() > 2 else [] for m in subs]
+    boundary = [[m ^ b for b in _bits(m)] for m in subs]
     chosen = {1 << b for b in range(n)}
+    facets = set(chosen)
 
     def rec(i: int):
-        if i == len(subs):
-            yield SimplicialComplex(n, _maximal_masks(chosen))
-            return
-        yield from rec(i + 1)
-        if all(f in chosen for f in needs[i]):
-            chosen.add(subs[i])
-            yield from rec(i + 1)
-            chosen.remove(subs[i])
+        yield SimplicialComplex(n, frozenset(facets))
+        for j in range(len(subs) - 1, i - 1, -1):
+            if all(f in chosen for f in boundary[j]):
+                # subsets come by size, so a smaller face of s lies in a
+                # chosen boundary face: only those can be facets under s
+                s = subs[j]
+                covered = facets.intersection(boundary[j])
+                chosen.add(s)
+                facets.difference_update(covered)
+                facets.add(s)
+                yield from rec(j + 1)
+                chosen.remove(s)
+                facets.remove(s)
+                facets.update(covered)
 
     yield from rec(0)
 

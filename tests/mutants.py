@@ -162,6 +162,31 @@ MUTANTS = (
         ("tests/test_squarefree.py::test_koszul_matches_definition_oracle",),
     ),
     Mutant(
+        "non-pure-threshold-passes", "cm.py",
+        "    if not _is_pure(facet_masks):\n"
+        "        return 0\n",
+        "    if not _is_pure(facet_masks):\n"
+        "        return cap + 1\n",
+        ("tests/test_cm.py::test_purity_rule_changes_no_verdict",
+         "tests/test_cm.py::test_verdict_snapshot"),
+    ),
+    Mutant(
+        "purity-rule-fires-on-pure-families", "complexes.py",
+        "    return len(set(map(int.bit_count, facet_masks))) <= 1\n",
+        "    return len(set(map(int.bit_count, facet_masks))) < 1\n",
+        ("tests/test_complexes.py::test_dimension_and_purity",
+         "tests/test_cm.py::test_purity_rule_changes_no_verdict"),
+    ),
+    Mutant(
+        "reisner-non-pure-is-cm", "cm.py",
+        "    if not _is_pure(facet_masks):\n"
+        "        return False\n",
+        "    if not _is_pure(facet_masks):\n"
+        "        return True\n",
+        ("tests/test_cm.py::test_purity_rule_changes_no_verdict",
+         "tests/test_cm.py::test_is_cm_matches_snf_oracle_exhaustive_n3"),
+    ),
+    Mutant(
         "module-door-accepts-non-int", "squarefree.py",
         "                if type(v) is not int:\n",
         "                if False:\n",

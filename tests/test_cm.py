@@ -395,16 +395,50 @@ def test_cached_thresholds_match_definition_in_any_order(order):
 
 
 def test_isomorphic_families_share_one_threshold_search(monkeypatch):
-    # thresholds are keyed by an isomorphism-invariant vertex order: the thm12
-    # sweep over its n <= 4 scope (Q, GF(2)) runs 61 deletion searches, where
-    # the vertex-order key ran 159
-    calls = []
-    search = cm._deletion_threshold
+    # thresholds are keyed by an isomorphism-invariant vertex order, and a
+    # family that is not pure answers 0 before any key is made: the thm12
+    # sweep over its n <= 4 scope (Q, GF(2)) runs 48 deletion searches and 92
+    # invariant relabellings, where the vertex-order key ran 159 searches and
+    # the invariant key alone 61 searches and 159 relabellings
+    calls, keys = [], []
+    search, key = cm._deletion_threshold, linalg._invariant_masks
     monkeypatch.setattr(cm, "_deletion_threshold", lambda *args: calls.append(args) or search(*args))
+    monkeypatch.setattr(linalg, "_invariant_masks", lambda masks: keys.append(masks) or key(masks))
     linalg._CACHE.clear()
     assert sweep_skeleton("thm12", fields=(QQ, GF2), max_n=4).passed
     linalg._CACHE.clear()
-    assert len(calls) <= 61
+    assert len(calls) <= 48
+    assert len(keys) <= 92
+
+
+def _all_verdicts(deltas, fields):
+    linalg._CACHE.clear()
+    out = [(is_cohen_macaulay(delta, f), l_cm_threshold(delta, f), max_l(delta, f),
+            [is_l_cm(delta, l, f) for l in (1, 2, 3)])
+           for f in fields for delta in deltas]
+    linalg._CACHE.clear()
+    return out
+
+
+def test_purity_rule_changes_no_verdict(monkeypatch):
+    # a family that is not pure gets threshold 0 before the cache and Reisner
+    # verdict False with no link walked; with the rule off every verdict on
+    # n <= 5 is the same
+    deltas = [delta for n in range(1, 6) for delta in enumerate_complexes(n)]
+    fields = (QQ, GF2, GF3)
+    with_rule = _all_verdicts(deltas, fields)
+    monkeypatch.setattr(cm, "_is_pure", lambda facet_masks: True)
+    assert _all_verdicts(deltas, fields) == with_rule
+
+
+def test_non_pure_complexes_are_not_cm():
+    # the rule's ground: a Cohen-Macaulay complex is pure, by the face-by-face
+    # Reisner oracle
+    non_pure = [delta for n in range(1, 5) for delta in enumerate_complexes(n) if not delta.is_pure()]
+    assert non_pure
+    for delta in non_pure:
+        for p in (0, 2, 3):
+            assert not is_cm_by_definition(delta, p), (delta, p)
 
 
 def _verdicts(delta):

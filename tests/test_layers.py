@@ -67,7 +67,8 @@ def test_one_cache_writer():
 def test_rules_have_one_owner():
     # cm turns every front's threshold into its l-CM verdicts and reads the
     # dimension a deletion keeps; complexes reads the lines of every input
-    # format; the poset's topological pass finds its minimal elements
+    # format and says whether facets have one size; the poset's topological
+    # pass finds its minimal elements
     trees = _trees()
     callers = {name: sorted(set(found)) for name, tree in trees.items()
                for found in [_uses(tree, "_is_l_cm") + _uses(tree, "_max_l")] if found}
@@ -75,13 +76,17 @@ def test_rules_have_one_owner():
                        "squarefree": ["is_module_l_cm", "max_module_l"]}
     src = Path(lcmkit.__file__).parent
     texts = {p.stem: p.read_text() for p in src.glob("*.py")}
-    for needle, owner in [('"l must be >= 1"', "cm"), ("min(l - 1", "cm"), ('split("#"', "complexes")]:
+    for needle, owner in [('"l must be >= 1"', "cm"), ("min(l - 1", "cm"), ('split("#"', "complexes"),
+                          ("set(map(int.bit_count", "complexes")]:
         assert [name for name, text in texts.items() if needle in text] == [owner], needle
     readers = {name: sorted(set(found)) for name, tree in trees.items()
                for found in [_uses(tree, "_content_lines")] if found}
     assert readers == {"complexes": ["parse_facet_file"], "posets": ["parse_poset_file"],
                        "squarefree": ["parse_module_file"]}
     assert _uses(trees["posets"], "MultipleMinimalError") == ["_ranks_and_down_sets"]
+    purity = {name: sorted(set(found)) for name, tree in trees.items()
+              for found in [_uses(tree, "_is_pure")] if found}
+    assert purity == {"complexes": ["is_pure"], "cm": ["_reisner", "_vertex_deletion_threshold"]}
 
 
 def test_defects_are_set_where_a_module_is_built():
