@@ -5,7 +5,8 @@ link of the empty face, i.e. the complex itself) has vanishing reduced
 homology below its dimension (Reisner, Adv. Math. 1976).  Since the link of
 G in lk v is lk(G + v), this is checked by vertex links: a complex is CM iff
 every vertex link is CM and its own homology vanishes below its dimension
-(Stanley, Combinatorics and Commutative Algebra, ch. II).  Verdicts go into
+(Stanley, Combinatorics and Commutative Algebra, ch. II); a graph or a point
+set has only CM vertex links, so it reads its homology alone.  Verdicts go into
 the one cache of ``linalg``, beside homology, keyed on the facet family
 relabelled in vertex order, so links that differ only in the placement of
 their vertices are decided once.  Links and deletions are the facet-mask
@@ -106,14 +107,18 @@ def _reisner(facet_masks: frozenset[int], fieldspec: FieldSpec) -> bool:
     """A complex is CM iff every vertex link is CM and its own reduced
     homology vanishes below its dimension, since the link of G in lk v is
     lk(G + v).  A CM complex is pure, so a family that is not fails with no
-    link walked.  The links go first: a failing link spares the homology."""
+    link walked.  In a graph or a point set (no facet of more than 2
+    vertices) every vertex link is a nonempty point set or {emptyset}, both
+    CM, so only the homology is read.  Otherwise the links go first: a
+    failing link spares the homology."""
     if len(facet_masks) <= 1:  # a simplex or {emptyset}
         return True
     if not _is_pure(facet_masks):
         return False
-    for v in _bits(_support(facet_masks)):
-        if not _facets_cm(_link_masks(facet_masks, v), fieldspec):
-            return False
+    if max(map(int.bit_count, facet_masks)) > 2:
+        for v in _bits(_support(facet_masks)):
+            if not _facets_cm(_link_masks(facet_masks, v), fieldspec):
+                return False
     return not any(homology_dims_of_facets(facet_masks, fieldspec)[:-1])
 
 

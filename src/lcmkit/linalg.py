@@ -6,13 +6,18 @@ pivots only on units of the field: any nonzero residue over GF(p), only
 +-1 over Q, so every entry stays an exact int.  Over Q the few rows left
 with no +-1 entry form a small core that goes to fraction-free (Bareiss)
 elimination.  No floating point anywhere.  The public ``rank``, the
-boundary ranks of ``_homology_dims`` and the Koszul ranks of ``squarefree``
-all enter there.  Boundary and Koszul rows are ints by construction (a
-squarefree module refuses any other map entry).  Only the public ``rank``
-can carry Fractions: it checks once per matrix whether every entry is an
-int and converts only a matrix that is not (denominators cleared row by row
-over Q, ``FieldSpec.normalize`` over GF(p)).  Boundary rows are assembled
-once, on bitmask faces, for both the ranks and ``boundary_matrix``.
+boundary ranks of ``_homology_dims`` from cardinality 3 up and the Koszul
+ranks of ``squarefree`` all enter there.  The two lowest boundary ranks
+take no matrix: 1 onto the empty face once there is a vertex, and
+#vertices - #components from edges to vertices (``_components``, one
+union-find), both exact over every field, so they leave ``_taint`` alone;
+a graph or a point set lists no faces at all.  Boundary and Koszul rows
+are ints by construction (a squarefree module refuses any other map
+entry).  Only the public ``rank`` can carry Fractions: it checks once per
+matrix whether every entry is an int and converts only a matrix that is
+not (denominators cleared row by row over Q, ``FieldSpec.normalize`` over
+GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
+ranks and ``boundary_matrix``.
 Reduced simplicial homology dimensions follow from the boundary ranks,
 except on a cone: a family whose facets all share a vertex v is v * lk(v),
 contractible, so ``_homology_dims`` answers zero in every degree with no
@@ -523,20 +528,57 @@ def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:
 
 
 def _homology_dims(facet_masks: frozenset[int], fieldspec: FieldSpec) -> tuple[int, ...]:
+    """Reduced homology dims (degree -1 first) from the boundary ranks.
+
+    The two lowest ranks need no matrix, and hold over every field: the map
+    from vertices to the empty face has rank 1 whenever there is a vertex,
+    and the map from edges to vertices has rank #vertices - #components,
+    since the coboundary on 0-cochains has the locally constant functions
+    as its kernel (``_components``).  A graph or a point set (no facet of
+    more than 2 vertices) therefore lists no faces at all: its vertices are
+    its support bits and its edges its 2-bit facets.  Boundaries from
+    cardinality 3 up go to ``_rank_rows``."""
     if not facet_masks:
         return (1,)  # the empty complex: only the empty face
+    top = max(map(int.bit_count, facet_masks))  # top cardinality; dimension is top-1
     if _apex(facet_masks):  # a cone, a simplex included: contractible
-        return (0,) * (max(map(int.bit_count, facet_masks)) + 1)
-    by_card = faces_by_card(facet_masks)
-    top = len(by_card) - 1  # top cardinality; dimension is top-1
+        return (0,) * (top + 1)
+    vertices = _support(facet_masks)
+    if top <= 2:
+        edges = [m for m in facet_masks if m.bit_count() == 2]
+        counts = [1, vertices.bit_count(), len(edges)]
+    else:
+        by_card = faces_by_card(facet_masks)
+        edges = by_card[2]
+        counts = list(map(len, by_card))
     ranks = [0] * (top + 2)  # ranks[k] = rank of boundary from card k to card k-1
-    for k in range(1, top + 1):
+    if top >= 1:
+        ranks[1] = 1
+    if top >= 2:
+        ranks[2] = counts[1] - _components(vertices, edges)
+    for k in range(3, top + 1):
         # rank of the transpose equals the rank
         ranks[k] = _rank_rows(_boundary_rows(by_card[k], by_card[k - 1]), fieldspec)
-    dims = []
-    for k in range(0, top + 1):  # cardinality k <-> degree k-1
-        dims.append(len(by_card[k]) - ranks[k] - ranks[k + 1])
-    return tuple(dims)
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+def _components(vertices: int, edges: list[int]) -> int:
+    """Number of connected components of the graph on the vertex bits of
+    ``vertices`` with the 2-bit masks ``edges``, by one union-find over the
+    edges: every edge that joins two components is one merge."""
+    parent: dict[int, int] = {}
+    merges = 0
+    for e in edges:
+        a = e & -e
+        b = e ^ a
+        while a in parent:
+            a = parent[a]
+        while b in parent:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return vertices.bit_count() - merges
 
 
 def _boundary_rows(cells: list[int], below: list[int]) -> list[dict[int, int]]:

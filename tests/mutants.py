@@ -187,6 +187,25 @@ MUTANTS = (
          "tests/test_cm.py::test_is_cm_matches_snf_oracle_exhaustive_n3"),
     ),
     Mutant(
+        "empty-face-rank-without-guard", "linalg.py",
+        "    if top >= 1:\n"
+        "        ranks[1] = 1\n",
+        "    ranks[1] = 1\n",
+        ("tests/test_linalg.py::test_low_ranks_match_the_all_matrix_route_and_snf",),
+    ),
+    Mutant(
+        "union-find-merges-on-every-edge", "linalg.py",
+        "        if a != b:\n",
+        "        if True:\n",
+        ("tests/test_linalg.py::test_low_ranks_match_the_all_matrix_route_and_snf",),
+    ),
+    Mutant(
+        "reisner-skips-links-of-2-dim-families", "cm.py",
+        "    if max(map(int.bit_count, facet_masks)) > 2:\n",
+        "    if max(map(int.bit_count, facet_masks)) > 3:\n",
+        ("tests/test_cm.py::test_reisner_matches_snf_oracle_exhaustive_n5",),
+    ),
+    Mutant(
         "module-door-accepts-non-int", "squarefree.py",
         "                if type(v) is not int:\n",
         "                if False:\n",

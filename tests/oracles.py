@@ -10,6 +10,7 @@ lcmkit's public constructions.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from lcmkit.cm import BettiTable, is_cohen_macaulay
@@ -121,6 +122,15 @@ def boundary_rows(facets, k):
     return rows
 
 
+@lru_cache(maxsize=1024)
+def _boundary_diagonals(facets: tuple) -> tuple:
+    """The Smith diagonal of every boundary map of the complex, lowest first;
+    kept for the last few complexes, so asking the same complex over several
+    fields runs one integer elimination."""
+    top = max(map(len, facets))
+    return tuple(snf_diagonal(boundary_rows(facets, k + 1)) for k in range(top))
+
+
 def homology_via_snf(facets, p: int) -> dict[int, int]:
     """Reduced homology dims over GF(p) (p = 0 for Q) from integer SNF ranks."""
     faces = all_faces(facets)
@@ -128,8 +138,8 @@ def homology_via_snf(facets, p: int) -> dict[int, int]:
         return {}
     top = max(len(f) for f in faces) - 1
     ranks = {}
-    for k in range(0, top + 1):
-        diag = snf_diagonal(boundary_rows(facets, k + 1))
+    diagonals = _boundary_diagonals(tuple(sorted(tuple(sorted(f)) for f in facets)))
+    for k, diag in enumerate(diagonals):
         ranks[k + 1] = len(diag) if p == 0 else sum(1 for x in diag if x % p)
     ranks[top + 2] = 0
     out = {}

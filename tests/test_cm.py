@@ -258,6 +258,24 @@ def test_is_cm_matches_snf_oracle_exhaustive_n3(fieldspec):
         assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, p)
 
 
+# Two triangles sharing one vertex: a cone on that vertex, so its homology
+# vanishes, but the vertex's link is two disjoint edges, not CM.
+BOWTIE = SimplicialComplex.from_facets([(1, 2, 3), (3, 4, 5)])
+
+
+def test_reisner_matches_snf_oracle_exhaustive_n5():
+    # graphs and point sets read their homology with no link walked; every
+    # complex on <= 5 vertices and the bowtie still read the face-by-face
+    # oracle's verdict over Q, GF(2) and GF(3)
+    linalg._CACHE.clear()
+    for delta in [BOWTIE] + [delta for n in range(1, 6) for delta in enumerate_complexes(n)]:
+        for fieldspec in (QQ, GF2, GF3):
+            assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, fieldspec.characteristic), \
+                (delta, fieldspec)
+    assert reduced_homology(BOWTIE, QQ).is_zero()
+    assert not is_cohen_macaulay(BOWTIE, QQ)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(6, 7),

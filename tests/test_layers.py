@@ -117,6 +117,19 @@ def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
     assert not [name for name, text in texts.items() if "_koszul_rank" in text or "_int_rows" in text]
 
 
+def test_edge_boundary_rank_has_one_owner():
+    # the rank from edges to vertices is #vertices - #components, from the one
+    # union-find of linalg._components, which only _homology_dims calls;
+    # boundary rows are assembled for the public matrix and, from cardinality
+    # 3 up, for the ranks of _homology_dims
+    trees = _trees()
+    for name, owners in [("_components", {"linalg": ["_homology_dims"]}),
+                         ("_boundary_rows", {"linalg": ["_homology_dims", "boundary_matrix"]})]:
+        callers = {module: sorted(set(found)) for module, tree in trees.items()
+                   for found in [_uses(tree, name)] if found}
+        assert callers == owners, name
+
+
 def test_mutant_targets_occur_once():
     # tests/mutants.py replaces each old text in place, so a refactor that
     # moves one must update its row; each row names tests that exist

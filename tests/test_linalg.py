@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from lcmkit import linalg
 from lcmkit.complexes import (
     SimplicialComplex,
+    _apex,
     _bits,
     _support,
+    _vertices,
     boundary_simplex,
     cycle,
     full_simplex,
@@ -368,6 +370,59 @@ def test_cone_rule(monkeypatch):
     monkeypatch.undo()
     # all facets but one through vertex 1: the triangle's boundary, a circle
     assert homology_dims_of_facets(frozenset({0b011, 0b101, 0b110}), QQ) == (0, 0, 1)
+
+
+def _all_matrix_dims(facet_masks, fieldspec):
+    """Homology by the rank of every boundary matrix in ``_rank_rows``, after
+    the same cone rule: the route before the two lowest ranks were read off
+    the vertex and component counts."""
+    if not facet_masks:
+        return (1,)
+    by_card = faces_by_card(facet_masks)
+    top = len(by_card) - 1
+    if _apex(facet_masks):
+        return (0,) * (top + 1)
+    ranks = [0] * (top + 2)
+    for k in range(1, top + 1):
+        ranks[k] = linalg._rank_rows(linalg._boundary_rows(by_card[k], by_card[k - 1]), fieldspec)
+    return tuple(len(by_card[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+def _low_rank_families():
+    # {emptyset} as the empty family and as the family of the empty face,
+    # single points, every complex on <= 5 vertices, random graphs with
+    # isolated vertices and several components, and RP²
+    out = [frozenset(), frozenset({0}), frozenset({1}), frozenset({1 << 6})]
+    out += [delta.facet_masks for n in range(1, 6) for delta in enumerate_complexes(n)]
+    rng = random.Random(20)
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        density = rng.choice((0.1, 0.2, 0.4))
+        edges = {1 << a | 1 << b for a, b in combinations(range(n), 2) if rng.random() < density}
+        covered = _support(edges)
+        out.append(frozenset(edges) | {1 << v for v in range(n) if not covered >> v & 1})
+    out.append(real_projective_plane().facet_masks)
+    return out
+
+
+def test_low_ranks_match_the_all_matrix_route_and_snf():
+    # the rank 1 onto the empty face and #vertices - #components from the
+    # edges give the same dims as a rank of every boundary matrix, and the
+    # same certification for every field, over Q, GF(2) and GF(3)
+    families = _low_rank_families()
+    for masks in families:
+        facets = [tuple(_vertices(m)) for m in masks] or [()]
+        for p in (0, 2, 3):
+            got = linalg._certified(linalg._homology_dims, masks, FieldSpec(p))
+            assert got == linalg._certified(_all_matrix_dims, masks, FieldSpec(p)), (masks, p)
+            want = homology_via_snf(facets, p)
+            assert got[0] == tuple(want[i] for i in range(-1, len(got[0]) - 1)), (masks, p)
+    # the random graphs: most have isolated vertices, many 3 or more components
+    graphs = families[-61:-1]
+    assert sum(1 for masks in graphs if 1 in map(int.bit_count, masks)) > 30
+    assert sum(1 for masks in graphs if linalg._homology_dims(masks, QQ)[1] >= 2) > 20
+    assert linalg._homology_dims(frozenset({0}), QQ) == (1,)
+    assert linalg._homology_dims(frozenset({0b1, 0b100}), QQ) == (0, 1)
 
 
 def _moved(masks, new):
