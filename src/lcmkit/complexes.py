@@ -7,6 +7,14 @@ submasks of the facets (``_face_masks``), which ``faces``, ``all_faces``,
 values are distinguished: the empty complex, whose only face is the empty
 set, and the void complex, which has no faces at all (its Stanley-Reisner
 ring is the zero ring).
+
+Outside data enters through one validating door: the constructor (and
+``from_facets``, ``empty``, ``void`` and ``parse_facet_file``, which call
+it) checks that the facet masks are an antichain of nonempty faces.  A
+complex derived from one that passed it (a skeleton, link or induced
+subcomplex, an order complex, an enumerated or random complex) is built
+by ``_from_masks``, which takes masks that are an antichain by
+construction and checks nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ class SimplicialComplex:
     facets as vertex sets.  If there are no facets the value is either the
     empty complex {emptyset} (``is_void = False``) or the void complex
     (``is_void = True``).  Vertices of the ambient set need not appear in
-    any facet.
+    any facet.  The constructor validates the masks; ``_from_masks`` is
+    the unchecked door for derived complexes, whose masks are an antichain
+    by construction.
     """
 
     vertex_count: int
@@ -63,6 +73,18 @@ class SimplicialComplex:
         if vertex_count is None:
             vertex_count = max(maximal, default=0).bit_length()
         return cls(vertex_count, maximal)
+
+    @classmethod
+    def _from_masks(cls, vertex_count: int, facet_masks: frozenset[int]) -> "SimplicialComplex":
+        """A nonvoid complex from an antichain of nonzero masks below
+        2^vertex_count, taken as given: the caller builds it as one."""
+        # field by field, as the dataclass __init__ does: writing through
+        # __dict__ would give each complex its own dict, twice the memory
+        delta = object.__new__(cls)
+        object.__setattr__(delta, "vertex_count", vertex_count)
+        object.__setattr__(delta, "facet_masks", facet_masks)
+        object.__setattr__(delta, "is_void", False)
+        return delta
 
     @classmethod
     def empty(cls, vertex_count: int = 0) -> "SimplicialComplex":
@@ -138,7 +160,8 @@ class SimplicialComplex:
             return SimplicialComplex.void(len(w))
         keep = _mask(w)
         cut = _deletion_masks(self.facet_masks, ((1 << self.vertex_count) - 1) ^ keep)
-        return SimplicialComplex(len(w), frozenset(_relabel_masks(cut, keep)) - {0})
+        # maximal cut faces, all inside keep, relabelled in order: an antichain
+        return SimplicialComplex._from_masks(len(w), frozenset(_relabel_masks(cut, keep)) - {0})
 
     def delete_vertices(self, drop: Iterable[int]) -> "SimplicialComplex":
         """Induced subcomplex on the complement of ``drop``."""
@@ -152,7 +175,8 @@ class SimplicialComplex:
         fm = _mask(f)
         rest = ((1 << self.vertex_count) - 1) ^ fm
         lk = _relabel_masks(_link_masks(self.facet_masks, fm), rest)
-        return SimplicialComplex(rest.bit_count(), frozenset(lk) - {0})
+        # facets through the face less it, relabelled in order: an antichain
+        return SimplicialComplex._from_masks(rest.bit_count(), frozenset(lk) - {0})
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """All faces of dimension <= i, on the same vertex set."""
@@ -172,7 +196,7 @@ class SimplicialComplex:
                 masks.add(fm)
             else:
                 masks.update(map(sum, combinations(_bits(fm), k)))
-        return SimplicialComplex(self.vertex_count, frozenset(masks))
+        return SimplicialComplex._from_masks(self.vertex_count, frozenset(masks))
 
 
 def _mask(face: Iterable[int]) -> int:

@@ -271,7 +271,8 @@ def _induced_subposet(poset: SimplicialPoset, kept: list[int]) -> SimplicialPose
 def order_complex(poset: SimplicialPoset) -> SimplicialComplex:
     """Complex of chains of the nonbottom part; facets are the saturated
     chains from an atom up to a maximal element."""
-    return SimplicialComplex(poset.size - 1, poset._chain_masks)
+    # maximal chains of the nonbottom part: no one lies in another
+    return SimplicialComplex._from_masks(poset.size - 1, poset._chain_masks)
 
 
 def is_poset_cm(poset: SimplicialPoset, fieldspec: FieldSpec) -> bool:

@@ -90,7 +90,8 @@ def enumerate_complexes(n: int):
     facets = set(chosen)
 
     def rec(i: int):
-        yield SimplicialComplex(n, frozenset(facets))
+        # facets are kept maximal as subsets are added: an antichain
+        yield SimplicialComplex._from_masks(n, frozenset(facets))
         for j in range(len(subs) - 1, i - 1, -1):
             if all(f in chosen for f in boundary[j]):
                 # subsets come by size, so a smaller face of s lies in a
@@ -122,7 +123,8 @@ def random_complex(n: int, density: float, seed: int) -> SimplicialComplex:
             f = sum(combo)
             if all(f ^ b in faces for b in combo) and rng.random() < density:
                 faces.add(f)
-    return SimplicialComplex(n, _maximal_masks(faces))
+    # _maximal_masks gives the antichain; every kept face is nonempty
+    return SimplicialComplex._from_masks(n, _maximal_masks(faces))
 
 
 def standard_instances() -> list[tuple[str, SimplicialComplex]]:

@@ -184,7 +184,7 @@ MUTANTS = (
         "    if not _is_pure(facet_masks):\n"
         "        return True\n",
         ("tests/test_cm.py::test_purity_rule_changes_no_verdict",
-         "tests/test_cm.py::test_is_cm_matches_snf_oracle_exhaustive_n3"),
+         "tests/test_cm.py::test_reisner_matches_snf_oracle_exhaustive_n5"),
     ),
     Mutant(
         "empty-face-rank-without-guard", "linalg.py",
@@ -204,6 +204,38 @@ MUTANTS = (
         "    if max(map(int.bit_count, facet_masks)) > 2:\n",
         "    if max(map(int.bit_count, facet_masks)) > 3:\n",
         ("tests/test_cm.py::test_reisner_matches_snf_oracle_exhaustive_n5",),
+    ),
+    Mutant(
+        "skeleton-keeps-large-facet", "complexes.py",
+        "            if fm.bit_count() <= k:\n"
+        "                masks.add(fm)\n"
+        "            else:\n",
+        "            masks.add(fm)\n"
+        "            if fm.bit_count() > k:\n",
+        ("tests/test_complexes.py::test_derived_complexes_pass_the_validating_constructor",
+         "tests/test_complexes.py::test_skeleton"),
+    ),
+    Mutant(
+        "enumeration-keeps-covered-facets", "sweeps.py",
+        "                facets.difference_update(covered)\n"
+        "                facets.add(s)\n"
+        "                yield from rec(j + 1)\n"
+        "                chosen.remove(s)\n"
+        "                facets.remove(s)\n"
+        "                facets.update(covered)\n",
+        "                facets.add(s)\n"
+        "                yield from rec(j + 1)\n"
+        "                chosen.remove(s)\n"
+        "                facets.remove(s)\n",
+        ("tests/test_complexes.py::test_derived_complexes_pass_the_validating_constructor",
+         "tests/test_sweeps.py::test_enumeration_is_pinned"),
+    ),
+    Mutant(
+        "link-keeps-empty-face", "complexes.py",
+        "        return SimplicialComplex._from_masks(rest.bit_count(), frozenset(lk) - {0})\n",
+        "        return SimplicialComplex._from_masks(rest.bit_count(), frozenset(lk))\n",
+        ("tests/test_complexes.py::test_derived_complexes_pass_the_validating_constructor",
+         "tests/test_complexes.py::test_masks_and_vertex_sets_agree"),
     ),
     Mutant(
         "module-door-accepts-non-int", "squarefree.py",

@@ -265,10 +265,12 @@ BOWTIE = SimplicialComplex.from_facets([(1, 2, 3), (3, 4, 5)])
 
 def test_reisner_matches_snf_oracle_exhaustive_n5():
     # graphs and point sets read their homology with no link walked; every
-    # complex on <= 5 vertices and the bowtie still read the face-by-face
+    # complex on <= 5 vertices, the bowtie, RP² (2-torsion), the boundary of
+    # the 3-simplex and two disjoint edges still read the face-by-face
     # oracle's verdict over Q, GF(2) and GF(3)
     linalg._CACHE.clear()
-    for delta in [BOWTIE] + [delta for n in range(1, 6) for delta in enumerate_complexes(n)]:
+    named = [BOWTIE, real_projective_plane(), boundary_simplex(3), TWO_EDGES]
+    for delta in named + [delta for n in range(1, 6) for delta in enumerate_complexes(n)]:
         for fieldspec in (QQ, GF2, GF3):
             assert is_cohen_macaulay(delta, fieldspec) == is_cm_by_definition(delta, fieldspec.characteristic), \
                 (delta, fieldspec)

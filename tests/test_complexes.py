@@ -17,8 +17,9 @@ from lcmkit.complexes import (
     path,
 )
 from lcmkit.errors import InvalidFaceError, ParseError, VoidComplexError
+from lcmkit.posets import order_complex
 from lcmkit.squarefree import from_complex, restrict
-from lcmkit.sweeps import enumerate_complexes
+from lcmkit.sweeps import enumerate_complexes, poset_instances, random_complex
 from oracles import all_faces as oracle_faces
 
 
@@ -93,6 +94,32 @@ def test_antichain_enforced_on_direct_construction():
 def test_constructor_validates_masks(n, masks, void):
     with pytest.raises(ValueError):
         SimplicialComplex(n, frozenset(masks), is_void=void)
+
+
+def test_derived_complexes_pass_the_validating_constructor():
+    # skeleton, link, induced_subcomplex, order_complex, enumerate_complexes
+    # and random_complex build their masks unchecked; the constructor must
+    # accept each result's masks and rebuild the same complex
+    def check(delta):
+        rebuilt = SimplicialComplex(delta.vertex_count, delta.facet_masks)
+        assert rebuilt == delta and hash(rebuilt) == hash(delta), delta
+
+    for n in range(1, 6):
+        for delta in enumerate_complexes(n):
+            check(delta)
+            for i in range(-1, delta.dimension() + 1):
+                check(delta.skeleton(i))
+            if n <= 4:
+                for face in delta.all_faces():
+                    check(delta.link(face))
+                for keep in range(1 << n):
+                    check(delta.induced_subcomplex(v for v in range(1, n + 1) if keep >> (v - 1) & 1))
+    for n in range(1, 10):
+        for density in (0.2, 0.5, 0.8):
+            for seed in range(4):
+                check(random_complex(n, density, seed))
+    for _, poset in poset_instances(random_count=20):
+        check(order_complex(poset))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

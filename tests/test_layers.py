@@ -31,19 +31,22 @@ def test_modules_import_only_earlier_layers():
         assert imported <= allowed, f"{name} imports {sorted(imported - allowed)}"
 
 
-def _uses(tree: ast.AST, name: str, stores: bool = False) -> list[str | None]:
-    """The enclosing function of every ``name`` name or attribute in a
-    module, or of every assignment to it with ``stores``; None for a use
-    outside any function."""
+def _uses(tree: ast.AST, name: str, stores: bool = False, owner: str | None = None) -> list[str | None]:
+    """The outermost function (a method counts as one) around every
+    ``name`` name or attribute in a module, around every assignment to it
+    with ``stores``, or around every ``owner.name`` attribute with
+    ``owner``; None for a use outside any function."""
     out = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id == name or isinstance(child, ast.Attribute)
-                    and child.attr == name) and (not stores or isinstance(child.ctx, ast.Store)):
+            named = owner is None and isinstance(child, ast.Name) and child.id == name
+            attr = isinstance(child, ast.Attribute) and child.attr == name and (
+                owner is None or isinstance(child.value, ast.Name) and child.value.id == owner)
+            if (named or attr) and (not stores or isinstance(child.ctx, ast.Store)):
                 out.append(where)
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
-            visit(child, inner)
+            outer = where is None and isinstance(child, ast.FunctionDef)
+            visit(child, child.name if outer else where)
 
     visit(tree, None)
     return out
@@ -101,6 +104,17 @@ def test_defects_are_set_where_a_module_is_built():
     imported = {a.name for node in ast.walk(trees["squarefree"]) if isinstance(node, ast.ImportFrom)
                 for a in node.names}
     assert "cached_property" not in imported and not _uses(trees["squarefree"], "cached_property")
+
+
+def test_complexes_are_built_unchecked_only_where_derived():
+    # outside masks pass the constructor, which proves the antichain; only
+    # the constructions that build one by construction take _from_masks
+    trees = _trees()
+    callers = {name: sorted(set(found)) for name, tree in trees.items()
+               for found in [_uses(tree, "_from_masks", owner="SimplicialComplex")] if found}
+    assert callers == {"complexes": ["induced_subcomplex", "link", "skeleton"], "posets": ["order_complex"],
+                       "sweeps": ["enumerate_complexes", "random_complex"]}
+    assert "__post_init__" in _uses(trees["complexes"], "_maximal_masks")
 
 
 def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
