@@ -10,11 +10,11 @@ ring is the zero ring).
 
 Outside data enters through one validating door: the constructor (and
 ``from_facets``, ``empty``, ``void`` and ``parse_facet_file``, which call
-it) checks that the facet masks are an antichain of nonempty faces.  A
-complex derived from one that passed it (a skeleton, link or induced
-subcomplex, an order complex, an enumerated or random complex) is built
-by ``_from_masks``, which takes masks that are an antichain by
-construction and checks nothing.
+it) checks that the vertex count is an ``int`` and that the facet masks
+are an antichain of nonempty faces.  A complex derived from one that
+passed it (a skeleton, link or induced subcomplex, an order complex, an
+enumerated or random complex) is built by ``_from_masks``, which takes
+masks that are an antichain by construction and checks nothing.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ class SimplicialComplex:
     facets as vertex sets.  If there are no facets the value is either the
     empty complex {emptyset} (``is_void = False``) or the void complex
     (``is_void = True``).  Vertices of the ambient set need not appear in
-    any facet.  The constructor validates the masks; ``_from_masks`` is
-    the unchecked door for derived complexes, whose masks are an antichain
-    by construction.
+    any facet.  The constructor refuses a vertex count that is not exactly
+    an ``int``, as the module door does, and validates the masks;
+    ``_from_masks`` is the unchecked door for derived complexes, whose
+    masks are an antichain by construction.
     """
 
     vertex_count: int
@@ -46,6 +47,8 @@ class SimplicialComplex:
     is_void: bool = False
 
     def __post_init__(self):
+        if type(self.vertex_count) is not int:
+            raise ValueError(f"vertex_count {self.vertex_count!r} is not an integer")
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be >= 0")
         if self.is_void and self.facet_masks:

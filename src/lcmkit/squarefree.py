@@ -11,7 +11,11 @@ derived module carries the ones of its parent that it keeps, and each field
 only tests whether one of them survives reduction.  Every map entry is an
 int (the constructor refuses anything else), so Betti numbers are computed
 degree by degree as homology of the Koszul complex on the masks, whose rows
-go to the rank kernel as they are.
+go to the rank kernel as they are.  A degree F with an apex, a variable j
+in F that acts as a unit (a signed permutation matrix, or zero to zero)
+from every degree G inside F - {j}, is skipped: its Koszul complex is the
+mapping cone of an isomorphism, acyclic over every field.  On a face ring
+this is the cone rule of Hochster's formula, read off the maps alone.
 A table computed over Q whose every rank is certified by ``linalg`` holds
 over every field; the module keeps it, and later fields copy it.  From the
 tables we read off projective dimension, Cohen-Macaulayness, the l-CM
@@ -271,15 +275,56 @@ def koszul_betti(module: SquarefreeModule, fieldspec: FieldSpec) -> BettiTable:
 
 
 def _koszul_entries(module: SquarefreeModule, fieldspec: FieldSpec) -> dict[tuple[int, int], int]:
-    """The Betti entries keyed by (i, degree bitmask)."""
+    """The Betti entries keyed by (i, degree bitmask).
+
+    A degree F is skipped, with no rank computed, when it has an apex: a
+    variable j in F whose map x_j: M_G -> M_{G+j} is a unit for every G
+    inside F - {j}, that is, both components are zero or the stored map is
+    a signed permutation matrix.  The Koszul complex at F is the mapping
+    cone of x_j between the Koszul complexes on the variables of F - {j}
+    in degrees F - {j} and F.  That chain map is then an isomorphism over
+    every field, so the cone is acyclic over every field and certification
+    needs no rank of it.  j is an apex of F exactly when its map at
+    F - {j} is a unit and j is an apex of every F - {b} that contains it,
+    so one pass in increasing order finds them all; a degree with no
+    component at or below it has every variable of F as an apex.  On a
+    face ring the rule fires exactly when the subcomplex induced on F is a
+    cone."""
+    comp, mult = module.comp_masks, module.mult_masks
+    units = {key for key, mat in mult.items() if _is_unit_map(mat)}
+    apex = [0] * (1 << module.n)  # apex[F]: the apex bits of F
     entries: dict[tuple[int, int], int] = {}
     for deg in range(1 << module.n):
-        if not any(s & deg == s for s in module.comp_masks):
+        a = rem = deg
+        here = deg in comp
+        while rem and a:
+            bit = rem & -rem
+            rem ^= bit
+            src = deg ^ bit
+            a &= apex[src] | bit
+            if (here or src in comp) and (src, bit) not in units:
+                a &= ~bit
+        apex[deg] = a
+        if a:
             continue
-        for i, b in enumerate(_koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec)):
+        for i, b in enumerate(_koszul_degree(comp, mult, deg, fieldspec)):
             if b:
                 entries[(i, deg)] = b
     return entries
+
+
+def _is_unit_map(mat: Matrix) -> bool:
+    """True when the matrix is square with one entry +-1 in each row and
+    in each column, and zeros elsewhere: invertible over every field."""
+    if len(mat) != len(mat[0]):
+        return False
+    cols = set()
+    for row in mat:
+        hits = [c for c, v in enumerate(row) if v]
+        if len(hits) != 1 or row[hits[0]] not in (1, -1):
+            return False
+        cols.add(hits[0])
+    return len(cols) == len(mat)
 
 
 def _koszul_degree(comp: dict[int, int], mult: dict[tuple[int, int], Matrix], deg: int,

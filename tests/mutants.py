@@ -243,6 +243,27 @@ MUTANTS = (
         "                if False:\n",
         ("tests/test_squarefree.py::test_module_door_refuses_non_int_entries",),
     ),
+    Mutant(
+        "koszul-unit-accepts-two", "squarefree.py",
+        "        if len(hits) != 1 or row[hits[0]] not in (1, -1):\n",
+        "        if len(hits) != 1 or row[hits[0]] not in (1, -1, 2, -2):\n",
+        ("tests/test_squarefree.py::test_koszul_cone_rule_changes_no_table",
+         "tests/test_squarefree.py::test_koszul_table_with_torsion_stays_with_q"),
+    ),
+    Mutant(
+        "koszul-unit-skips-column-check", "squarefree.py",
+        "    return len(cols) == len(mat)\n",
+        "    return True\n",
+        ("tests/test_squarefree.py::test_koszul_cone_rule_changes_no_table",
+         "tests/test_squarefree.py::test_repeated_column_module_by_hand"),
+    ),
+    Mutant(
+        "koszul-apex-not-inherited", "squarefree.py",
+        "            a &= apex[src] | bit\n",
+        "",
+        ("tests/test_squarefree.py::test_koszul_cone_rule_changes_no_table",
+         "tests/test_squarefree.py::test_koszul_skips_exactly_the_cones_of_face_rings"),
+    ),
 )
 
 

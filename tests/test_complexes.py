@@ -96,6 +96,19 @@ def test_constructor_validates_masks(n, masks, void):
         SimplicialComplex(n, frozenset(masks), is_void=void)
 
 
+@pytest.mark.parametrize("count", [2.0, "3", True], ids=repr)
+def test_constructor_refuses_a_vertex_count_that_is_not_an_int(count):
+    # as the module door does: 2.0 and "3" failed with TypeError inside the
+    # checks, and True was kept as the vertex count
+    message = f"^vertex_count {count!r} is not an integer$"
+    for build in (lambda: SimplicialComplex(count, frozenset()),
+                  lambda: SimplicialComplex.from_facets([(1, 2)], vertex_count=count),
+                  lambda: SimplicialComplex.empty(count),
+                  lambda: SimplicialComplex.void(count)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_derived_complexes_pass_the_validating_constructor():
     # skeleton, link, induced_subcomplex, order_complex, enumerate_complexes
     # and random_complex build their masks unchecked; the constructor must

@@ -131,6 +131,25 @@ def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
     assert not [name for name, text in texts.items() if "_koszul_rank" in text or "_int_rows" in text]
 
 
+def test_koszul_degrees_are_computed_or_skipped_in_one_place():
+    # one pass over the degrees of a table decides which have an apex, from
+    # the unit maps, and assembles the rest; the route asks nothing of cm's
+    # cone rule or of linalg's keys
+    trees = _trees()
+    for name in ("_koszul_degree", "_is_unit_map"):
+        callers = {module: sorted(set(found)) for module, tree in trees.items()
+                   for found in [_uses(tree, name)] if found}
+        assert callers == {"squarefree": ["_koszul_entries"]}, name
+    tree = trees["squarefree"]
+    from_cm = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "cm"
+               for a in node.names}
+    route = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("_koszul_entries", "_is_unit_map", "_koszul_degree")]
+    named = {getattr(node, "id", getattr(node, "attr", None)) for fn in route for node in ast.walk(fn)}
+    assert len(route) == 3 and from_cm
+    assert not named & (from_cm | {"cm", "_apex", "_invariant_masks"})
+
+
 def test_edge_boundary_rank_has_one_owner():
     # the rank from edges to vertices is #vertices - #components, from the one
     # union-find of linalg._components, which only _homology_dims calls;

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmkit.cm import BETTI_CAP, hochster_betti, is_cohen_macaulay, is_l_cm, l_cm_threshold
+from lcmkit import squarefree
+from lcmkit.cm import BETTI_CAP, BettiTable, hochster_betti, is_cohen_macaulay, is_l_cm, l_cm_threshold
 from lcmkit.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -25,6 +26,8 @@ from lcmkit.linalg import FieldSpec
 from lcmkit.posets import face_ring_module
 from lcmkit.squarefree import (
     SquarefreeModule,
+    _koszul_degree,
+    _koszul_entries,
     _scan_defects,
     canonical_betti,
     delete_variables,
@@ -169,6 +172,79 @@ def test_koszul_matches_definition_oracle(fieldspec):
     # fresh modules per field, so no table is copied from another field
     for module in koszul_oracle_modules():
         assert koszul_betti(module, fieldspec) == koszul_betti_by_definition(module, fieldspec), module
+
+
+def unskipped_koszul_entries(module, fieldspec):
+    # every degree through the one assembly, no degree skipped
+    return {(i, deg): b for deg in range(1 << module.n)
+            for i, b in enumerate(_koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec)) if b}
+
+
+def signed_unit_modules():
+    # maps that are units with a -1 entry: a rotation, and the face ring of
+    # an edge with x_1 acting as -1 (both paths around the square are -1)
+    rotation = SquarefreeModule(1, {(): 2, (1,): 2}, {((), 1): ((0, -1), (1, 0))})
+    edge = SquarefreeModule(2, {(): 1, (1,): 1, (2,): 1, (1, 2): 1},
+                            {((), 1): ((-1,),), ((), 2): ((1,),), ((1,), 2): ((1,),), ((2,), 1): ((-1,),)})
+    return [rotation, edge]
+
+
+def repeated_column_module():
+    # square, one 1 in each row, but both in one column: rank 1, not a unit
+    return SquarefreeModule(1, {(): 2, (1,): 2}, {((), 1): ((1, 0), (1, 0))})
+
+
+def test_repeated_column_module_by_hand():
+    assert koszul_betti(repeated_column_module(), QQ).entries == {
+        (0, E): 2, (0, frozenset({1})): 1, (1, frozenset({1})): 1}
+
+
+@pytest.mark.parametrize("fieldspec", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_koszul_cone_rule_changes_no_table(fieldspec):
+    # skipping the degrees with an apex gives the table of every degree and
+    # the table from the definition; test_koszul_matches_definition_oracle
+    # compares koszul_oracle_modules() with the definition
+    more = [from_complex(delta) for _, delta in complex_scope(max_n=4)]
+    more += [repeated_column_module(), *signed_unit_modules()]
+    for module in koszul_oracle_modules() + more:
+        assert _koszul_entries(module, fieldspec) == unskipped_koszul_entries(module, fieldspec), module
+    for module in more:
+        want = koszul_betti_by_definition(module, fieldspec)
+        assert BettiTable(module.n, _koszul_entries(module, fieldspec)) == want, module
+
+
+def cone_degrees(delta):
+    # F is a cone when a vertex of F lies on every facet of the subcomplex
+    # induced on F, whose facets are the maximal traces of the facets on F
+    out = set()
+    for deg in range(1, 1 << delta.vertex_count):
+        traces = {f & deg for f in delta.facet_masks} or {0}
+        common = deg
+        for t in traces:
+            if not any(t != o and t & o == t for o in traces):
+                common &= t
+        if common:
+            out.add(deg)
+    return out
+
+
+def test_koszul_skips_exactly_the_cones_of_face_rings(monkeypatch):
+    computed = []
+
+    def degree(comp, mult, deg, fieldspec):
+        computed.append(deg)
+        return _koszul_degree(comp, mult, deg, fieldspec)
+
+    monkeypatch.setattr(squarefree, "_koszul_degree", degree)
+    # every complex on at most 4 ambient variables, some of them no vertex
+    complexes = [SimplicialComplex.empty(n) for n in range(5)]
+    for n in range(1, 5):
+        for delta in enumerate_complexes(n):
+            complexes += [delta, SimplicialComplex(4, delta.facet_masks)] if n < 4 else [delta]
+    for delta in complexes:
+        computed.clear()
+        _koszul_entries(from_complex(delta), QQ)
+        assert set(range(1 << delta.vertex_count)) - set(computed) == cone_degrees(delta), delta
 
 
 @pytest.mark.parametrize("order", [(QQ, GF2), (GF2, QQ)], ids=["Q-first", "GF2-first"])
