@@ -11,11 +11,17 @@ derived module carries the ones of its parent that it keeps, and each field
 only tests whether one of them survives reduction.  Every map entry is an
 int (the constructor refuses anything else), so Betti numbers are computed
 degree by degree as homology of the Koszul complex on the masks, whose rows
-go to the rank kernel as they are.  A degree F with an apex, a variable j
-in F that acts as a unit (a signed permutation matrix, or zero to zero)
-from every degree G inside F - {j}, is skipped: its Koszul complex is the
-mapping cone of an isomorphism, acyclic over every field.  On a face ring
-this is the cone rule of Hochster's formula, read off the maps alone.
+go to the rank kernel as they are.  The nonzero entries of the maps and the
+inverses of the unit maps (signed permutation matrices) are listed once
+per table.  A degree F with an apex, a variable j in F that acts as a unit
+(or zero to zero) from every degree G inside F - {j}, is skipped: its
+Koszul complex is the mapping cone of an isomorphism, acyclic over every
+field.  On a face ring this is the cone rule of Hochster's formula, read
+off the maps alone.  Every other degree is reduced along its lowest
+variable j before any row is built (algebraic Morse theory): each block
+pair joined by a unit x_j cancels, and only the remaining blocks are
+assembled and ranked, with the one correction through a cancelled pair
+that a path can pick up.
 A table computed over Q whose every rank is certified by ``linalg`` holds
 over every field; the module keeps it, and later fields copy it.  From the
 tables we read off projective dimension, Cohen-Macaulayness, the l-CM
@@ -289,9 +295,13 @@ def _koszul_entries(module: SquarefreeModule, fieldspec: FieldSpec) -> dict[tupl
     so one pass in increasing order finds them all; a degree with no
     component at or below it has every variable of F as an apex.  On a
     face ring the rule fires exactly when the subcomplex induced on F is a
-    cone."""
-    comp, mult = module.comp_masks, module.mult_masks
-    units = {key for key, mat in mult.items() if _is_unit_map(mat)}
+    cone.  Every other degree is reduced along its lowest variable and
+    assembled from the entries and inverses that ``_koszul_maps`` lists
+    once per table (``_koszul_degree``).  A cone is the case where that
+    reduction leaves no block, so the apex pass is the cheap filter in
+    front of it."""
+    comp = module.comp_masks
+    images, inverse = _koszul_maps(comp, module.mult_masks)
     apex = [0] * (1 << module.n)  # apex[F]: the apex bits of F
     entries: dict[tuple[int, int], int] = {}
     for deg in range(1 << module.n):
@@ -302,15 +312,33 @@ def _koszul_entries(module: SquarefreeModule, fieldspec: FieldSpec) -> dict[tupl
             rem ^= bit
             src = deg ^ bit
             a &= apex[src] | bit
-            if (here or src in comp) and (src, bit) not in units:
+            if (here or src in comp) and (src, bit) not in inverse:
                 a &= ~bit
         apex[deg] = a
         if a:
             continue
-        for i, b in enumerate(_koszul_degree(comp, mult, deg, fieldspec)):
+        for i, b in enumerate(_koszul_degree(comp, images, inverse, deg, fieldspec)):
             if b:
                 entries[(i, deg)] = b
     return entries
+
+
+def _koszul_maps(comp: dict[int, int], mult: dict[tuple[int, int], Matrix]) -> tuple[dict, dict]:
+    """The stored maps read once per table: ``images[G][b]`` lists (bit of j,
+    r, v) for each nonzero entry v in row r, column b of x_j at G, and
+    ``inverse[(G, bit of j)][r]`` is (b, v) for each unit map x_j at G, whose
+    only entry in row r is v = +-1 in column b, so x_j^-1 sends e_r to v e_b."""
+    images: dict[int, list[list[tuple[int, int, int]]]] = {g: [[] for _ in range(d)] for g, d in comp.items()}
+    inverse: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (g, bit), mat in mult.items():
+        cols = images[g]
+        for r, row in enumerate(mat):
+            for b, v in enumerate(row):
+                if v:
+                    cols[b].append((bit, r, v))
+        if _is_unit_map(mat):
+            inverse[(g, bit)] = [next((b, v) for b, v in enumerate(row) if v) for row in mat]
+    return images, inverse
 
 
 def _is_unit_map(mat: Matrix) -> bool:
@@ -327,48 +355,85 @@ def _is_unit_map(mat: Matrix) -> bool:
     return len(cols) == len(mat)
 
 
-def _koszul_degree(comp: dict[int, int], mult: dict[tuple[int, int], Matrix], deg: int,
+def _koszul_degree(comp: dict[int, int], images: dict, inverse: dict, deg: int,
                    fieldspec: FieldSpec) -> list[int]:
     """Homology dimensions of the Koszul complex of one squarefree degree,
     by homological index.
 
     Term i has one block comp[deg - G] for each G inside deg with #G = i.
-    The differential sends basis vector b of block G to the sum over j in G
-    of sign(j, G) * mult(deg - G, j)(e_b) in block G - {j}: each j reaches
-    its own block, so no entries add up."""
+    The differential sends basis vector b of block G to the sum over k in G
+    of sign(k, G) * x_k(e_b) in block G - {k}, sign(k, G) = (-1)^(number of
+    elements of G below k).  Before any row is built the complex is reduced
+    along j, the lowest variable of deg (algebraic Morse theory: Skoldberg,
+    Trans. AMS 2006; Joellenbeck and Welker, Mem. AMS 2009).  For each G
+    without j the block pair (G + j, G) is joined by x_j: M_{deg-G-j} ->
+    M_{deg-G}, with sign +1 as j is lowest; when that map is a unit the
+    pair cancels, and only the other (critical) blocks get columns.  Each
+    step that a unit's inverse takes back goes up, adding j, so a path
+    zigzags at most once: a critical block G without j that steps into a
+    cancelled G - {k} with entry a continues through the partner
+    G - {k} + j, whose unit carries w = +-1 back, and adds -a * w times that
+    block's entries into the critical blocks G - {k, k'} + j.  Every other
+    path ends on a cancelled block with j and adds nothing.  The reduced
+    complex is homotopy equivalent to the whole one over the integers, so
+    its ranks give the homology over every field, and a rank certified
+    over Q holds over every field as before."""
+    if not deg:
+        return [comp.get(0, 0)]
+    j = deg & -deg
     size = deg.bit_count()
     dims = [0] * (size + 1)
-    offset: dict[int, int] = {}  # G -> first column of its block in term #G
-    g = deg
+    offset: dict[int, int] = {}  # critical G -> first column of its block in term #G
+    rest = deg ^ j
+    g = rest
     while True:
-        d = comp.get(deg ^ g, 0)
-        if d:
-            offset[g] = dims[g.bit_count()]
-            dims[g.bit_count()] += d
+        upper = deg ^ g ^ j
+        if (upper, j) not in inverse:
+            i = g.bit_count()
+            d = comp.get(upper | j)
+            if d:
+                offset[g] = dims[i]
+                dims[i] += d
+            d = comp.get(upper)
+            if d:
+                offset[g | j] = dims[i + 1]
+                dims[i + 1] += d
         if not g:
             break
-        g = (g - 1) & deg
+        g = (g - 1) & rest
     rows: list[list[dict[int, int]]] = [[] for _ in range(size + 1)]  # rows[i]: d_i
     for g in offset:
         if not g:
             continue
-        src_deg = deg ^ g
-        for b in range(comp[src_deg]):
-            row = {}
-            sign = 1
-            rem = g
-            while rem:
-                bit = rem & (-rem)
-                mat = mult.get((src_deg, bit))
-                if mat is not None:
-                    start = offset[g ^ bit]
-                    for r, mrow in enumerate(mat):
-                        if mrow[b]:
-                            row[start + r] = sign * mrow[b]
-                sign = -sign
-                rem ^= bit
-            rows[g.bit_count()].append(row)
-    ranks = [0, *(_rank_rows(r, fieldspec) for r in rows[1:]), 0]  # ranks[i]: rank of d_i
+        out = rows[g.bit_count()]
+        for image in images[deg ^ g]:
+            row: dict[int, int] = {}
+            zigzag = False
+            for bit, r, v in image:
+                if not bit & g:
+                    continue
+                h = g ^ bit
+                a = -v if (g & (bit - 1)).bit_count() & 1 else v
+                start = offset.get(h)
+                if start is not None:
+                    row[start + r] = a
+                elif not h & j:
+                    # an entry lands in h, so its block is nonzero and cancels
+                    # with h + j: up by the inverse of that unit, then down
+                    # by every other variable of h + j
+                    zigzag = True
+                    up = h | j
+                    b, w = inverse[(deg ^ up, j)][r]
+                    a *= -w
+                    for bit2, r2, v2 in images[deg ^ up][b]:
+                        start = offset.get(up ^ bit2) if bit2 & h else None
+                        if start is not None:
+                            c = start + r2
+                            row[c] = row.get(c, 0) + (-a * v2 if (up & (bit2 - 1)).bit_count() & 1 else a * v2)
+            if zigzag:
+                row = {c: v for c, v in row.items() if v}
+            out.append(row)
+    ranks = [0, *(_rank_rows(r, fieldspec) if any(r) else 0 for r in rows[1:]), 0]  # ranks[i]: rank of d_i
     return [dims[i] - ranks[i] - ranks[i + 1] for i in range(size + 1)]
 
 

@@ -151,14 +151,14 @@ MUTANTS = (
     ),
     Mutant(
         "koszul-sign-not-alternating", "squarefree.py",
-        "                sign = -sign\n",
-        "                sign = sign\n",
+        "                a = -v if (g & (bit - 1)).bit_count() & 1 else v\n",
+        "                a = v\n",
         ("tests/test_squarefree.py::test_koszul_matches_definition_oracle",),
     ),
     Mutant(
         "koszul-wrong-block", "squarefree.py",
-        "                    start = offset[g ^ bit]\n",
-        "                    start = offset[g]\n",
+        "                start = offset.get(h)\n",
+        "                start = offset.get(g)\n",
         ("tests/test_squarefree.py::test_koszul_matches_definition_oracle",),
     ),
     Mutant(
@@ -263,6 +263,27 @@ MUTANTS = (
         "",
         ("tests/test_squarefree.py::test_koszul_cone_rule_changes_no_table",
          "tests/test_squarefree.py::test_koszul_skips_exactly_the_cones_of_face_rings"),
+    ),
+    Mutant(
+        "koszul-morse-drops-zigzag", "squarefree.py",
+        "                elif not h & j:\n",
+        "                elif False:\n",
+        ("tests/test_squarefree.py::test_twisted_koszul_tables_match_the_unreduced_route",
+         "tests/test_squarefree.py::test_koszul_matches_definition_oracle"),
+    ),
+    Mutant(
+        "koszul-morse-inverse-sign-flipped", "squarefree.py",
+        "                    a *= -w\n",
+        "                    a *= w\n",
+        ("tests/test_squarefree.py::test_twisted_koszul_tables_match_the_unreduced_route",),
+    ),
+    Mutant(
+        "koszul-morse-cancels-any-nonzero-pair", "squarefree.py",
+        "        if (upper, j) not in inverse:\n",
+        "        if not (upper in comp and upper | j in comp):\n",
+        ("tests/test_squarefree.py::test_twisted_koszul_tables_match_the_unreduced_route",
+         "tests/test_squarefree.py::test_repeated_column_module_by_hand",
+         "tests/test_squarefree.py::test_koszul_table_with_torsion_stays_with_q"),
     ),
 )
 

@@ -120,11 +120,16 @@ def test_complexes_are_built_unchecked_only_where_derived():
 def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
     # a module holds int entries only, so its one Koszul assembly per degree
     # hands its rows to the kernel with no conversion step; only the public
-    # rank converts
+    # rank converts.  The assembly reads the maps' nonzero entries that
+    # _koszul_maps lists once per table, never a stored matrix
     trees = _trees()
     callers = {name: sorted(set(found)) for name, tree in trees.items()
                for found in [_uses(tree, "_rank_rows")] if found}
     assert callers == {"linalg": ["_homology_dims", "rank"], "squarefree": ["_koszul_degree"]}
+    degree = next(node for node in trees["squarefree"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_koszul_degree")
+    named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(degree)}
+    assert not named & {"mult", "mult_masks", "_map", "_is_unit_map"}
     src = Path(lcmkit.__file__).parent
     texts = {p.stem: p.read_text() for p in src.glob("*.py")}
     assert "Fraction" not in texts["squarefree"]
@@ -133,21 +138,28 @@ def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
 
 def test_koszul_degrees_are_computed_or_skipped_in_one_place():
     # one pass over the degrees of a table decides which have an apex, from
-    # the unit maps, and assembles the rest; the route asks nothing of cm's
-    # cone rule or of linalg's keys
+    # the unit maps, and reduces and assembles the rest; the maps are read
+    # and tested for units once per table, by _is_unit_map alone, and the
+    # route asks nothing of cm's cone rule or of linalg's keys
     trees = _trees()
-    for name in ("_koszul_degree", "_is_unit_map"):
+    for name, owner in [("_koszul_degree", "_koszul_entries"), ("_koszul_maps", "_koszul_entries"),
+                        ("_is_unit_map", "_koszul_maps")]:
         callers = {module: sorted(set(found)) for module, tree in trees.items()
                    for found in [_uses(tree, name)] if found}
-        assert callers == {"squarefree": ["_koszul_entries"]}, name
+        assert callers == {"squarefree": [owner]}, name
+    src = Path(lcmkit.__file__).parent
+    texts = {p.stem: p.read_text() for p in src.glob("*.py")}
+    assert [name for name, text in texts.items() if "(1, -1)" in text] == ["squarefree"]
+    assert texts["squarefree"].count("(1, -1)") == 1
     tree = trees["squarefree"]
     from_cm = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "cm"
                for a in node.names}
     route = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-             and node.name in ("_koszul_entries", "_is_unit_map", "_koszul_degree")]
+             and node.name in ("_koszul_entries", "_koszul_maps", "_is_unit_map", "_koszul_degree")]
     named = {getattr(node, "id", getattr(node, "attr", None)) for fn in route for node in ast.walk(fn)}
-    assert len(route) == 3 and from_cm
-    assert not named & (from_cm | {"cm", "_apex", "_invariant_masks"})
+    assert len(route) == 4 and from_cm
+    linalg_keys = {"_cached_canonical", "_lookup", "_CACHE", "_canonical_masks", "_invariant_masks"}
+    assert not named & (from_cm | linalg_keys | {"cm", "_apex"})
 
 
 def test_edge_boundary_rank_has_one_owner():

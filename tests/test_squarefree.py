@@ -13,6 +13,7 @@ from lcmkit.complexes import (
     boundary_simplex,
     cycle,
     full_simplex,
+    mask_to_face,
     path,
 )
 from lcmkit.errors import (
@@ -22,7 +23,7 @@ from lcmkit.errors import (
     TooLargeError,
     ZeroModuleError,
 )
-from lcmkit.linalg import FieldSpec
+from lcmkit.linalg import FieldSpec, _certified, _rank_rows
 from lcmkit.posets import face_ring_module
 from lcmkit.squarefree import (
     SquarefreeModule,
@@ -174,10 +175,44 @@ def test_koszul_matches_definition_oracle(fieldspec):
         assert koszul_betti(module, fieldspec) == koszul_betti_by_definition(module, fieldspec), module
 
 
+def unreduced_koszul_degree(comp, mult, deg, fieldspec):
+    # the Koszul complex of one degree with every block: term i has one block
+    # comp[deg - G] for each G inside deg with #G = i, and basis vector b of
+    # block G goes to sign(j, G) * x_j(e_b) in block G - {j} for each j in G,
+    # the sign alternating along the bits of G from +1
+    size = deg.bit_count()
+    dims = [0] * (size + 1)
+    offset = {}  # G -> first column of its block in term #G
+    for g in range(deg + 1):
+        if g & deg == g and comp.get(deg ^ g, 0):
+            offset[g] = dims[g.bit_count()]
+            dims[g.bit_count()] += comp[deg ^ g]
+    rows = [[] for _ in range(size + 1)]  # rows[i]: d_i
+    for g in offset:
+        src = deg ^ g
+        for b in range(comp[src] if g else 0):
+            row = {}
+            sign = 1
+            for j in range(deg.bit_length()):
+                bit = 1 << j
+                if not bit & g:
+                    continue
+                mat = mult.get((src, bit))
+                if mat is not None:
+                    for r, mrow in enumerate(mat):
+                        if mrow[b]:
+                            row[offset[g ^ bit] + r] = sign * mrow[b]
+                sign = -sign
+            rows[g.bit_count()].append(row)
+    ranks = [0, *(_rank_rows(r, fieldspec) for r in rows[1:]), 0]  # ranks[i]: rank of d_i
+    return [dims[i] - ranks[i] - ranks[i + 1] for i in range(size + 1)]
+
+
 def unskipped_koszul_entries(module, fieldspec):
-    # every degree through the one assembly, no degree skipped
+    # every degree through the unreduced assembly: no cone skipped, no pair
+    # cancelled
     return {(i, deg): b for deg in range(1 << module.n)
-            for i, b in enumerate(_koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec)) if b}
+            for i, b in enumerate(unreduced_koszul_degree(module.comp_masks, module.mult_masks, deg, fieldspec)) if b}
 
 
 def signed_unit_modules():
@@ -201,16 +236,61 @@ def test_repeated_column_module_by_hand():
 
 @pytest.mark.parametrize("fieldspec", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
 def test_koszul_cone_rule_changes_no_table(fieldspec):
-    # skipping the degrees with an apex gives the table of every degree and
-    # the table from the definition; test_koszul_matches_definition_oracle
-    # compares koszul_oracle_modules() with the definition
+    # skipping the degrees with an apex and reducing the others gives the
+    # table of every unreduced degree, certified over every field exactly
+    # when that one is, and the table from the definition;
+    # test_koszul_matches_definition_oracle compares koszul_oracle_modules()
+    # with the definition
     more = [from_complex(delta) for _, delta in complex_scope(max_n=4)]
     more += [repeated_column_module(), *signed_unit_modules()]
     for module in koszul_oracle_modules() + more:
-        assert _koszul_entries(module, fieldspec) == unskipped_koszul_entries(module, fieldspec), module
+        want = _certified(unskipped_koszul_entries, module, fieldspec)
+        assert _certified(_koszul_entries, module, fieldspec) == want, module
     for module in more:
         want = koszul_betti_by_definition(module, fieldspec)
         assert BettiTable(module.n, _koszul_entries(module, fieldspec)) == want, module
+
+
+def twisted(module, rng):
+    # the same module in another basis: each component conjugated by a
+    # signed permutation P, so x_j at G becomes P_{G+j} x_j P_G^-1
+    perms = {}
+    for f, d in module.comp_masks.items():
+        order = rng.sample(range(d), d)
+        perms[f] = [(order[c], rng.choice((1, -1))) for c in range(d)]  # P e_c = s e_order[c]
+    mult = {}
+    for (f, bit), mat in module.mult_masks.items():
+        src, dst = perms[f], perms[f | bit]
+        new = [[0] * len(src) for _ in dst]
+        for r, row in enumerate(mat):
+            for c, v in enumerate(row):
+                new[dst[r][0]][src[c][0]] = dst[r][1] * v * src[c][1]
+        mult[(mask_to_face(f), bit.bit_length())] = new
+    return SquarefreeModule(module.n, module.comp, mult)
+
+
+def twisted_modules(seed):
+    # poset face rings (glued simplices have components of dimension 2 and
+    # 3), their skeletons and deletions, and the hand-made modules whose
+    # maps are not identities, each in two bases
+    rng = random.Random(seed)
+    base = [torsion_module(), repeated_column_module(), *signed_unit_modules(), glued_edges_module()]
+    for _, poset in poset_instances(random_count=20):
+        ring = face_ring_module(poset)
+        base += [ring, module_skeleton(ring, max(module_dim(ring) - 1, 0)), delete_variables(ring, {1})]
+    return [twisted(module, rng) for module in base for _ in range(2)]
+
+
+@pytest.mark.parametrize("fieldspec", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_twisted_koszul_tables_match_the_unreduced_route(fieldspec):
+    # in a twisted basis unit maps carry -1 entries and permutations, so the
+    # inverse and the signs of the reduction's zigzag matter; the reduced
+    # table, and whether it holds over every field, must be the unreduced
+    # route's, and the table must be the definition's
+    for module in twisted_modules(seed=7):
+        reduced, free = _certified(_koszul_entries, module, fieldspec)
+        assert (reduced, free) == _certified(unskipped_koszul_entries, module, fieldspec), module
+        assert BettiTable(module.n, reduced) == koszul_betti_by_definition(module, fieldspec), module
 
 
 def cone_degrees(delta):
@@ -231,9 +311,9 @@ def cone_degrees(delta):
 def test_koszul_skips_exactly_the_cones_of_face_rings(monkeypatch):
     computed = []
 
-    def degree(comp, mult, deg, fieldspec):
+    def degree(comp, images, inverse, deg, fieldspec):
         computed.append(deg)
-        return _koszul_degree(comp, mult, deg, fieldspec)
+        return _koszul_degree(comp, images, inverse, deg, fieldspec)
 
     monkeypatch.setattr(squarefree, "_koszul_degree", degree)
     # every complex on at most 4 ambient variables, some of them no vertex
