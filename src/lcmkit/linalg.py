@@ -6,23 +6,30 @@ pivots only on units of the field: any nonzero residue over GF(p), only
 +-1 over Q, so every entry stays an exact int.  Over Q the few rows left
 with no +-1 entry form a small core that goes to fraction-free (Bareiss)
 elimination.  No floating point anywhere.  The public ``rank``, the
-boundary ranks of ``_homology_dims`` from cardinality 3 up and the Koszul
-ranks of ``squarefree`` all enter there.  The two lowest boundary ranks
-take no matrix: 1 onto the empty face once there is a vertex, and
-#vertices - #components from edges to vertices (``_components``, one
-union-find), both exact over every field, so they leave ``_taint`` alone;
-a graph or a point set lists no faces at all.  Boundary and Koszul rows
+relative boundary ranks of ``_homology_dims`` from cardinality 3 up and the
+Koszul ranks of ``squarefree`` all enter there.  Boundary and Koszul rows
 are ints by construction (a squarefree module refuses any other map
 entry).  Only the public ``rank`` can carry Fractions: it checks once per
 matrix whether every entry is an int and converts only a matrix that is
 not (denominators cleared row by row over Q, ``FieldSpec.normalize`` over
-GF(p)).  Boundary rows are assembled once, on bitmask faces, for both the
-ranks and ``boundary_matrix``.
-Reduced simplicial homology dimensions follow from the boundary ranks,
-except on a cone: a family whose facets all share a vertex v is v * lk(v),
+GF(p)).  Boundary rows are assembled by one function, on bitmask faces,
+for both the ranks and ``boundary_matrix``.
+Reduced simplicial homology dimensions follow from boundary ranks, except
+on a cone: a family whose facets all share a vertex v is v * lk(v),
 contractible, so ``_homology_dims`` answers zero in every degree with no
 rank.  That answer holds over every field and is certified; a single facet
-(a simplex) is the smallest cone.
+(a simplex) is the smallest cone.  Every other family is ranked relative
+to the closed star of its lowest vertex, which is a cone, so that
+H~_*(Delta) = H_*(Delta, st v) over every field: only the faces outside
+the star are listed, and their rows are the +-1 boundary rows with the
+star columns dropped.  The two lowest ranks take no matrix: onto the empty
+face (which lies in the star) the rank is 0, and from edges to vertices it
+is #relative vertices - (#components - 1), from one union-find
+(``_components``); both are exact over every field, so they leave
+``_taint`` alone.  A skeleton of a simplex has relative faces in its top
+cardinality only and takes no rank; a graph or a point set lists no faces
+at all and reads its two ranks off the absolute complex (1 onto the empty
+face once there is a vertex, #vertices - #components from the edges).
 
 A Q rank of int rows whose Bareiss core stayed empty is certified for
 every field.  Each row operation adds an integer multiple of a pivot row
@@ -66,7 +73,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .complexes import SimplicialComplex, _apex, _face_key, _face_masks, _relabel_masks, _support
+from .complexes import SimplicialComplex, _apex, _bits, _face_key, _face_masks, _relabel_masks, _support
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -522,8 +529,14 @@ def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:
     """All face bitmasks grouped by cardinality, each group in increasing
     order (index 0 holds the empty face)."""
     top = max(map(int.bit_count, facet_masks), default=0)
+    return _by_card(_face_masks(facet_masks), top)
+
+
+def _by_card(faces, top: int) -> list[list[int]]:
+    """The face bitmasks grouped by cardinality 0..top, each group in
+    increasing order."""
     by_card: list[list[int]] = [[] for _ in range(top + 1)]
-    for m in sorted(_face_masks(facet_masks)):
+    for m in sorted(faces):
         by_card[m.bit_count()].append(m)
     return by_card
 
@@ -531,36 +544,76 @@ def faces_by_card(facet_masks: frozenset[int]) -> list[list[int]]:
 def _homology_dims(facet_masks: frozenset[int], fieldspec: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dims (degree -1 first) from the boundary ranks.
 
-    The two lowest ranks need no matrix, and hold over every field: the map
-    from vertices to the empty face has rank 1 whenever there is a vertex,
-    and the map from edges to vertices has rank #vertices - #components,
-    since the coboundary on 0-cochains has the locally constant functions
-    as its kernel (``_components``).  A graph or a point set (no facet of
-    more than 2 vertices) therefore lists no faces at all: its vertices are
-    its support bits and its edges its 2-bit facets.  Boundaries from
-    cardinality 3 up go to ``_rank_rows``."""
+    A graph or a point set (no facet of more than 2 vertices) lists no
+    faces: the map from vertices to the empty face has rank 1 whenever
+    there is a vertex, and the map from edges to vertices has rank
+    #vertices - #components, since the coboundary on 0-cochains has the
+    locally constant functions as its kernel (``_components``).
+
+    Any other family that is not a cone is ranked relative to the closed
+    star st(v) of v, the lowest vertex: the faces F with F + v a face.  The
+    star is a cone, so its augmented chain complex is acyclic over Z and
+    H~_*(Delta) = H_*(Delta, st v) over every field.  The relative faces
+    (``_relative_faces``) are those of the facets that avoid v, less the
+    faces of lk(v); with r_k of them of cardinality k and rho_k the rank of
+    the relative boundary from cardinality k, H~_{k-1} = r_k - rho_k -
+    rho_{k+1}.  rho_1 = 0, as the empty face lies in the star, and rho_2 =
+    r_1 - (#components - 1), by the same union-find over the relative edges
+    and the edges from v to the rest of its star.  From cardinality 3 up the
+    relative rows, the +-1 rows with the star columns dropped, go to
+    ``_rank_rows``; a level next to an empty one takes no rank, so a
+    skeleton, whose relative faces are all top faces, takes none at all."""
     if not facet_masks:
         return (1,)  # the empty complex: only the empty face
     top = max(map(int.bit_count, facet_masks))  # top cardinality; dimension is top-1
     if _apex(facet_masks):  # a cone, a simplex included: contractible
         return (0,) * (top + 1)
     vertices = _support(facet_masks)
+    ranks = [0] * (top + 2)  # ranks[k] = rank of boundary from card k to card k-1
     if top <= 2:
         edges = [m for m in facet_masks if m.bit_count() == 2]
         counts = [1, vertices.bit_count(), len(edges)]
+        if top >= 1:
+            ranks[1] = 1
+        if top >= 2:
+            ranks[2] = counts[1] - _components(vertices, edges)
     else:
-        by_card = faces_by_card(facet_masks)
-        edges = by_card[2]
+        v = vertices & -vertices
+        link = [fm ^ v for fm in facet_masks if fm & v]
+        by_card = _relative_faces(facet_masks, v, link, top)
         counts = list(map(len, by_card))
-    ranks = [0] * (top + 2)  # ranks[k] = rank of boundary from card k to card k-1
-    if top >= 1:
-        ranks[1] = 1
-    if top >= 2:
-        ranks[2] = counts[1] - _components(vertices, edges)
-    for k in range(3, top + 1):
-        # rank of the transpose equals the rank
-        ranks[k] = _rank_rows(_boundary_rows(by_card[k], by_card[k - 1]), fieldspec)
+        spokes = [v | b for b in _bits(_support(link))]
+        ranks[2] = counts[1] - (_components(vertices, by_card[2] + spokes) - 1)
+        for k in range(3, top + 1):
+            if by_card[k] and by_card[k - 1]:
+                # rank of the transpose equals the rank
+                ranks[k] = _rank_rows(_boundary_rows(by_card[k], by_card[k - 1]), fieldspec)
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+def _relative_faces(facet_masks: frozenset[int], v: int, link: list[int], top: int) -> list[list[int]]:
+    """The faces outside the closed star of the vertex bit ``v``, whose link
+    has the facets ``link``, grouped by cardinality 0..top as in
+    ``faces_by_card``.  A face through v lies in the star, and one that
+    avoids v lies in it when it is a face of the link, so the relative
+    faces are those of the facets that avoid v, less the link's faces.
+    They form an up-set: the walk goes down from those facets and stops at
+    the first link face."""
+    star = _face_masks(link)
+    faces = set()
+    stack = [fm for fm in facet_masks if not fm & v]
+    faces.update(stack)
+    while stack:
+        cell = stack.pop()
+        rem = cell
+        while rem:
+            bit = rem & -rem
+            face = cell ^ bit
+            if face not in faces and face not in star:
+                faces.add(face)
+                stack.append(face)
+            rem ^= bit
+    return _by_card(faces, top)
 
 
 def _components(vertices: int, edges: list[int]) -> int:
@@ -585,7 +638,8 @@ def _components(vertices: int, edges: list[int]) -> int:
 def _boundary_rows(cells: list[int], below: list[int]) -> list[dict[int, int]]:
     """One sparse row per cell (a face bitmask) over the positions in
     ``below``: the face missing the cell's j-th smallest vertex gets the
-    sign (-1)^j."""
+    sign (-1)^j.  A face not in ``below`` (one of the star, for relative
+    rows) gets no entry; a full level of ``faces_by_card`` misses none."""
     index = {m: i for i, m in enumerate(below)}
     rows = []
     for cell in cells:
@@ -594,7 +648,9 @@ def _boundary_rows(cells: list[int], below: list[int]) -> list[dict[int, int]]:
         rem = cell
         while rem:
             bit = rem & (-rem)
-            row[index[cell ^ bit]] = sign
+            i = index.get(cell ^ bit)
+            if i is not None:
+                row[i] = sign
             sign = -sign
             rem ^= bit
         rows.append(row)

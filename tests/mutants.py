@@ -188,9 +188,9 @@ MUTANTS = (
     ),
     Mutant(
         "empty-face-rank-without-guard", "linalg.py",
-        "    if top >= 1:\n"
+        "        if top >= 1:\n"
+        "            ranks[1] = 1\n",
         "        ranks[1] = 1\n",
-        "    ranks[1] = 1\n",
         ("tests/test_linalg.py::test_low_ranks_match_the_all_matrix_route_and_snf",),
     ),
     Mutant(
@@ -198,6 +198,26 @@ MUTANTS = (
         "        if a != b:\n",
         "        if True:\n",
         ("tests/test_linalg.py::test_low_ranks_match_the_all_matrix_route_and_snf",),
+    ),
+    Mutant(
+        "relative-to-the-open-star", "linalg.py",
+        "    star = _face_masks(link)\n",
+        "    star = {0}\n",
+        ("tests/test_linalg.py::test_relative_homology_matches_the_all_matrix_route_and_snf",
+         "tests/test_linalg.py::test_skeleton_homology_takes_no_rank"),
+    ),
+    Mutant(
+        "relative-edge-rank-without-minus-one", "linalg.py",
+        "        ranks[2] = counts[1] - (_components(vertices, by_card[2] + spokes) - 1)\n",
+        "        ranks[2] = counts[1] - _components(vertices, by_card[2] + spokes)\n",
+        ("tests/test_linalg.py::test_relative_homology_matches_the_all_matrix_route_and_snf",
+         "tests/test_linalg.py::test_skeleton_homology_takes_no_rank"),
+    ),
+    Mutant(
+        "relative-rows-keep-star-faces", "linalg.py",
+        "            i = index.get(cell ^ bit)\n",
+        "            i = index.setdefault(cell ^ bit, len(index))\n",
+        ("tests/test_linalg.py::test_relative_homology_matches_the_all_matrix_route_and_snf",),
     ),
     Mutant(
         "reisner-skips-links-of-2-dim-families", "cm.py",

@@ -175,6 +175,26 @@ def test_edge_boundary_rank_has_one_owner():
         assert callers == owners, name
 
 
+def test_relative_faces_feed_only_the_homology_ranks():
+    # only _homology_dims walks the faces outside a vertex star, and it
+    # ranks no full face level: boundary_matrix is the one reader of
+    # faces_by_card in linalg, and its levels are full, so every column of
+    # the i-th matrix keeps all i + 1 entries
+    from lcmkit.complexes import cycle, full_simplex, real_projective_plane
+    from lcmkit.linalg import QQ, boundary_matrix
+
+    trees = _trees()
+    for name, owners in [("_relative_faces", {"linalg": ["_homology_dims"]}),
+                         ("faces_by_card", {"linalg": ["boundary_matrix"], "squarefree": ["from_complex"]})]:
+        callers = {module: sorted(set(found)) for module, tree in trees.items()
+                   for found in [_uses(tree, name)] if found}
+        assert callers == owners, name
+    for delta in (cycle(5), real_projective_plane(), full_simplex(7).skeleton(3)):
+        for i in range(delta.dimension() + 1):
+            matrix = boundary_matrix(delta, i, QQ)
+            assert len(matrix.entries) == (i + 1) * matrix.cols, (delta, i)
+
+
 def test_mutant_targets_occur_once():
     # tests/mutants.py replaces each old text in place, so a refactor that
     # moves one must update its row; each row names tests that exist

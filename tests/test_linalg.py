@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from lcmkit.linalg import (
 from lcmkit.sweeps import enumerate_complexes, random_complex
 
 from oracles import boundary_rows, gauss_rank_fractions, homology_via_snf, snf_diagonal
+from record_verdicts import cross_polytope, join
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -423,6 +425,74 @@ def test_low_ranks_match_the_all_matrix_route_and_snf():
     assert sum(1 for masks in graphs if linalg._homology_dims(masks, QQ)[1] >= 2) > 20
     assert linalg._homology_dims(frozenset({0}), QQ) == (1,)
     assert linalg._homology_dims(frozenset({0b1, 0b100}), QQ) == (0, 1)
+
+
+def _relative_families():
+    # every complex on <= 5 vertices; seeded random complexes on 6-11
+    # vertices, from facets of mixed sizes (most not pure) and from
+    # random_complex; a copy of each random one moved onto spread-out
+    # vertices in shuffled order, so that its lowest vertex is another one;
+    # cross-polytopes, RP² and the join of RP² with the octahedron
+    rng = random.Random(24)
+    out = [delta.facet_masks for n in range(1, 6) for delta in enumerate_complexes(n)]
+    randoms = []
+    for _ in range(240):
+        n = rng.randint(6, 11)
+        pool = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 5))) for _ in range(rng.randint(2, 9))]
+        randoms.append(SimplicialComplex.from_facets(pool, vertex_count=n).facet_masks)
+    for _ in range(120):
+        n = rng.randint(6, 9)
+        randoms.append(random_complex(n, rng.choice((0.4, 0.6, 0.8)), rng.randrange(2**31)).facet_masks)
+    for masks in randoms:
+        bits = _bits(_support(masks))
+        spots = rng.sample(range(1, len(bits) + 4), len(bits))
+        out += [masks, _moved(masks, {b: 1 << s for b, s in zip(bits, spots)})]
+    rp2 = real_projective_plane()
+    out += [cross_polytope(d).facet_masks for d in range(2, 6)]
+    out += [rp2.facet_masks, join(rp2, cross_polytope(3)).facet_masks]
+    return out
+
+
+def test_relative_homology_matches_the_all_matrix_route_and_snf():
+    # homology relative to the star of the lowest vertex gives the reduced
+    # homology of every boundary matrix, with the same certification for
+    # every field, over Q, GF(2) and GF(3); the Smith form oracle checks the
+    # families of at most 200 faces, and the Euler-Poincare identity all
+    families = _relative_families()
+    snf_checked = 0
+    for masks in families:
+        delta = SimplicialComplex._from_masks(_support(masks).bit_length(), masks)
+        facets = [tuple(_vertices(m)) for m in masks]
+        small = len(linalg._face_masks(masks)) <= 200
+        snf_checked += small
+        for p in (0, 2, 3):
+            got = linalg._certified(linalg._homology_dims, masks, FieldSpec(p))
+            assert got == linalg._certified(_all_matrix_dims, masks, FieldSpec(p)), (masks, p)
+            if small:
+                want = homology_via_snf(facets, p)
+                assert got[0] == tuple(want[i] for i in range(-1, len(got[0]) - 1)), (masks, p)
+            euler = sum((-1) ** i * d for i, d in enumerate(got[0], start=-1))
+            assert euler == delta.reduced_euler_characteristic(), (masks, p)
+    assert snf_checked > len(families) * 0.9
+    # 2-torsion in H_1(RP²; Z): no Q value of RP² or its join is certified
+    rp2 = real_projective_plane()
+    for masks in (rp2.facet_masks, join(rp2, cross_polytope(3)).facet_masks):
+        assert linalg._certified(linalg._homology_dims, masks, QQ)[1] is False
+    assert linalg._homology_dims(rp2.facet_masks, GF2) == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (9, 4), (10, 2), (12, 3), (12, 5)])
+def test_skeleton_homology_takes_no_rank(monkeypatch, n, k):
+    # every face of skel(n, k) outside the star of vertex 1 is a top face, so
+    # the wedge of C(n-1, k+1) k-spheres is read off the face counts
+    def refuse(rows, fieldspec):
+        raise AssertionError("a skeleton took a rank")
+
+    monkeypatch.setattr(linalg, "_rank_rows", refuse)
+    masks = full_simplex(n).skeleton(k).facet_masks
+    want = (0,) * (k + 1) + (comb(n - 1, k + 1),)
+    assert linalg._certified(linalg._homology_dims, masks, QQ) == (want, True)
+    assert linalg._homology_dims(masks, GF2) == want
 
 
 def _moved(masks, new):
