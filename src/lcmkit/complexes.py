@@ -3,8 +3,9 @@
 A complex is determined by its maximal faces, stored as bitmasks (vertex v
 on bit v-1); all other faces are enumerated on demand by one walk over the
 submasks of the facets (``_face_masks``), which ``faces``, ``all_faces``,
-``face_counts``, ``linalg.faces_by_card`` and the vertex star of
-``linalg._relative_faces`` share.  Two degenerate
+``face_counts``, ``linalg.faces_by_card``, the vertex star of
+``linalg._relative_faces``, ``squarefree.from_complex`` and
+``posets.face_poset`` share.  Two degenerate
 values are distinguished: the empty complex, whose only face is the empty
 set, and the void complex, which has no faces at all (its Stanley-Reisner
 ring is the zero ring).

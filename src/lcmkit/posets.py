@@ -14,7 +14,8 @@ poset describes, so Cohen-Macaulayness is decided there; l-CM verdicts cut
 each atom deletion out of it and take their rules from ``cm``.  The face
 ring is carried as a squarefree module over the polynomial ring on the
 atoms: one basis element per cell, multiplication sending a cell to the sum
-of the cells covering it with the right support.
+of the cells covering it with the right support.  It is read off the covers
+in one pass, each cover one entry of one map.
 """
 
 from __future__ import annotations
@@ -314,29 +315,29 @@ def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: 
 def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:
     """The face ring as a squarefree module over the polynomial ring on the
     atoms: the component at F has one basis element per cell with atom set F,
-    and multiplication by an atom sends a cell to the sum of the cells
-    covering it with the enlarged atom set."""
-    classes: dict[int, list[int]] = {}  # support mask -> its cells, in order
-    for x, s in enumerate(poset.support_masks):
-        classes.setdefault(s, []).append(x)
-    full = (1 << poset.vertex_count) - 1
-    mult = {}
-    for f, members in classes.items():
-        for bit in _bits(full ^ f):
-            target = classes.get(f | bit)
-            if not target:
-                continue
-            # each target cell covers exactly one member (its interval is
-            # boolean), so the matrix is never zero
-            pos = {x: r for r, x in enumerate(target)}
-            mat = [[0] * len(members) for _ in target]
-            for c, x in enumerate(members):
-                for b in poset.uppers[x]:
-                    r = pos.get(b)
-                    if r is not None:
-                        mat[r][c] = 1
-            mult[(f, bit)] = tuple(tuple(row) for row in mat)
-    comp = {f: len(members) for f, members in classes.items()}
+    in element order, and multiplication by an atom sends a cell to the sum
+    of the cells covering it with the enlarged atom set.  So each cover
+    x < y is one entry: a 1 in the map of x_j at supp x, j the atom of
+    supp y - supp x, in the row of y and the column of x."""
+    support = poset.support_masks
+    comp: dict[int, int] = {}  # support mask -> its number of cells
+    pos = []  # pos[x]: the place of x among the cells of its support
+    for s in support:
+        pos.append(comp.get(s, 0))
+        comp[s] = pos[-1] + 1
+    mats: dict[tuple[int, int], list[list[int]]] = {}
+    for x, ups in enumerate(poset.uppers):
+        f, c = support[x], pos[x]
+        for y in ups:
+            key = (f, support[y] ^ f)
+            mat = mats.get(key)
+            if mat is None:
+                mat = mats[key] = [[0] * comp[f] for _ in range(comp[support[y]])]
+            mat[pos[y]][c] = 1
+    # sorted keys list the maps at each degree by variable, so the Koszul
+    # rows, and the pivots the rank kernel takes from them, do not depend
+    # on the order of the covers
+    mult = {key: tuple(map(tuple, mats[key])) for key in sorted(mats)}
     # when supp z = supp x + {j, k} and x < z, [x, z] is boolean, so each
     # path from x reaches z through exactly one cell; when x is not below z,
     # neither path does.  Both paths around a square agree: nothing to scan

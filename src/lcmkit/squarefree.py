@@ -8,16 +8,19 @@ views ``comp`` and ``mult`` are derived from the masks.  The commutativity
 of the maps is scanned once, where outside maps enter (the constructor):
 the entries where the two paths around a square differ are kept, each
 derived module carries the ones of its parent that it keeps, and each field
-only tests whether one of them survives reduction.  Every map entry is an
-int (the constructor refuses anything else), so Betti numbers are computed
-degree by degree as homology of the Koszul complex on the masks, whose rows
-go to the rank kernel as they are.  The nonzero entries of the maps and the
-inverses of the unit maps (signed permutation matrices) are listed once
-per table.  A degree F with an apex, a variable j in F that acts as a unit
-(or zero to zero) from every degree G inside F - {j}, is skipped: its
-Koszul complex is the mapping cone of an isomorphism, acyclic over every
-field.  On a face ring this is the cone rule of Hochster's formula, read
-off the maps alone.  Every other degree is reduced along its lowest
+only tests whether one of them survives reduction.  The face ring of a
+complex takes one walk of its faces: an identity map from G - {b} to G for
+each face G and vertex b of G, the covers of its face poset.  Every map
+entry is an int (the constructor refuses anything else), so Betti numbers
+are computed degree by degree as homology of the Koszul complex on the
+masks, whose rows go to the rank kernel as they are.  Each stored matrix is
+walked once per table, and each row's nonzero entries, taken once, list
+the images, decide whether the map is a unit (a signed permutation matrix)
+and give its inverse.  A degree F with an apex, a variable j in F that
+acts as a unit (or zero to zero) from every degree G inside F - {j}, is
+skipped: its Koszul complex is the mapping cone of an isomorphism, acyclic
+over every field.  On a face ring this is the cone rule of Hochster's
+formula, read off the maps alone.  Every other degree is reduced along its lowest
 variable j before any row is built (algebraic Morse theory): each block
 pair joined by a unit x_j cancels, and only the remaining blocks are
 assembled and ranked, with the one correction through a cancelled pair
@@ -34,7 +37,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .cm import BettiTable, _check_betti_size, _is_l_cm, _max_l, _smallest_failing_deletion
-from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_text, _mask, _relabel_masks, mask_to_face
+from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _mask, _relabel_masks, mask_to_face
 from .errors import (
     InvalidModuleError,
     ParseError,
@@ -42,7 +45,7 @@ from .errors import (
     VoidComplexError,
     ZeroModuleError,
 )
-from .linalg import FieldSpec, _certified, _rank_rows, faces_by_card
+from .linalg import FieldSpec, _certified, _rank_rows
 
 # rows of int entries
 Matrix = tuple[tuple, ...]
@@ -209,15 +212,16 @@ def _scan_defects(module: SquarefreeModule) -> list[tuple[int, int, int, object]
 
 def from_complex(delta: SimplicialComplex) -> SquarefreeModule:
     """The face ring of a complex as a squarefree module: one-dimensional
-    components at the faces, identity maps along face inclusions."""
+    components at the faces, and the identity map x_b from G - {b} to G for
+    each face G and each vertex b of G, the covers of its face poset."""
     if delta.is_void:
         raise VoidComplexError("the void complex has the zero face ring")
-    comp = dict.fromkeys(chain(*faces_by_card(delta.facet_masks)), 1)
-    full = (1 << delta.vertex_count) - 1
-    mult = {(f, bit): ((1,),) for f in comp for bit in _bits(full ^ f) if f | bit in comp}
+    # faces in increasing order list the maps at each degree by variable
+    faces = sorted(_face_masks(delta.facet_masks))
+    mult = {(g ^ b, b): ((1,),) for g in faces for b in _bits(g)}
     # identity maps along the inclusions of a downward-closed family: both
     # paths around every square are the identity, so nothing to scan
-    return SquarefreeModule._from_masks(delta.vertex_count, comp, mult, [])
+    return SquarefreeModule._from_masks(delta.vertex_count, dict.fromkeys(faces, 1), mult, [])
 
 
 def omega_module(n: int, deg) -> SquarefreeModule:
@@ -324,35 +328,29 @@ def _koszul_entries(module: SquarefreeModule, fieldspec: FieldSpec) -> dict[tupl
 
 
 def _koszul_maps(comp: dict[int, int], mult: dict[tuple[int, int], Matrix]) -> tuple[dict, dict]:
-    """The stored maps read once per table: ``images[G][b]`` lists (bit of j,
-    r, v) for each nonzero entry v in row r, column b of x_j at G, and
-    ``inverse[(G, bit of j)][r]`` is (b, v) for each unit map x_j at G, whose
-    only entry in row r is v = +-1 in column b, so x_j^-1 sends e_r to v e_b."""
+    """The stored maps read once per table, each row's nonzero hits taken
+    once: ``images[G][b]`` lists (bit of j, r, v) for each nonzero entry v in
+    row r, column b of x_j at G, and ``inverse[(G, bit of j)][r]`` is (b, v)
+    for each unit map x_j at G, whose only entry in row r is v = +-1 in
+    column b, so x_j^-1 sends e_r to v e_b.  A unit map is square with one
+    entry +-1 in each row and in each column, and zeros elsewhere: a signed
+    permutation, invertible over every field."""
     images: dict[int, list[list[tuple[int, int, int]]]] = {g: [[] for _ in range(d)] for g, d in comp.items()}
     inverse: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (g, bit), mat in mult.items():
         cols = images[g]
+        unit = len(mat) == len(cols)
+        found: list[tuple[int, int]] = []  # (b, v) for every hit, row by row
         for r, row in enumerate(mat):
-            for b, v in enumerate(row):
-                if v:
-                    cols[b].append((bit, r, v))
-        if _is_unit_map(mat):
-            inverse[(g, bit)] = [next((b, v) for b, v in enumerate(row) if v) for row in mat]
+            hits = [(b, v) for b, v in enumerate(row) if v]
+            for b, v in hits:
+                cols[b].append((bit, r, v))
+            unit = unit and len(hits) == 1 and hits[0][1] in (1, -1)
+            found += hits
+        # a unit has one hit in each row, so found lists one (b, v) per row
+        if unit and len({b for b, _ in found}) == len(mat):
+            inverse[(g, bit)] = found
     return images, inverse
-
-
-def _is_unit_map(mat: Matrix) -> bool:
-    """True when the matrix is square with one entry +-1 in each row and
-    in each column, and zeros elsewhere: invertible over every field."""
-    if len(mat) != len(mat[0]):
-        return False
-    cols = set()
-    for row in mat:
-        hits = [c for c, v in enumerate(row) if v]
-        if len(hits) != 1 or row[hits[0]] not in (1, -1):
-            return False
-        cols.add(hits[0])
-    return len(cols) == len(mat)
 
 
 def _koszul_degree(comp: dict[int, int], images: dict, inverse: dict, deg: int,

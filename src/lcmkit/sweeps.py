@@ -279,8 +279,7 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
 
 
 def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
-                   max_n: int = 4, random_poset_count: int = 50,
-                   complexes=None, seed: int = 0) -> SweepReport:
+                   max_n: int = 4, complexes=None, seed: int = 0) -> SweepReport:
     """Skeleton theorems.  scope selects the slice:
 
     - "thm12": for complexes certified l-CM, the codimension-1 skeleton is
@@ -346,7 +345,7 @@ def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                                               f"claim {l + d - i}-CM", "module skeleton fails")
 
     if scope == "thm44":
-        for name, poset in poset_instances(random_count=random_poset_count, base_seed=seed):
+        for name, poset in poset_instances(base_seed=seed):
             d = poset.max_rank()
             for spec in fields:
                 report.instances_checked += 1

@@ -265,17 +265,19 @@ MUTANTS = (
     ),
     Mutant(
         "koszul-unit-accepts-two", "squarefree.py",
-        "        if len(hits) != 1 or row[hits[0]] not in (1, -1):\n",
-        "        if len(hits) != 1 or row[hits[0]] not in (1, -1, 2, -2):\n",
+        "            unit = unit and len(hits) == 1 and hits[0][1] in (1, -1)\n",
+        "            unit = unit and len(hits) == 1 and hits[0][1] in (1, -1, 2, -2)\n",
         ("tests/test_squarefree.py::test_koszul_cone_rule_changes_no_table",
-         "tests/test_squarefree.py::test_koszul_table_with_torsion_stays_with_q"),
+         "tests/test_squarefree.py::test_koszul_table_with_torsion_stays_with_q",
+         "tests/test_squarefree.py::test_koszul_maps_match_a_walk_of_each_matrix"),
     ),
     Mutant(
         "koszul-unit-skips-column-check", "squarefree.py",
-        "    return len(cols) == len(mat)\n",
-        "    return True\n",
+        "        if unit and len({b for b, _ in found}) == len(mat):\n",
+        "        if unit:\n",
         ("tests/test_squarefree.py::test_koszul_cone_rule_changes_no_table",
-         "tests/test_squarefree.py::test_repeated_column_module_by_hand"),
+         "tests/test_squarefree.py::test_repeated_column_module_by_hand",
+         "tests/test_squarefree.py::test_koszul_maps_match_a_walk_of_each_matrix"),
     ),
     Mutant(
         "koszul-apex-not-inherited", "squarefree.py",
@@ -304,6 +306,20 @@ MUTANTS = (
         ("tests/test_squarefree.py::test_twisted_koszul_tables_match_the_unreduced_route",
          "tests/test_squarefree.py::test_repeated_column_module_by_hand",
          "tests/test_squarefree.py::test_koszul_table_with_torsion_stays_with_q"),
+    ),
+    Mutant(
+        "face-ring-cover-transposed", "posets.py",
+        "            mat[pos[y]][c] = 1\n",
+        "            mat[c][pos[y]] = 1\n",
+        ("tests/test_posets.py::test_face_ring_module_matches_the_scan",
+         "tests/test_posets.py::test_face_ring_module_glued"),
+    ),
+    Mutant(
+        "from-complex-map-keyed-on-face", "squarefree.py",
+        "    mult = {(g ^ b, b): ((1,),) for g in faces for b in _bits(g)}\n",
+        "    mult = {(g, b): ((1,),) for g in faces for b in _bits(g)}\n",
+        ("tests/test_squarefree.py::test_from_complex_matches_the_scan",
+         "tests/test_posets.py::test_face_ring_module_of_face_poset_is_face_ring"),
     ),
 )
 

@@ -94,7 +94,7 @@ def test_criterion_3_skeleton_theorems():
 
 def test_criterion_4_thm44_posets():
     t0 = time.perf_counter()
-    rep = sweep_skeleton("thm44", random_poset_count=50)
+    rep = sweep_skeleton("thm44")
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 300.0
     report(4, ok, elapsed, f"instances={rep.instances_checked}")

@@ -129,7 +129,7 @@ def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
     degree = next(node for node in trees["squarefree"].body
                   if isinstance(node, ast.FunctionDef) and node.name == "_koszul_degree")
     named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(degree)}
-    assert not named & {"mult", "mult_masks", "_map", "_is_unit_map"}
+    assert not named & {"mult", "mult_masks", "_map"}
     src = Path(lcmkit.__file__).parent
     texts = {p.stem: p.read_text() for p in src.glob("*.py")}
     assert "Fraction" not in texts["squarefree"]
@@ -139,11 +139,10 @@ def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
 def test_koszul_degrees_are_computed_or_skipped_in_one_place():
     # one pass over the degrees of a table decides which have an apex, from
     # the unit maps, and reduces and assembles the rest; the maps are read
-    # and tested for units once per table, by _is_unit_map alone, and the
+    # and tested for units once per table, by _koszul_maps alone, and the
     # route asks nothing of cm's cone rule or of linalg's keys
     trees = _trees()
-    for name, owner in [("_koszul_degree", "_koszul_entries"), ("_koszul_maps", "_koszul_entries"),
-                        ("_is_unit_map", "_koszul_maps")]:
+    for name, owner in [("_koszul_degree", "_koszul_entries"), ("_koszul_maps", "_koszul_entries")]:
         callers = {module: sorted(set(found)) for module, tree in trees.items()
                    for found in [_uses(tree, name)] if found}
         assert callers == {"squarefree": [owner]}, name
@@ -155,11 +154,37 @@ def test_koszul_degrees_are_computed_or_skipped_in_one_place():
     from_cm = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "cm"
                for a in node.names}
     route = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-             and node.name in ("_koszul_entries", "_koszul_maps", "_is_unit_map", "_koszul_degree")]
+             and node.name in ("_koszul_entries", "_koszul_maps", "_koszul_degree")]
     named = {getattr(node, "id", getattr(node, "attr", None)) for fn in route for node in ast.walk(fn)}
-    assert len(route) == 4 and from_cm
+    assert len(route) == 3 and from_cm
     linalg_keys = {"_cached_canonical", "_lookup", "_CACHE", "_canonical_masks", "_invariant_masks"}
     assert not named & (from_cm | linalg_keys | {"cm", "_apex"})
+
+
+def test_stored_maps_are_read_once_per_table():
+    # _koszul_maps is the one reader of the stored matrices: it walks each
+    # matrix once, row by row, and each row's nonzero hits once, and those
+    # hits give the images, the unit test and the inverse.  The rest of the
+    # route names the stored maps only to hand them to it, and no second
+    # unit test is left
+    trees = _trees()
+    src = Path(lcmkit.__file__).parent
+    assert not [p.stem for p in src.glob("*.py") if "_is_unit_map" in p.read_text()]
+    route = {node.name: node for node in trees["squarefree"].body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_koszul")}
+    assert set(route) == {"_koszul_entries", "_koszul_maps", "_koszul_degree"}
+    loops = [node for node in ast.walk(route["_koszul_maps"]) if isinstance(node, (ast.For, ast.comprehension))]
+    over = {name: [loop for loop in loops if name in {getattr(n, "id", None) for n in ast.walk(loop.iter)}]
+            for name in ("mult", "mat", "row", "hits")}
+    assert {name: len(found) for name, found in over.items()} == {"mult": 1, "mat": 1, "row": 1, "hits": 1}
+    entries = route["_koszul_entries"]
+    handed = [node for node in ast.walk(entries) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_koszul_maps"]
+    assert len(handed) == 1
+    named = [node for node in ast.walk(entries) if getattr(node, "attr", None) in ("mult", "mult_masks")]
+    assert named == [arg for arg in handed[0].args if getattr(arg, "attr", None) == "mult_masks"]
+    stored = {"mult", "mult_masks", "_map", "map_matrix"}
+    assert not stored & {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(route["_koszul_degree"])}
 
 
 def test_edge_boundary_rank_has_one_owner():
@@ -178,14 +203,15 @@ def test_edge_boundary_rank_has_one_owner():
 def test_relative_faces_feed_only_the_homology_ranks():
     # only _homology_dims walks the faces outside a vertex star, and it
     # ranks no full face level: boundary_matrix is the one reader of
-    # faces_by_card in linalg, and its levels are full, so every column of
-    # the i-th matrix keeps all i + 1 entries
+    # faces_by_card, and its levels are full, so every column of the i-th
+    # matrix keeps all i + 1 entries; from_complex takes its faces from the
+    # one face walk
     from lcmkit.complexes import cycle, full_simplex, real_projective_plane
     from lcmkit.linalg import QQ, boundary_matrix
 
     trees = _trees()
     for name, owners in [("_relative_faces", {"linalg": ["_homology_dims"]}),
-                         ("faces_by_card", {"linalg": ["boundary_matrix"], "squarefree": ["from_complex"]})]:
+                         ("faces_by_card", {"linalg": ["boundary_matrix"]})]:
         callers = {module: sorted(set(found)) for module, tree in trees.items()
                    for found in [_uses(tree, name)] if found}
         assert callers == owners, name

@@ -19,7 +19,7 @@ from lcmkit.errors import (
     PosetValidationError,
     RankMismatchError,
 )
-from lcmkit.linalg import FieldSpec
+from lcmkit.linalg import FieldSpec, _certified
 from lcmkit.posets import (
     SimplicialPoset,
     delete_atoms,
@@ -38,8 +38,16 @@ from lcmkit.posets import (
     random_simplicial_poset,
     restrict_poset,
 )
-from lcmkit.squarefree import SquarefreeModule, _scan_defects, from_complex, is_module_l_cm, module_l_cm_threshold
-from lcmkit.sweeps import poset_instances
+from lcmkit.squarefree import (
+    SquarefreeModule,
+    _koszul_entries,
+    _koszul_maps,
+    _scan_defects,
+    from_complex,
+    is_module_l_cm,
+    module_l_cm_threshold,
+)
+from lcmkit.sweeps import enumerate_complexes, poset_instances
 from oracles import (
     module_threshold_by_definition,
     poset_threshold_by_definition,
@@ -56,6 +64,8 @@ from record_verdicts import (
 )
 
 QQ = FieldSpec.rationals()
+GF2 = FieldSpec.prime(2)
+GF3 = FieldSpec.prime(3)
 
 
 def test_face_poset_is_valid_and_sized():
@@ -267,8 +277,44 @@ def test_poset_l_cm_matches_complex_route(fieldspec):
 
 
 def test_face_ring_module_of_face_poset_is_face_ring(fieldspec):
-    for delta in [cycle(4), boundary_simplex(2), path(3)]:
-        assert face_ring_module(face_poset(delta)) == from_complex(delta)
+    complexes = [cycle(4), boundary_simplex(2), path(3)]
+    complexes += [delta for n in range(1, 5) for delta in enumerate_complexes(n)]
+    for delta in complexes:
+        assert face_ring_module(face_poset(delta)) == from_complex(delta), delta
+
+
+def face_ring_module_by_scan(poset):
+    # the face ring by a scan of every (support, absent atom) pair: a map
+    # wherever the enlarged support has cells, with a 1 where a cell there
+    # covers a cell of the smaller support, both in element order
+    classes = {}
+    for x, s in enumerate(poset.support_masks):
+        classes.setdefault(s, []).append(x)
+    mult = {}
+    for f, members in classes.items():
+        for v in range(poset.vertex_count):
+            target = classes.get(f | 1 << v)
+            if not f >> v & 1 and target:
+                mult[(f, 1 << v)] = tuple(tuple(int((x, y) in poset.covers) for x in members) for y in target)
+    comp = {f: len(members) for f, members in classes.items()}
+    return SquarefreeModule._from_masks(poset.vertex_count, comp, mult, [])
+
+
+def test_face_ring_module_matches_the_scan():
+    # one pass over the covers builds the scan's module, the Koszul route
+    # reads both alike (the same images in the same order, the same
+    # inverses), and the tables and certification flags agree over three
+    # fields
+    posets = [p for _, p in poset_instances(random_count=50)]
+    posets += [glued_simplices(d, m) for d in range(1, 4) for m in range(1, 4)]
+    for p in posets:
+        module, want = face_ring_module(p), face_ring_module_by_scan(p)
+        assert module == want, p
+        assert _koszul_maps(module.comp_masks, module.mult_masks) == \
+            _koszul_maps(want.comp_masks, want.mult_masks), p
+        for fieldspec in (QQ, GF2, GF3):
+            assert _certified(_koszul_entries, module, fieldspec) == \
+                _certified(_koszul_entries, want, fieldspec), (p, fieldspec)
 
 
 def test_face_ring_module_glued():

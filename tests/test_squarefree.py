@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +23,13 @@ from lcmkit.errors import (
     TooLargeError,
     ZeroModuleError,
 )
-from lcmkit.linalg import FieldSpec, _certified, _rank_rows
+from lcmkit.linalg import FieldSpec, _certified, _rank_rows, faces_by_card
 from lcmkit.posets import face_ring_module
 from lcmkit.squarefree import (
     SquarefreeModule,
     _koszul_degree,
     _koszul_entries,
+    _koszul_maps,
     _scan_defects,
     canonical_betti,
     delete_variables,
@@ -535,6 +536,73 @@ def test_face_rings_of_complexes_have_no_defects():
         module = from_complex(delta)
         assert module._defects == []
         assert _scan_defects(module) == []
+
+
+def from_complex_by_scan(delta):
+    # the face ring by a scan of every (face, absent vertex) pair: a map
+    # wherever the enlarged set is a face too
+    comp = dict.fromkeys(chain(*faces_by_card(delta.facet_masks)), 1)
+    mult = {(f, 1 << v): ((1,),) for f in comp for v in range(delta.vertex_count)
+            if not f >> v & 1 and f | 1 << v in comp}
+    return SquarefreeModule._from_masks(delta.vertex_count, comp, mult, [])
+
+
+def test_from_complex_matches_the_scan():
+    # the one face walk builds the scan's module, and the Koszul route reads
+    # both alike: the same images in the same order and the same inverses,
+    # so every table and certification flag is the scan's.  Tables and
+    # flags are also compared outright over three fields on n <= 4, the
+    # named and random complexes and every 25th complex on 5 vertices
+    complexes = [delta for n in range(1, 6) for delta in enumerate_complexes(n)]
+    named = [delta for _, delta in complex_scope(max_n=4)]
+    for k, delta in enumerate(complexes + named):
+        module, want = from_complex(delta), from_complex_by_scan(delta)
+        assert module == want, delta
+        assert _koszul_maps(module.comp_masks, module.mult_masks) == \
+            _koszul_maps(want.comp_masks, want.mult_masks), delta
+        if delta.vertex_count < 5 or k % 25 == 0 or k >= len(complexes):
+            for fieldspec in (QQ, GF2, GF3):
+                assert _certified(_koszul_entries, module, fieldspec) == \
+                    _certified(_koszul_entries, want, fieldspec), (delta, fieldspec)
+
+
+def is_unit_map(mat):
+    # square with one entry +-1 in each row and in each column, and zeros
+    # elsewhere: invertible over every field
+    if len(mat) != len(mat[0]):
+        return False
+    cols = set()
+    for row in mat:
+        hits = [c for c, v in enumerate(row) if v]
+        if len(hits) != 1 or row[hits[0]] not in (1, -1):
+            return False
+        cols.add(hits[0])
+    return len(cols) == len(mat)
+
+
+def test_koszul_maps_match_a_walk_of_each_matrix():
+    # one walk of each matrix gives the images of an entry-by-entry walk,
+    # finds exactly the unit maps and inverts them: a repeated column, a
+    # torsion entry, a row with two entries, a rotation, and maps that are
+    # not square (one with a zero row)
+    hand = [((1, 0), (1, 0)), ((2,),), ((1, 1), (0, 1)), ((0, -1), (1, 0)),
+            ((1, 0, 0), (0, 1, 0)), ((0, 1), (0, 0), (1, 0))]
+    modules = [SquarefreeModule(1, {(): len(mat[0]), (1,): len(mat)}, {((), 1): mat}) for mat in hand]
+    assert [bool(_koszul_maps(m.comp_masks, m.mult_masks)[1]) for m in modules] == \
+        [False, False, False, True, False, False]
+    modules += koszul_oracle_modules() + twisted_modules(seed=7) + signed_unit_modules()
+    for module in modules:
+        images, inverse = _koszul_maps(module.comp_masks, module.mult_masks)
+        want = {g: [[] for _ in range(d)] for g, d in module.comp_masks.items()}
+        for (g, bit), mat in module.mult_masks.items():
+            for r, row in enumerate(mat):
+                for b, v in enumerate(row):
+                    if v:
+                        want[g][b].append((bit, r, v))
+            assert ((g, bit) in inverse) == is_unit_map(mat), (module, mat)
+            if (g, bit) in inverse:
+                assert inverse[(g, bit)] == [next((b, v) for b, v in enumerate(row) if v) for row in mat]
+        assert images == want, module
 
 
 def test_commutativity_validation():

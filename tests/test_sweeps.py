@@ -115,8 +115,8 @@ def test_sweeps_serialize_reproducibly():
     a = sweep_thm25(max_n=3, seed=1).to_text()
     b = sweep_thm25(max_n=3, seed=1).to_text()
     assert a == b
-    c = sweep_skeleton("thm44", random_poset_count=3, seed=2).to_text()
-    d = sweep_skeleton("thm44", random_poset_count=3, seed=2).to_text()
+    c = sweep_skeleton("thm44", seed=2).to_text()
+    d = sweep_skeleton("thm44", seed=2).to_text()
     assert c == d
 
 
