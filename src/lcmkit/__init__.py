@@ -18,7 +18,6 @@ from .linalg import (
     HomologyVector,
     QQ,
     SparseMatrix,
-    boundary_matrix,
     rank,
     reduced_homology,
 )
@@ -58,7 +57,6 @@ from .posets import (
     glued_simplices,
     is_poset_cm,
     is_poset_l_cm,
-    join_set,
     max_poset_l,
     order_complex,
     parse_poset_file,

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q and GF(p), boundary matrices, reduced homology.
+"""Exact linear algebra over Q and GF(p), boundary ranks, reduced homology.
 
 Ranks are computed exactly by one sparse kernel, ``_rank_rows``, for both
 fields.  It takes rows as ``{column: int}`` dicts, shortest first, and
@@ -12,8 +12,7 @@ are ints by construction (a squarefree module refuses any other map
 entry).  Only the public ``rank`` can carry Fractions: it checks once per
 matrix whether every entry is an int and converts only a matrix that is
 not (denominators cleared row by row over Q, ``FieldSpec.normalize`` over
-GF(p)).  Boundary rows are assembled by one function, on bitmask faces,
-for both the ranks and ``boundary_matrix``.
+GF(p)).  Boundary rows are assembled by one function, on bitmask faces.
 Reduced simplicial homology dimensions follow from boundary ranks, except
 on a cone: a family whose facets all share a vertex v is v * lk(v),
 contractible, so ``_homology_dims`` answers zero in every degree with no
@@ -73,7 +72,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .complexes import SimplicialComplex, _apex, _bits, _face_key, _face_masks, _relabel_masks, _support
+from .complexes import SimplicialComplex, _apex, _bits, _face_masks, _relabel_masks, _support
 from .errors import VoidComplexError
 
 _MAX_PRIME = 2**31
@@ -100,12 +99,16 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field: Q (characteristic 0) or GF(p) for a prime p."""
+    """The coefficient field: Q (characteristic 0) or GF(p) for a prime p.
+    A characteristic that is not exactly an ``int`` (a float, a bool) is
+    refused: it would reach the exact kernel, or share Q's cache keys."""
 
     characteristic: int = 0
 
     def __post_init__(self):
         p = self.characteristic
+        if type(p) is not int:
+            raise ValueError(f"characteristic {p!r} is not an integer")
         if p == 0:
             return
         if p >= _MAX_PRIME:
@@ -360,7 +363,7 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return r
 
 
-# -- boundary matrices and homology ---------------------------------------------
+# -- boundary ranks and homology ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -386,26 +389,6 @@ class HomologyVector:
 
     def is_zero(self) -> bool:
         return not any(self.dims)
-
-
-def boundary_matrix(delta: SimplicialComplex, i: int, fieldspec: FieldSpec) -> SparseMatrix:
-    """Matrix of the i-th boundary map, bases in lexicographic vertex-tuple order.
-
-    Rows are indexed by (i-1)-faces, columns by i-faces; i = 0 gives the
-    augmentation onto the empty face.
-    """
-    if delta.is_void:
-        raise VoidComplexError("the void complex has no boundary maps")
-    if not 0 <= i <= delta.dimension():
-        raise ValueError(f"need 0 <= i <= {delta.dimension()}")
-    by_card = faces_by_card(delta.facet_masks)
-    below, cells = (sorted(level, key=_face_key) for level in by_card[i : i + 2])
-    entries = {
-        (c, r): fieldspec.normalize(v)
-        for r, row in enumerate(_boundary_rows(cells, below))
-        for c, v in row.items()
-    }
-    return SparseMatrix(len(below), len(cells), entries)
 
 
 def reduced_homology(delta: SimplicialComplex, fieldspec: FieldSpec) -> HomologyVector:
@@ -639,7 +622,7 @@ def _boundary_rows(cells: list[int], below: list[int]) -> list[dict[int, int]]:
     """One sparse row per cell (a face bitmask) over the positions in
     ``below``: the face missing the cell's j-th smallest vertex gets the
     sign (-1)^j.  A face not in ``below`` (one of the star, for relative
-    rows) gets no entry; a full level of ``faces_by_card`` misses none."""
+    rows) gets no entry."""
     index = {m: i for i, m in enumerate(below)}
     rows = []
     for cell in cells:

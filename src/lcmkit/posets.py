@@ -47,8 +47,8 @@ class SimplicialPoset:
     atoms); ``covers`` holds index pairs (lower, upper).  ``rank`` and
     ``support_masks`` (atom v below x on bit v-1; ``support`` gives the
     atom sets) are derived.  ``uppers[x]`` (upper covers, in index order)
-    and ``down_masks[x]`` (y <= x on bit y; ``down_set`` gives the indices)
-    come from the same validating pass and take no part in comparison.
+    and ``down_masks[x]`` (y <= x on bit y) come from the same validating
+    pass and take no part in comparison.
     ``_chain_masks``, the facets of the order complex, is built on first
     use and kept.
     Each [bottom, x] has 2^rank(x) elements of distinct supports, so y <= z
@@ -107,13 +107,6 @@ class SimplicialPoset:
     def support(self) -> tuple[frozenset[int], ...]:
         """The supports as sets of atom numbers."""
         return tuple(map(mask_to_face, self.support_masks))
-
-    def down_set(self, x: int) -> frozenset[int]:
-        """Indices of all elements <= x."""
-        return frozenset(_elements(self.down_masks[x]))
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.down_masks[y] >> x & 1)
 
     def upper_covers(self, x: int) -> list[int]:
         return list(self.uppers[x])
@@ -229,14 +222,6 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
 
 
 # -- operations -------------------------------------------------------------------
-
-
-def join_set(poset: SimplicialPoset, x: int, y: int) -> frozenset[int]:
-    """Minimal elements of the common upper bounds of x and y (may be empty)."""
-    both = 1 << x | 1 << y
-    ups = [z for z, below in enumerate(poset.down_masks) if below & both == both]
-    upmask = _support(1 << z for z in ups)
-    return frozenset(z for z in ups if poset.down_masks[z] & upmask == 1 << z)
 
 
 def restrict_poset(poset: SimplicialPoset, keep_atoms) -> SimplicialPoset:

@@ -73,12 +73,12 @@ class SquarefreeModule:
     zero, or would touch a zero component are the zero map and not stored.
     ``comp`` and ``mult`` derive the same data keyed by vertex sets and
     variable numbers.  The constructor takes that vertex-set form, refuses
-    a variable count, component dimension or map entry that is not exactly
-    an ``int`` (as the module file format does), and scans the maps for
-    commutativity defects; ``_from_masks`` takes the stored form with defects the caller
-    already knows.  Integer maps lose no module over Q: with D a common
-    denominator, rescaling the basis at degree F by D^-|F| multiplies every
-    map by D.
+    a variable count, degree vertex, map variable, component dimension or
+    map entry that is not exactly an ``int`` (as the module file format
+    does), and scans the maps for commutativity defects; ``_from_masks``
+    takes the stored form with defects the caller already knows.  Integer
+    maps lose no module over Q: with D a common denominator, rescaling the
+    basis at degree F by D^-|F| multiplies every map by D.
     """
 
     # Koszul entries computed over Q with every rank certified: they hold
@@ -95,7 +95,7 @@ class SquarefreeModule:
         seen: set[int] = set()
         for deg, d in comp.items():
             f = frozenset(deg)
-            if not all(isinstance(v, int) and 1 <= v <= n for v in f):
+            if not all(type(v) is int and 1 <= v <= n for v in f):
                 raise ValueError(f"degree {sorted(f)} outside 1..{n}")
             if type(d) is not int:
                 raise ValueError(f"component dimension {d!r} at degree {sorted(f)} is not an integer")
@@ -111,7 +111,9 @@ class SquarefreeModule:
         seen_maps: set[tuple[int, int]] = set()
         for (deg, j), mat in (mult or {}).items():
             face = frozenset(deg)
-            if j in face or not 1 <= j <= n:
+            if not all(type(v) is int and 1 <= v <= n for v in face):
+                raise ValueError(f"degree {sorted(face)} outside 1..{n}")
+            if type(j) is not int or j in face or not 1 <= j <= n:
                 raise ValueError(f"bad multiplication index {j} at degree {sorted(face)}")
             f, bit = _mask(face), 1 << (j - 1)
             if (f, bit) in seen_maps:

@@ -321,6 +321,18 @@ MUTANTS = (
         ("tests/test_squarefree.py::test_from_complex_matches_the_scan",
          "tests/test_posets.py::test_face_ring_module_of_face_poset_is_face_ring"),
     ),
+    Mutant(
+        "fieldspec-accepts-any-number", "linalg.py",
+        "        if type(p) is not int:\n",
+        "        if not isinstance(p, (int, float)):\n",
+        ("tests/test_linalg.py::test_fieldspec",),
+    ),
+    Mutant(
+        "module-door-accepts-any-variable", "squarefree.py",
+        "            if type(j) is not int or j in face or not 1 <= j <= n:\n",
+        "            if j in face or not 1 <= j <= n:\n",
+        ("tests/test_squarefree.py::test_module_shape_validation",),
+    ),
 )
 
 

@@ -189,7 +189,7 @@ def render_posets() -> str:
         rank = ",".join(map(str, poset.rank))
         supports = " ".join(",".join(map(str, sorted(s))) or "-" for s in poset.support)
         structure = "".join(
-            f"{x}: {sorted(poset.down_set(x))} {poset.upper_covers(x)}\n"
+            f"{x}: {[y for y in range(poset.size) if poset.down_masks[x] >> y & 1]} {poset.upper_covers(x)}\n"
             for x in range(poset.size)
         )
         lines.append(f"{name}\t{_digest(format_poset_file(poset))}\t{rank}\t{supports}\t{_digest(structure)}")

@@ -190,11 +190,11 @@ def test_stored_maps_are_read_once_per_table():
 def test_edge_boundary_rank_has_one_owner():
     # the rank from edges to vertices is #vertices - #components, from the one
     # union-find of linalg._components, which only _homology_dims calls;
-    # boundary rows are assembled for the public matrix and, from cardinality
-    # 3 up, for the ranks of _homology_dims
+    # boundary rows are assembled, from cardinality 3 up, for the ranks of
+    # _homology_dims alone
     trees = _trees()
     for name, owners in [("_components", {"linalg": ["_homology_dims"]}),
-                         ("_boundary_rows", {"linalg": ["_homology_dims", "boundary_matrix"]})]:
+                         ("_boundary_rows", {"linalg": ["_homology_dims"]})]:
         callers = {module: sorted(set(found)) for module, tree in trees.items()
                    for found in [_uses(tree, name)] if found}
         assert callers == owners, name
@@ -202,23 +202,37 @@ def test_edge_boundary_rank_has_one_owner():
 
 def test_relative_faces_feed_only_the_homology_ranks():
     # only _homology_dims walks the faces outside a vertex star, and it
-    # ranks no full face level: boundary_matrix is the one reader of
-    # faces_by_card, and its levels are full, so every column of the i-th
-    # matrix keeps all i + 1 entries; from_complex takes its faces from the
-    # one face walk
+    # ranks no full face level: nothing in the package reads faces_by_card,
+    # whose levels are full, so every column of the i-th boundary assembled
+    # over them keeps all i + 1 entries; from_complex takes its faces from
+    # the one face walk
     from lcmkit.complexes import cycle, full_simplex, real_projective_plane
-    from lcmkit.linalg import QQ, boundary_matrix
+    from lcmkit.linalg import _boundary_rows, faces_by_card
 
     trees = _trees()
     for name, owners in [("_relative_faces", {"linalg": ["_homology_dims"]}),
-                         ("faces_by_card", {"linalg": ["boundary_matrix"]})]:
+                         ("faces_by_card", {})]:
         callers = {module: sorted(set(found)) for module, tree in trees.items()
                    for found in [_uses(tree, name)] if found}
         assert callers == owners, name
     for delta in (cycle(5), real_projective_plane(), full_simplex(7).skeleton(3)):
+        by_card = faces_by_card(delta.facet_masks)
         for i in range(delta.dimension() + 1):
-            matrix = boundary_matrix(delta, i, QQ)
-            assert len(matrix.entries) == (i + 1) * matrix.cols, (delta, i)
+            columns = _boundary_rows(by_card[i + 1], by_card[i])
+            assert all(len(column) == i + 1 for column in columns), (delta, i)
+
+
+def test_every_private_function_is_called():
+    # a private function (methods and nested functions included) is named
+    # somewhere in the package outside its own body, so retiring a public
+    # helper cannot leave the code only it called behind
+    trees = _trees()
+    private = {fn.name for tree in trees.values() for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and not fn.name.endswith("__")}
+    assert len(private) > 60
+    orphans = sorted(name for name in private
+                     if not any(where != name for tree in trees.values() for where in _uses(tree, name)))
+    assert orphans == []
 
 
 def test_mutant_targets_occur_once():

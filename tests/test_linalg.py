@@ -12,6 +12,7 @@ from lcmkit.complexes import (
     SimplicialComplex,
     _apex,
     _bits,
+    _face_key,
     _support,
     _vertices,
     boundary_simplex,
@@ -23,7 +24,6 @@ from lcmkit.errors import VoidComplexError
 from lcmkit.linalg import (
     FieldSpec,
     SparseMatrix,
-    boundary_matrix,
     faces_by_card,
     homology_dims_of_facets,
     rank,
@@ -49,6 +49,12 @@ def test_fieldspec():
         FieldSpec.prime(2**31 + 11)
     with pytest.raises(ValueError):
         FieldSpec.parse("z")
+    # a characteristic that is not exactly an int: 2.0 reached the exact
+    # kernel (pow() refused its float modulus), and False read as Q and
+    # shared Q's cache keys
+    for p in (2.0, False, True, 0.0, Fraction(3)):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            FieldSpec(p)
 
 
 def test_rank_examples():
@@ -171,6 +177,26 @@ def test_rank_without_unit_entries(monkeypatch):
     assert cores == [4]  # prime fields never reach the core
 
 
+def boundary(delta: SimplicialComplex, i: int, fieldspec: FieldSpec = QQ) -> SparseMatrix:
+    """The i-th boundary map of ``delta`` from the one row assembly,
+    ``linalg._boundary_rows``, over full ``faces_by_card`` levels in
+    ``_face_key`` order: rows by (i-1)-faces, columns by i-faces, entries
+    normalized in the field; i = 0 is the augmentation onto the empty face."""
+    below, cells = (sorted(level, key=_face_key) for level in faces_by_card(delta.facet_masks)[i : i + 2])
+    entries = {
+        (r, c): fieldspec.normalize(v)
+        for c, row in enumerate(linalg._boundary_rows(cells, below))
+        for r, v in row.items()
+    }
+    return SparseMatrix(len(below), len(cells), entries)
+
+
+def oracle_boundary(delta: SimplicialComplex, i: int, p: int = 0) -> list[list[int]]:
+    """The same map from ``oracles.boundary_rows``, reduced mod p when p > 0."""
+    rows = boundary_rows([tuple(sorted(f)) for f in delta.facets], i + 1)
+    return [[v % p for v in row] for row in rows] if p else rows
+
+
 def certified_rank(matrix):
     """Rank over Q and whether the kernel certified it for every field."""
     return linalg._certified(rank, matrix, QQ)
@@ -194,11 +220,11 @@ def test_certified_ranks_hold_over_every_field(seed, torsion):
 def test_torsion_and_converted_entries_are_not_certified():
     assert certified_rank(SparseMatrix.from_rows([[2]])) == (1, False)
     # H_1(RP²; Z) = Z/2: the rank of the second boundary map drops mod 2
-    d2 = boundary_matrix(real_projective_plane(), 2, QQ)
+    d2 = boundary(real_projective_plane(), 2)
     assert certified_rank(d2) == (10, False)
     assert rank(d2, GF2) == 9
     assert certified_rank(SparseMatrix.from_rows([[1, 0], [0, -1]])) == (2, True)
-    assert certified_rank(boundary_matrix(boundary_simplex(3), 2, QQ)) == (3, True)
+    assert certified_rank(boundary(boundary_simplex(3), 2)) == (3, True)
     # Fractions and bools are converted first, so nothing is certified
     assert certified_rank(SparseMatrix.from_rows([[Fraction(1, 2)]])) == (1, False)
     assert certified_rank(SparseMatrix.from_rows([[True, 0], [0, 1]])) == (2, False)
@@ -213,33 +239,35 @@ def test_sparse_matrix_validation():
 
 def test_boundary_matrix_single_edge():
     edge = SimplicialComplex.from_facets([(1, 2)])
-    d1 = boundary_matrix(edge, 1, QQ)
-    assert d1.to_rows() == [[-1], [1]]
-    d0 = boundary_matrix(edge, 0, QQ)
-    assert d0.to_rows() == [[1, 1]]
+    d1 = boundary(edge, 1)
+    assert d1.to_rows() == [[-1], [1]] == oracle_boundary(edge, 1)
+    d0 = boundary(edge, 0)
+    assert d0.to_rows() == [[1, 1]] == oracle_boundary(edge, 0)
 
 
 def test_boundary_matrix_point_augmentation():
     pt = full_simplex(1)
-    assert boundary_matrix(pt, 0, QQ).to_rows() == [[1]]
+    assert boundary(pt, 0).to_rows() == [[1]] == oracle_boundary(pt, 0)
 
 
 def test_boundary_matrix_c4_rank():
     c4 = cycle(4)
-    assert rank(boundary_matrix(c4, 1, QQ), QQ) == 3
+    assert boundary(c4, 1).to_rows() == oracle_boundary(c4, 1)
+    assert rank(boundary(c4, 1), QQ) == 3
 
 
 def test_boundary_matrix_lex_basis_order():
     # rows: vertices (1),(2),(3),(4); cols: edges (1,2),(1,4),(2,3),(3,4)
-    m = boundary_matrix(cycle(4), 1, QQ)
+    m = boundary(cycle(4), 1)
     assert m.to_rows() == [
         [-1, -1, 0, 0],
         [1, 0, -1, 0],
         [0, 0, 1, -1],
         [0, 1, 0, 1],
-    ]
-    m2 = boundary_matrix(cycle(4), 1, GF2)
+    ] == oracle_boundary(cycle(4), 1)
+    m2 = boundary(cycle(4), 1, GF2)
     assert all(v == 1 for v in m2.entries.values())  # signs normalized mod 2
+    assert m2.to_rows() == oracle_boundary(cycle(4), 1, 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -249,24 +277,21 @@ def test_boundary_matrix_matches_oracle(seed, p):
     n = rng.randint(1, 6)
     pool = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 5))]
     delta = SimplicialComplex.from_facets(pool, vertex_count=n)
-    facets = [tuple(sorted(f)) for f in delta.facets]
     for i in range(delta.dimension() + 1):
-        want = boundary_rows(facets, i + 1)
-        if p:
-            want = [[v % p for v in row] for row in want]
-        assert boundary_matrix(delta, i, FieldSpec(p)).to_rows() == want
+        assert boundary(delta, i, FieldSpec(p)).to_rows() == oracle_boundary(delta, i, p)
 
 
 def test_boundary_squares_to_zero(fieldspec):
+    p = fieldspec.characteristic
     for delta in [boundary_simplex(3), real_projective_plane(), cycle(5)]:
         for i in range(1, delta.dimension() + 1):
-            hi = boundary_matrix(delta, i, fieldspec).to_rows()
-            lo = boundary_matrix(delta, i - 1, fieldspec).to_rows()
+            hi = boundary(delta, i, fieldspec).to_rows()
+            lo = boundary(delta, i - 1, fieldspec).to_rows()
+            assert (hi, lo) == (oracle_boundary(delta, i, p), oracle_boundary(delta, i - 1, p))
             prod = [
                 [sum(lo[r][k] * hi[k][c] for k in range(len(hi))) for c in range(len(hi[0]))]
                 for r in range(len(lo))
             ]
-            p = fieldspec.characteristic
             assert all((v if p == 0 else v % p) == 0 for row in prod for v in row)
 
 

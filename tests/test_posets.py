@@ -29,7 +29,6 @@ from lcmkit.posets import (
     glued_simplices,
     is_poset_cm,
     is_poset_l_cm,
-    join_set,
     max_poset_l,
     order_complex,
     parse_poset_file,
@@ -181,9 +180,16 @@ def test_down_sets_are_the_transitive_closure_of_covers():
                     if b == z and a not in closure:
                         closure.add(a)
                         frontier.append(a)
-            assert p.down_set(y) == closure
-            assert all(p.leq(x, y) == (x in closure) for x in range(p.size))
+            # y's down-set, and so x <= y exactly for the x on its bits
+            assert p.down_masks[y] == sum(1 << x for x in closure)
             assert p.upper_covers(y) == sorted(b for a, b in p.covers if a == y)
+
+
+def join_set(poset, x, y):
+    """Minimal elements of the common upper bounds of x and y (may be
+    empty), read off ``down_masks``."""
+    ups = [z for z, below in enumerate(poset.down_masks) if below >> x & 1 and below >> y & 1]
+    return frozenset(z for z in ups if not any(w != z and poset.down_masks[z] >> w & 1 for w in ups))
 
 
 def test_join_set():

@@ -753,6 +753,19 @@ def test_module_shape_validation():
         SquarefreeModule(True, {(): 1, (1,): 1}, {((), 1): [[1]]})
     with pytest.raises(ValueError, match="^ambient variable count 1.0 is not an integer$"):
         SquarefreeModule(1.0, {(): 1})
+    # a map's variable or a degree's vertex must be exactly an int: 1.0 as a
+    # variable raised TypeError from the bit shift, and True passed as
+    # variable or vertex 1
+    for j in (1.0, True):
+        with pytest.raises(ValueError, match=rf"^bad multiplication index {j} at degree \[\]$"):
+            SquarefreeModule(1, {(): 1, (1,): 1}, {((), j): ((1,),)})
+        with pytest.raises(ValueError, match=rf"^degree \[{j}\] outside 1\.\.1$"):
+            SquarefreeModule(1, {(): 1, (j,): 1}, {((), 1): ((1,),)})
+    # a map's degree follows the same rule: 1.0 raised TypeError from the bit
+    # shift, and an empty map off the ring was dropped unread
+    for deg in ((1.0,), (5,), (True,)):
+        with pytest.raises(ValueError, match=r"^degree \[.+\] outside 1\.\.2$"):
+            SquarefreeModule(2, {(): 1, (2,): 1}, {(deg, 2): ()})
     # two keys naming one degree, or one map
     with pytest.raises(ValueError, match="given twice"):
         SquarefreeModule(2, {(1, 2): 1, (2, 1): 1})
