@@ -16,8 +16,14 @@ search finds the smallest failing deletion for complexes, posets and
 modules, and the rules that turn its threshold into an l-CM verdict or a
 largest l live here for all three (``_is_l_cm``, ``_max_l``); the
 deletion test of complexes and posets keeps the dimension of the family
-it is given.  A complex's smallest failing deletion goes into the same
-cache, keyed also by the search's cap, on the family relabelled by an
+it is given.  The search walks the deletions level by level in
+``combinations`` order, and builds each one from a passed deletion one
+group smaller: a complex's family is its parent's with one vertex
+deleted by the one-vertex rule (``complexes._drop_vertex``: a facet
+without the vertex stays, and a cut facet stays unless a facet without
+the vertex contains it), so no deletion filters the whole complex.  A
+complex's smallest failing deletion goes into the same cache, keyed also
+by the search's cap, on the family relabelled by an
 isomorphism-invariant vertex order (``linalg._invariant_masks``), so
 isomorphic families are mostly searched once per cap, and once for every
 field when the Q search is certified.  A CM complex is pure, so a family
@@ -28,19 +34,19 @@ and that verdict is cached like any other.  The search runs on the caller's
 own family, so its deletions read the verdicts already cached under the
 caller's labels.  Betti numbers of the face ring are read off homology of
 induced subcomplexes (Hochster's formula), one per degree bitmask, by a
-depth-first walk from the full vertex set: each degree's facets are
-filtered from its parent's, and a degree whose facets share a vertex is a
-cone with no homology, so it makes no entry, and its whole subtree is
-skipped when no degree below it can delete that vertex.  A ``BettiTable`` stores its entries under the degree
-masks, and only its ``entries`` view and ``get`` speak vertex sets.
+depth-first walk from the full vertex set: each degree's facets are its
+parent's with one vertex deleted by the same rule, and a degree whose
+facets share a vertex is a cone with no homology, so it makes no entry,
+and its whole subtree is skipped when no degree below it can delete that
+vertex.  A ``BettiTable`` stores its entries under the degree masks, and
+only its ``entries`` view and ``get`` speak vertex sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .complexes import SimplicialComplex, _apex, _bits, _deletion_masks, _face_text, _is_pure, _link_masks, _mask, _support, _vertices, mask_to_face
+from .complexes import SimplicialComplex, _apex, _bits, _drop_vertex, _face_text, _is_pure, _link_masks, _mask, _support, _vertices, mask_to_face
 from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
@@ -184,31 +190,45 @@ def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, c
 
 
 def _deletion_threshold(facet_masks: frozenset[int], fieldspec: FieldSpec, cap: int) -> int:
-    return _smallest_failing_deletion(_bits(_support(facet_masks)), cap, _deletion_fails(facet_masks, fieldspec))
+    return _smallest_failing_deletion(facet_masks, _bits(_support(facet_masks)), cap, _drop_vertex,
+                                      _deletion_fails(facet_masks, fieldspec))
 
 
 def _deletion_fails(facet_masks: frozenset[int], fieldspec: FieldSpec):
-    """Predicate on a deleted vertex mask: the deletion is not Cohen-Macaulay
-    or has another dimension than the family.  The empty family has
+    """Predicate on the facets of a deletion: they are not Cohen-Macaulay
+    or have another dimension than ``facet_masks``.  The empty family has
     dimension -1, as {emptyset} does."""
     dim = max(map(int.bit_count, facet_masks), default=0) - 1
 
-    def fails(drop: int) -> bool:
-        cut = _deletion_masks(facet_masks, drop)
+    def fails(cut: frozenset[int]) -> bool:
         cut_dim = max(map(int.bit_count, cut), default=0) - 1
         return cut_dim != dim or not _facets_cm(cut, fieldspec)
 
     return fails
 
 
-def _smallest_failing_deletion(groups: list[int], cap: int, fails) -> int:
-    """Smallest k <= cap such that ``fails`` holds on the union of some k of
-    the group bitmasks; cap+1 if there is none.  This is the one l-CM search:
-    complexes, posets and modules differ only in their groups and predicate."""
-    for size in range(0, cap + 1):
-        for combo in combinations(groups, size):
-            if fails(_support(combo)):
+def _smallest_failing_deletion(root, groups: list[int], cap: int, child, fails) -> int:
+    """Smallest k <= cap such that ``fails`` holds on the deletion of the
+    union of some k of the group bitmasks; cap+1 if there is none.  This is
+    the one l-CM search: complexes, posets and modules differ only in their
+    groups, their deletion state and its predicate.
+
+    ``root`` is the state of the empty deletion, and ``child(state, group)``
+    the state of a deletion one group larger.  The search walks level k+1
+    from the states of level k: each deletion is its parent plus one group
+    after the parent's last, so the deletions are visited in
+    ``combinations`` order, and a state is built only when it is tested,
+    after every state of the level before it has passed.  No more than two
+    levels are alive at a time: the passed states of one and those of the
+    next as it is tested."""
+    visit = [(root, 0)]  # (state, index of the first group it may still take)
+    for size in range(cap + 1):
+        passed = []
+        for state, start in visit:
+            if fails(state):
                 return size
+            passed.append((state, start))
+        visit = ((child(state, groups[j]), j + 1) for state, start in passed for j in range(start, len(groups)))
     return cap + 1
 
 
@@ -224,8 +244,9 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
     with bound ``below`` has one child F - b for each bit b of F below
     ``below``, with bound b, so every degree is reached once, by deleting
     its missing vertices from the highest down.  The child's facets are its
-    parent's facets with b deleted, filtered from the parent's family, not
-    from the whole complex.  A family whose facets share a vertex is a cone,
+    parent's with b deleted by the one-vertex rule (``_drop_vertex``): the
+    parent's facets without b stay, and only the cut ones are tested, each
+    against those.  A family whose facets share a vertex is a cone,
     with no homology, so it makes no entry; when a shared vertex lies at or
     above ``below``, no node under it deletes that vertex, and the whole
     subtree is skipped."""
@@ -246,7 +267,7 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
                     entries[(size - j, fmask)] = h
         b = 1
         while b < below:
-            walk(fmask ^ b, _deletion_masks(family, b), b)
+            walk(fmask ^ b, _drop_vertex(family, b), b)
             b <<= 1
 
     walk((1 << n) - 1, delta.facet_masks, 1 << n)

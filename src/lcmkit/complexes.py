@@ -70,9 +70,14 @@ class SimplicialComplex:
 
         The family is normalized: the empty face is dropped, non-maximal
         members are dropped.  An empty family yields the empty complex.
+        A vertex must be exactly an ``int``, as in the module door: a bool
+        would pass ``_mask`` as vertex 0 or 1.
         """
         try:
-            maximal = _maximal_masks(_mask(f) for f in faces) - {0}
+            faces = [tuple(f) for f in faces]
+            if not all(type(v) is int for f in faces for v in f):
+                raise ValueError
+            maximal = _maximal_masks(map(_mask, faces)) - {0}
         except (TypeError, ValueError):
             raise ValueError("facet vertices must be positive integers") from None
         if vertex_count is None:
@@ -298,6 +303,27 @@ def _deletion_masks(facet_masks: frozenset[int], drop: int) -> frozenset[int]:
     if not drop:
         return facet_masks
     return _maximal_masks(fm & ~drop for fm in facet_masks)
+
+
+def _drop_vertex(facet_masks: frozenset[int], b: int) -> frozenset[int]:
+    """``_deletion_masks(facet_masks, b)`` for one vertex bit b, tested
+    only where it can change.  A facet G without b stays: inside a cut
+    facet F - b it would lie inside F, which an antichain forbids.  A cut
+    facet F - b stays unless a facet without b contains it: inside another
+    cut facet G - b it would put F inside G."""
+    kept = [fm for fm in facet_masks if not fm & b]
+    if len(kept) == len(facet_masks):
+        return facet_masks
+    out = set(kept)
+    for fm in facet_masks:
+        if fm & b:
+            cut = fm ^ b
+            for k in kept:
+                if cut & k == cut:
+                    break
+            else:
+                out.add(cut)
+    return frozenset(out)
 
 
 def _vertices(mask: int) -> list[int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
+from .complexes import SimplicialComplex, _bits, _content_lines, _deletion_masks, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
 from .cm import _deletion_fails, _is_l_cm, _max_l, _smallest_failing_deletion, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
@@ -289,12 +289,14 @@ def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: 
     # removes the vertices (nonbottom cells, in order_complex's numbering)
     # whose support contains a.  The longest chains end at the elements of
     # top rank, so a deletion keeps the rank exactly when it keeps the
-    # dimension of the order complex.
+    # dimension of the order complex.  The search builds each deletion from
+    # its parent's facets: the maximal faces of (F - U) - g are those of
+    # F - (U + g).
     cells = [s for x, s in enumerate(poset.support_masks) if x != poset.bottom]
     groups = [_support(1 << bit for bit, s in enumerate(cells) if s >> a & 1)
               for a in range(poset.vertex_count)]
-    fails = _deletion_fails(poset._chain_masks, fieldspec)
-    return _smallest_failing_deletion(groups, cap, fails)
+    chains = poset._chain_masks
+    return _smallest_failing_deletion(chains, groups, cap, _deletion_masks, _deletion_fails(chains, fieldspec))
 
 
 def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:

@@ -96,7 +96,7 @@ class SquarefreeModule:
         for deg, d in comp.items():
             f = frozenset(deg)
             if not all(type(v) is int and 1 <= v <= n for v in f):
-                raise ValueError(f"degree {sorted(f)} outside 1..{n}")
+                raise ValueError(f"degree {_degree_text(f)} outside 1..{n}")
             if type(d) is not int:
                 raise ValueError(f"component dimension {d!r} at degree {sorted(f)} is not an integer")
             if d < 0:
@@ -112,7 +112,7 @@ class SquarefreeModule:
         for (deg, j), mat in (mult or {}).items():
             face = frozenset(deg)
             if not all(type(v) is int and 1 <= v <= n for v in face):
-                raise ValueError(f"degree {sorted(face)} outside 1..{n}")
+                raise ValueError(f"degree {_degree_text(face)} outside 1..{n}")
             if type(j) is not int or j in face or not 1 <= j <= n:
                 raise ValueError(f"bad multiplication index {j} at degree {sorted(face)}")
             f, bit = _mask(face), 1 << (j - 1)
@@ -192,6 +192,15 @@ class SquarefreeModule:
                     f"maps at degree {sorted(mask_to_face(f))} do not commute for "
                     f"variables {jb.bit_length()},{kb.bit_length()} over {fieldspec.label()}"
                 )
+
+
+def _degree_text(face: frozenset) -> str:
+    """A degree as a door message shows it: its vertices sorted, by their
+    repr when they do not compare (as a str and an int do not)."""
+    try:
+        return str(sorted(face))
+    except TypeError:
+        return str(sorted(face, key=repr))
 
 
 def _scan_defects(module: SquarefreeModule) -> list[tuple[int, int, int, object]]:
@@ -488,7 +497,7 @@ def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int
         pd = max(i for i, deg in entries if not deg & drop)
         return max(kept) != d or pd != n - drop.bit_count() - d
 
-    return _smallest_failing_deletion([1 << b for b in range(n)], n, fails)
+    return _smallest_failing_deletion(0, [1 << b for b in range(n)], n, int.__or__, fails)
 
 
 # -- Betti-table characterizations ----------------------------------------------------

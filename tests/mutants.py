@@ -333,6 +333,42 @@ MUTANTS = (
         "            if j in face or not 1 <= j <= n:\n",
         ("tests/test_squarefree.py::test_module_shape_validation",),
     ),
+    Mutant(
+        "drop-vertex-keeps-every-cut-facet", "complexes.py",
+        "            for k in kept:\n"
+        "                if cut & k == cut:\n"
+        "                    break\n"
+        "            else:\n"
+        "                out.add(cut)\n",
+        "            out.add(cut)\n",
+        ("tests/test_complexes.py::test_drop_vertex_matches_deletion_masks",
+         "tests/test_cm.py::test_level_search_matches_the_combinations_search"),
+    ),
+    Mutant(
+        "level-child-from-the-root", "cm.py",
+        "        visit = ((child(state, groups[j]), j + 1) for state, start in passed for j in range(start, len(groups)))\n",
+        "        visit = ((child(root, groups[j]), j + 1) for state, start in passed for j in range(start, len(groups)))\n",
+        ("tests/test_cm.py::test_level_search_matches_the_combinations_search",
+         "tests/test_cm.py::test_cached_thresholds_match_definition_in_any_order"),
+    ),
+    Mutant(
+        "level-child-from-the-level-before", "cm.py",
+        "        passed = []\n",
+        "        passed = passed if size else []\n",
+        ("tests/test_cm.py::test_level_search_matches_the_combinations_search",),
+    ),
+    Mutant(
+        "level-child-takes-an-earlier-group", "cm.py",
+        "for state, start in passed for j in range(start, len(groups))",
+        "for state, start in passed for j in range(len(groups))",
+        ("tests/test_cm.py::test_level_search_matches_the_combinations_search",),
+    ),
+    Mutant(
+        "complex-door-accepts-bool-vertices", "complexes.py",
+        "            if not all(type(v) is int for f in faces for v in f):\n",
+        "            if not all(isinstance(v, int) for f in faces for v in f):\n",
+        ("tests/test_complexes.py::test_from_facets_rejects_bad_vertices",),
+    ),
 )
 
 

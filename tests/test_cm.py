@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmkit import cm, linalg
+from lcmkit import cm, linalg, posets, squarefree
 from lcmkit.cm import (
     BettiTable,
     hochster_betti,
@@ -17,6 +17,8 @@ from lcmkit.cm import (
 from lcmkit.complexes import (
     SimplicialComplex,
     _apex,
+    _deletion_masks,
+    _support,
     boundary_simplex,
     complete_graph,
     cycle,
@@ -26,7 +28,7 @@ from lcmkit.complexes import (
 )
 from lcmkit.errors import VoidComplexError
 from lcmkit.linalg import FieldSpec, reduced_homology
-from lcmkit.sweeps import enumerate_complexes, random_complex, sweep_skeleton
+from lcmkit.sweeps import enumerate_complexes, poset_instances, random_complex, sweep_skeleton
 from oracles import hochster_betti_by_degree, is_cm_by_definition
 from record_verdicts import (
     HOCHSTER_SNAPSHOT,
@@ -429,6 +431,75 @@ def test_isomorphic_families_share_one_threshold_search(monkeypatch):
     linalg._CACHE.clear()
     assert len(calls) <= 48
     assert len(keys) <= 92
+
+
+def _combinations_search(groups, cap, fails):
+    # the deletion search before the level walk: each union of k groups, in
+    # combinations order, handed to the predicate as a deleted mask
+    for size in range(cap + 1):
+        for combo in combinations(groups, size):
+            if fails(_support(combo)):
+                return size
+    return cap + 1
+
+
+def _side_by_side(monkeypatch, owner, whole):
+    # every deletion search that ``owner`` runs goes through the level walk
+    # and the combinations search, whose state for a deleted mask is
+    # whole(root, drop); both must answer alike after visiting the same
+    # states in the same order
+    real = owner._smallest_failing_deletion
+    answers = []
+
+    def search(root, groups, cap, child, fails):
+        walked, listed = [], []
+        got = real(root, groups, cap, child, lambda state: walked.append(state) or fails(state))
+        want = _combinations_search(groups, cap, lambda drop: listed.append(whole(root, drop)) or fails(listed[-1]))
+        assert (got, walked) == (want, listed), (root, cap)
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(owner, "_smallest_failing_deletion", search)
+    return answers
+
+
+def _level_search_instances():
+    rng = random.Random(27)
+    out = [delta for n in range(1, 6) for delta in enumerate_complexes(n)]
+    # skeleta and cross-polytopes with their vertices shuffled onto one more
+    # vertex than they use, so one vertex lies off the support
+    shapes = [full_simplex(n).skeleton(d) for n in range(5, 9) for d in range(1, n - 1)]
+    shapes += [cross_polytope(d) for d in range(2, 5)]
+    for delta in shapes:
+        n = delta.vertex_count
+        out.append(relabel(delta, rng.sample(range(1, n + 2), n), n + 1))
+    return out
+
+
+def test_level_search_matches_the_combinations_search(monkeypatch):
+    # the level walk builds each deletion one group off its parent; on every
+    # front it must visit what the whole-family filter gives, in
+    # combinations order, and find the same threshold
+    of_complexes = _side_by_side(monkeypatch, cm, _deletion_masks)
+    of_posets = _side_by_side(monkeypatch, posets, _deletion_masks)
+    of_modules = _side_by_side(monkeypatch, squarefree, lambda root, drop: drop)
+    deltas = _level_search_instances()
+    poset_list = [poset for _, poset in poset_instances(random_count=50)]
+    linalg._CACHE.clear()
+    for f in (QQ, GF2, GF3):
+        for delta in deltas:
+            l_cm_threshold(delta, f)
+            is_l_cm(delta, 2, f)
+            if delta.facet_masks:
+                squarefree.module_l_cm_threshold(squarefree.from_complex(delta), f)
+        for poset in poset_list:
+            posets.poset_l_cm_threshold(poset, f)
+            posets.is_poset_l_cm(poset, 2, f)
+            squarefree.module_l_cm_threshold(posets.face_ring_module(poset), f)
+    linalg._CACHE.clear()
+    for answers in (of_complexes, of_posets, of_modules):
+        assert len(set(answers)) >= 4, answers[:20]
+    assert len(of_complexes) > 300 and len(of_posets) > 300 and len(of_modules) > 3 * len(deltas)
 
 
 def _all_verdicts(deltas, fields):

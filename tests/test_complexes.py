@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from lcmkit.complexes import (
     SimplicialComplex,
     _apex,
+    _deletion_masks,
+    _drop_vertex,
     _maximal_masks,
     boundary_simplex,
     cycle,
@@ -69,8 +71,36 @@ def test_maximal_masks_matches_definition(masks, zeros):
     assert _maximal_masks(family) == want
 
 
-@pytest.mark.parametrize("bad", [(0, 1), (-2,), ("a",), (1.5,), (5,)])
+def _random_families(rng, count):
+    # antichains on 6-11 vertices from facets of mixed sizes: most are not pure
+    for _ in range(count):
+        n = rng.randint(6, 11)
+        raw = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, n - 1)))
+               for _ in range(rng.randint(1, 14))]
+        yield n, _maximal_masks(raw)
+
+
+def test_drop_vertex_matches_deletion_masks():
+    # the one-vertex rule tests only the cut facets, and only against the
+    # facets without the vertex; it must give the whole-family filter's
+    # family on every (complex, vertex) pair on <= 5 vertices and on random
+    # families, {emptyset} from a lone vertex included
+    cases = [(n, delta.facet_masks) for n in range(1, 6) for delta in enumerate_complexes(n)]
+    cases += [(n, frozenset()) for n in range(1, 4)]
+    cases += list(_random_families(random.Random(27), 300))
+    pure = 0
+    for n, family in cases:
+        pure += len(set(map(int.bit_count, family))) <= 1
+        for v in range(n):
+            assert _drop_vertex(family, 1 << v) == _deletion_masks(family, 1 << v), (family, v)
+    assert pure < len(cases) / 2
+    assert _drop_vertex(frozenset({0b100}), 0b100) == frozenset({0})
+    assert _drop_vertex(frozenset(), 0b1) == frozenset()
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (-2,), ("a",), (1.5,), (5,), (True, 2), (False,)])
 def test_from_facets_rejects_bad_vertices(bad):
+    # a vertex must be exactly an int: True once passed as vertex 1
     with pytest.raises(ValueError):
         SimplicialComplex.from_facets([bad], vertex_count=3)
 

@@ -117,6 +117,28 @@ def test_complexes_are_built_unchecked_only_where_derived():
     assert "__post_init__" in _uses(trees["complexes"], "_maximal_masks")
 
 
+def test_deletion_families_are_built_from_their_parent():
+    # a one-vertex child comes from _drop_vertex, which the Hochster walk and
+    # the complex deletion search call; the whole-family filter is left to
+    # wide drops: an induced subcomplex and a poset's atom group.  The level
+    # walk is the one deletion search, on every front, and takes no option
+    trees = _trees()
+    for name, owners in [
+        ("_drop_vertex", {"cm": ["_deletion_threshold", "hochster_betti"]}),
+        ("_deletion_masks", {"complexes": ["induced_subcomplex"], "posets": ["_atom_deletion_threshold"]}),
+        ("_smallest_failing_deletion", {"cm": ["_deletion_threshold"], "posets": ["_atom_deletion_threshold"],
+                                        "squarefree": ["module_l_cm_threshold"]}),
+    ]:
+        callers = {module: sorted(set(found)) for module, tree in trees.items()
+                   for found in [_uses(tree, name)] if found}
+        assert callers == owners, name
+    search = next(node for node in trees["cm"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_smallest_failing_deletion")
+    assert [a.arg for a in search.args.args] == ["root", "groups", "cap", "child", "fails"]
+    assert not search.args.defaults and not search.args.kwonlyargs
+    assert not _uses(trees["cm"], "combinations")
+
+
 def test_koszul_route_feeds_int_rows_to_the_rank_kernel():
     # a module holds int entries only, so its one Koszul assembly per degree
     # hands its rows to the kernel with no conversion step; only the public

@@ -766,6 +766,12 @@ def test_module_shape_validation():
     for deg in ((1.0,), (5,), (True,)):
         with pytest.raises(ValueError, match=r"^degree \[.+\] outside 1\.\.2$"):
             SquarefreeModule(2, {(): 1, (2,): 1}, {(deg, 2): ()})
+    # a degree whose vertices do not compare raised TypeError from sorting
+    # them for the message, in both degree checks
+    with pytest.raises(ValueError, match=r"^degree \['a', 1\] outside 1\.\.2$"):
+        SquarefreeModule(2, {("a", 1): 1})
+    with pytest.raises(ValueError, match=r"^degree \['a', 1\] outside 1\.\.2$"):
+        SquarefreeModule(2, {(): 1, (2,): 1}, {(("a", 1), 2): ()})
     # two keys naming one degree, or one map
     with pytest.raises(ValueError, match="given twice"):
         SquarefreeModule(2, {(1, 2): 1, (2, 1): 1})
