@@ -14,14 +14,15 @@ helpers of ``complexes``.  The l-CM property asks that every deletion of
 fewer than l vertices stays Cohen-Macaulay of the same dimension.  One
 search finds the smallest failing deletion for complexes, posets and
 modules, and the rules that turn its threshold into an l-CM verdict or a
-largest l live here for all three (``_is_l_cm``, ``_max_l``); the
-deletion test of complexes and posets keeps the dimension of the family
-it is given.  The search walks the deletions level by level in
-``combinations`` order, and builds each one from a passed deletion one
-group smaller: a complex's family is its parent's with one vertex
-deleted by the one-vertex rule (``complexes._drop_vertex``: a facet
-without the vertex stays, and a cut facet stays unless a facet without
-the vertex contains it), so no deletion filters the whole complex.  A
+largest l live here for all three (``_is_l_cm``, ``_max_l``).  Complexes
+and posets both delete groups of vertices from a facet family and judge
+what is left, so ``_family_threshold`` builds and judges those deletions
+for both, keeping the dimension of the family it is given.  The search
+walks the deletions level by level in ``combinations`` order, and builds
+each one from a passed deletion one group smaller with the one deletion
+helper (``complexes._deletion_masks``: a facet that misses the group
+stays, and a cut facet stays unless a kept facet contains it), so no
+deletion filters the whole family.  A
 complex's smallest failing deletion goes into the same cache, keyed also
 by the search's cap, on the family relabelled by an
 isomorphism-invariant vertex order (``linalg._invariant_masks``), so
@@ -35,7 +36,7 @@ own family, so its deletions read the verdicts already cached under the
 caller's labels.  Betti numbers of the face ring are read off homology of
 induced subcomplexes (Hochster's formula), one per degree bitmask, by a
 depth-first walk from the full vertex set: each degree's facets are its
-parent's with one vertex deleted by the same rule, and a degree whose
+parent's with one vertex deleted by the same helper, and a degree whose
 facets share a vertex is a cone with no homology, so it makes no entry,
 and its whole subtree is skipped when no degree below it can delete that
 vertex.  A ``BettiTable`` stores its entries under the degree masks, and
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, _apex, _bits, _drop_vertex, _face_text, _is_pure, _link_masks, _mask, _support, _vertices, mask_to_face
+from .complexes import SimplicialComplex, _apex, _bits, _deletion_masks, _face_text, _is_pure, _link_masks, _mask, _support, _vertices, mask_to_face
 from .errors import TooLargeError, VoidComplexError
 from .linalg import FieldSpec, _cached_canonical, homology_dims_of_facets
 
@@ -190,28 +191,30 @@ def _vertex_deletion_threshold(delta: SimplicialComplex, fieldspec: FieldSpec, c
 
 
 def _deletion_threshold(facet_masks: frozenset[int], fieldspec: FieldSpec, cap: int) -> int:
-    return _smallest_failing_deletion(facet_masks, _bits(_support(facet_masks)), cap, _drop_vertex,
-                                      _deletion_fails(facet_masks, fieldspec))
+    return _family_threshold(facet_masks, _bits(_support(facet_masks)), cap, fieldspec)
 
 
-def _deletion_fails(facet_masks: frozenset[int], fieldspec: FieldSpec):
-    """Predicate on the facets of a deletion: they are not Cohen-Macaulay
-    or have another dimension than ``facet_masks``.  The empty family has
-    dimension -1, as {emptyset} does."""
+def _family_threshold(facet_masks: frozenset[int], groups: list[int], cap: int, fieldspec: FieldSpec) -> int:
+    """The smallest number of groups whose deletion (``_deletion_masks``)
+    leaves a family that is not Cohen-Macaulay or has another dimension
+    than ``facet_masks``; cap+1 if there is none.  A complex's groups are
+    its vertices, a poset's the order-complex vertices above each atom.
+    The empty family has dimension -1, as {emptyset} does."""
     dim = max(map(int.bit_count, facet_masks), default=0) - 1
 
     def fails(cut: frozenset[int]) -> bool:
-        cut_dim = max(map(int.bit_count, cut), default=0) - 1
-        return cut_dim != dim or not _facets_cm(cut, fieldspec)
+        return max(map(int.bit_count, cut), default=0) - 1 != dim or not _facets_cm(cut, fieldspec)
 
-    return fails
+    return _smallest_failing_deletion(facet_masks, groups, cap, _deletion_masks, fails)
 
 
 def _smallest_failing_deletion(root, groups: list[int], cap: int, child, fails) -> int:
     """Smallest k <= cap such that ``fails`` holds on the deletion of the
     union of some k of the group bitmasks; cap+1 if there is none.  This is
-    the one l-CM search: complexes, posets and modules differ only in their
-    groups, their deletion state and its predicate.
+    the one l-CM search.  ``_family_threshold`` runs it for complexes and
+    posets, whose state is a deletion's facets, and
+    ``squarefree.module_l_cm_threshold`` for modules, whose state is the
+    deleted mask.
 
     ``root`` is the state of the empty deletion, and ``child(state, group)``
     the state of a deletion one group larger.  The search walks level k+1
@@ -244,9 +247,9 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
     with bound ``below`` has one child F - b for each bit b of F below
     ``below``, with bound b, so every degree is reached once, by deleting
     its missing vertices from the highest down.  The child's facets are its
-    parent's with b deleted by the one-vertex rule (``_drop_vertex``): the
-    parent's facets without b stay, and only the cut ones are tested, each
-    against those.  A family whose facets share a vertex is a cone,
+    parent's with b deleted by the one deletion helper
+    (``_deletion_masks``): the parent's facets without b stay, and only
+    the cut ones are tested, each against those.  A family whose facets share a vertex is a cone,
     with no homology, so it makes no entry; when a shared vertex lies at or
     above ``below``, no node under it deletes that vertex, and the whole
     subtree is skipped."""
@@ -267,7 +270,7 @@ def hochster_betti(delta: SimplicialComplex, fieldspec: FieldSpec) -> BettiTable
                     entries[(size - j, fmask)] = h
         b = 1
         while b < below:
-            walk(fmask ^ b, _drop_vertex(family, b), b)
+            walk(fmask ^ b, _deletion_masks(family, b), b)
             b <<= 1
 
     walk((1 << n) - 1, delta.facet_masks, 1 << n)

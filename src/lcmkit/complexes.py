@@ -5,7 +5,13 @@ on bit v-1); all other faces are enumerated on demand by one walk over the
 submasks of the facets (``_face_masks``), which ``faces``, ``all_faces``,
 ``face_counts``, ``linalg.faces_by_card``, the vertex star of
 ``linalg._relative_faces``, ``squarefree.from_complex`` and
-``posets.face_poset`` share.  Two degenerate
+``posets.face_poset`` share.  Links and deletions of a facet family each
+have one helper (``_link_masks``, ``_deletion_masks``).  The deletion
+helper serves one vertex (the Hochster walk, the deletion search of a
+complex) and wider drops (an induced subcomplex, a poset's atom group)
+alike: a facet that misses the drop stays, a cut facet stays unless a
+kept facet contains it, and only a drop of more than one vertex, which
+can cut one facet into another, takes a maximality pass.  Two degenerate
 values are distinguished: the empty complex, whose only face is the empty
 set, and the void complex, which has no faces at all (its Stanley-Reisner
 ring is the zero ring).
@@ -297,33 +303,28 @@ def _link_masks(facet_masks: frozenset[int], face: int) -> frozenset[int]:
 
 
 def _deletion_masks(facet_masks: frozenset[int], drop: int) -> frozenset[int]:
-    """The maximal faces of the family with the bits of ``drop`` removed;
-    ``facet_masks`` itself when nothing is dropped (callers pass an
-    antichain)."""
-    if not drop:
-        return facet_masks
-    return _maximal_masks(fm & ~drop for fm in facet_masks)
-
-
-def _drop_vertex(facet_masks: frozenset[int], b: int) -> frozenset[int]:
-    """``_deletion_masks(facet_masks, b)`` for one vertex bit b, tested
-    only where it can change.  A facet G without b stays: inside a cut
-    facet F - b it would lie inside F, which an antichain forbids.  A cut
-    facet F - b stays unless a facet without b contains it: inside another
-    cut facet G - b it would put F inside G."""
-    kept = [fm for fm in facet_masks if not fm & b]
+    """The maximal faces of the antichain ``facet_masks`` with the bits of
+    ``drop`` removed, tested only where they can change; ``facet_masks``
+    itself when no facet meets the drop, and {emptyset} when only dropped
+    vertices remain.  A facet G that misses the drop stays: inside a cut
+    facet F - drop it would lie inside F, which an antichain forbids.  A
+    cut facet stays unless a kept facet contains it.  For one vertex that
+    is all: a cut facet inside another cut facet G - b would put F inside
+    G.  A wider drop can cut one facet into another, so its survivors get
+    one maximality pass."""
+    kept = [fm for fm in facet_masks if not fm & drop]
     if len(kept) == len(facet_masks):
         return facet_masks
     out = set(kept)
     for fm in facet_masks:
-        if fm & b:
-            cut = fm ^ b
+        if fm & drop:
+            cut = fm & ~drop
             for k in kept:
                 if cut & k == cut:
                     break
             else:
                 out.add(cut)
-    return frozenset(out)
+    return _maximal_masks(out) if drop & (drop - 1) else frozenset(out)
 
 
 def _vertices(mask: int) -> list[int]:

@@ -162,7 +162,8 @@ GF2 = FieldSpec.prime(2)
 
 
 class SparseMatrix:
-    """Sparse matrix with exact entries (ints or Fractions)."""
+    """Sparse matrix with exact entries: ints or Fractions, the only entries
+    ``rank`` takes."""
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], object] | None = None):
         if rows < 0 or cols < 0:
@@ -210,16 +211,22 @@ class SparseMatrix:
 def rank(matrix: SparseMatrix, fieldspec: FieldSpec) -> int:
     """Exact rank of ``matrix`` over the given field.
 
-    Rows of ints go to ``_rank_rows`` as they are.  Any other entry makes a
+    Rows of ints go to ``_rank_rows`` as they are.  Fraction entries make a
     converted copy: denominators cleared row by row over Q (row scaling
     preserves rank), or every entry put through ``FieldSpec.normalize`` over
-    GF(p).  A converted matrix is not certified for every field."""
+    GF(p).  A converted matrix is not certified for every field.  Any other
+    entry (a float, a bool, a str) is refused with ``ValueError``: over
+    GF(p) a float would be truncated, and over Q it has no denominator to
+    clear."""
     global _taint
     by_row: dict[int, dict[int, object]] = {}
     for (r, c), v in matrix.entries.items():
         by_row.setdefault(r, {})[c] = v
     rows = list(by_row.values())
     if not all(type(v) is int for row in rows for v in row.values()):
+        bad = [v for row in rows for v in row.values() if type(v) is not int and type(v) is not Fraction]
+        if bad:
+            raise ValueError(f"matrix entry {bad[0]!r} is not an int or a Fraction")
         _taint += 1
         if fieldspec.characteristic:
             rows = [{c: fieldspec.normalize(v) for c, v in row.items()} for row in rows]
@@ -347,15 +354,10 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         p = rows[r][c]
         prow = rows[r]
         for i in range(r + 1, m):
+            # every row below, a zero pivot-column entry included, takes the
+            # one exact update (p*a - f*b) / prev
             f = rows[i][c]
-            ri = rows[i]
-            # rows with a zero pivot entry still need the exact p/prev rescale
-            if f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(ri, prow)]
-            elif prev != 1 and p != prev:
-                rows[i] = [(p * a) // prev for a in ri]
-            elif p != prev:
-                rows[i] = [p * a for a in ri]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], prow)]
         prev = p
         r += 1
         if r == m:

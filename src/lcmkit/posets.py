@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _content_lines, _deletion_masks, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
-from .cm import _deletion_fails, _is_l_cm, _max_l, _smallest_failing_deletion, is_cohen_macaulay
+from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
+from .cm import _family_threshold, _is_l_cm, _max_l, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
     NonBooleanIntervalError,
@@ -83,8 +83,11 @@ class SimplicialPoset:
             raise PosetValidationError(f"bottom {bottom_id!r} is not an element")
         bottom = index[str(bottom_id)]
         covers = set()
-        for a, b in cover_id_pairs:
-            a, b = str(a), str(b)
+        for cover in cover_id_pairs:
+            try:
+                a, b = map(str, cover)
+            except (TypeError, ValueError):
+                raise PosetValidationError(f"cover {cover!r} is not a pair of element ids") from None
             if a not in index or b not in index:
                 raise PosetValidationError(f"cover ({a!r}, {b!r}) references unknown element")
             if a == b:
@@ -295,8 +298,7 @@ def _atom_deletion_threshold(poset: SimplicialPoset, fieldspec: FieldSpec, cap: 
     cells = [s for x, s in enumerate(poset.support_masks) if x != poset.bottom]
     groups = [_support(1 << bit for bit, s in enumerate(cells) if s >> a & 1)
               for a in range(poset.vertex_count)]
-    chains = poset._chain_masks
-    return _smallest_failing_deletion(chains, groups, cap, _deletion_masks, _deletion_fails(chains, fieldspec))
+    return _family_threshold(poset._chain_masks, groups, cap, fieldspec)
 
 
 def face_ring_module(poset: SimplicialPoset) -> SquarefreeModule:

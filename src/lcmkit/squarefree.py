@@ -94,9 +94,7 @@ class SquarefreeModule:
         self.comp_masks: dict[int, int] = {}
         seen: set[int] = set()
         for deg, d in comp.items():
-            f = frozenset(deg)
-            if not all(type(v) is int and 1 <= v <= n for v in f):
-                raise ValueError(f"degree {_degree_text(f)} outside 1..{n}")
+            f = _door_degree(deg, n)
             if type(d) is not int:
                 raise ValueError(f"component dimension {d!r} at degree {sorted(f)} is not an integer")
             if d < 0:
@@ -109,10 +107,12 @@ class SquarefreeModule:
                 self.comp_masks[fm] = d
         self.mult_masks: dict[tuple[int, int], Matrix] = {}
         seen_maps: set[tuple[int, int]] = set()
-        for (deg, j), mat in (mult or {}).items():
-            face = frozenset(deg)
-            if not all(type(v) is int and 1 <= v <= n for v in face):
-                raise ValueError(f"degree {_degree_text(face)} outside 1..{n}")
+        for key, mat in (mult or {}).items():
+            try:
+                (deg, j), m = key, tuple(tuple(r) for r in mat)
+            except (TypeError, ValueError):
+                raise ValueError(f"map {key!r} needs a (degree, variable) key and a list of rows") from None
+            face = _door_degree(deg, n)
             if type(j) is not int or j in face or not 1 <= j <= n:
                 raise ValueError(f"bad multiplication index {j} at degree {sorted(face)}")
             f, bit = _mask(face), 1 << (j - 1)
@@ -121,7 +121,6 @@ class SquarefreeModule:
             seen_maps.add((f, bit))
             src = self.comp_masks.get(f, 0)
             dst = self.comp_masks.get(f | bit, 0)
-            m = tuple(tuple(r) for r in mat)
             if len(m) != dst or any(len(r) != src for r in m):
                 raise ValueError(f"expected a {dst}x{src} matrix")
             for v in chain.from_iterable(m):
@@ -194,13 +193,21 @@ class SquarefreeModule:
                 )
 
 
-def _degree_text(face: frozenset) -> str:
-    """A degree as a door message shows it: its vertices sorted, by their
-    repr when they do not compare (as a str and an int do not)."""
+def _door_degree(deg, n: int) -> frozenset:
+    """A degree given to the module door: a set of int vertices in 1..n.
+    A refused degree shows its vertices sorted, by their repr when they do
+    not compare (as a str and an int do not)."""
     try:
-        return str(sorted(face))
+        face = frozenset(deg)
     except TypeError:
-        return str(sorted(face, key=repr))
+        raise ValueError(f"degree {deg!r} is not a set of vertices") from None
+    if all(type(v) is int and 1 <= v <= n for v in face):
+        return face
+    try:
+        text = sorted(face)
+    except TypeError:
+        text = sorted(face, key=repr)
+    raise ValueError(f"degree {text} outside 1..{n}")
 
 
 def _scan_defects(module: SquarefreeModule) -> list[tuple[int, int, int, object]]:

@@ -334,15 +334,21 @@ MUTANTS = (
         ("tests/test_squarefree.py::test_module_shape_validation",),
     ),
     Mutant(
-        "drop-vertex-keeps-every-cut-facet", "complexes.py",
+        "deletion-keeps-every-cut-facet", "complexes.py",
         "            for k in kept:\n"
         "                if cut & k == cut:\n"
         "                    break\n"
         "            else:\n"
         "                out.add(cut)\n",
         "            out.add(cut)\n",
-        ("tests/test_complexes.py::test_drop_vertex_matches_deletion_masks",
+        ("tests/test_complexes.py::test_deletion_masks_matches_the_whole_family_filter",
          "tests/test_cm.py::test_level_search_matches_the_combinations_search"),
+    ),
+    Mutant(
+        "wide-deletion-skips-the-maximality-pass", "complexes.py",
+        "    return _maximal_masks(out) if drop & (drop - 1) else frozenset(out)\n",
+        "    return frozenset(out)\n",
+        ("tests/test_complexes.py::test_deletion_masks_matches_the_whole_family_filter",),
     ),
     Mutant(
         "level-child-from-the-root", "cm.py",
@@ -362,6 +368,19 @@ MUTANTS = (
         "for state, start in passed for j in range(start, len(groups))",
         "for state, start in passed for j in range(len(groups))",
         ("tests/test_cm.py::test_level_search_matches_the_combinations_search",),
+    ),
+    Mutant(
+        "bareiss-leaves-zero-entry-rows-unscaled", "linalg.py",
+        "            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], prow)]\n",
+        "            if f:\n"
+        "                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], prow)]\n",
+        ("tests/test_linalg.py::test_rank_against_oracles_on_sparse_matrices",),
+    ),
+    Mutant(
+        "rank-converts-any-number", "linalg.py",
+        "if type(v) is not int and type(v) is not Fraction]\n",
+        "if not isinstance(v, (int, float, Fraction))]\n",
+        ("tests/test_linalg.py::test_rank_refuses_entries_that_are_not_ints_or_fractions",),
     ),
     Mutant(
         "complex-door-accepts-bool-vertices", "complexes.py",

@@ -3,10 +3,10 @@
 Everything here is deliberately written from scratch against the definitions,
 without touching lcmkit internals: Smith normal form over the integers for
 homology ranks, plain Gaussian elimination over Fractions for matrix ranks,
-a combinations-based face/boundary enumeration, Koszul Betti tables of
-squarefree modules from dense differentials, and l-CM thresholds and
-Betti tables that rebuild every deletion or induced subcomplex through
-lcmkit's public constructions.
+a combinations-based face/boundary enumeration, the whole-family filter
+for facet deletions, Koszul Betti tables of squarefree modules from dense
+differentials, and l-CM thresholds and Betti tables that rebuild every
+deletion or induced subcomplex through lcmkit's public constructions.
 """
 
 from fractions import Fraction
@@ -213,6 +213,16 @@ def koszul_betti_by_definition(module, fieldspec) -> BettiTable:
                 if h:
                     entries[(i, sum(1 << (v - 1) for v in deg))] = h
     return BettiTable(n, entries)
+
+
+def deletion_by_whole_family(facet_masks, drop):
+    """The maximal faces of a facet bitmask family with the bits of ``drop``
+    removed, by cutting every facet and filtering the whole cut family; the
+    family itself when nothing is dropped."""
+    if not drop:
+        return facet_masks
+    cut = {m & ~drop for m in facet_masks}
+    return frozenset(m for m in cut if not any(m != o and m & o == m for o in cut))
 
 
 def poset_threshold_by_definition(poset, fieldspec) -> int:

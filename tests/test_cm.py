@@ -17,7 +17,6 @@ from lcmkit.cm import (
 from lcmkit.complexes import (
     SimplicialComplex,
     _apex,
-    _deletion_masks,
     _support,
     boundary_simplex,
     complete_graph,
@@ -29,7 +28,7 @@ from lcmkit.complexes import (
 from lcmkit.errors import VoidComplexError
 from lcmkit.linalg import FieldSpec, reduced_homology
 from lcmkit.sweeps import enumerate_complexes, poset_instances, random_complex, sweep_skeleton
-from oracles import hochster_betti_by_degree, is_cm_by_definition
+from oracles import deletion_by_whole_family, hochster_betti_by_degree, is_cm_by_definition
 from record_verdicts import (
     HOCHSTER_SNAPSHOT,
     SNAPSHOT,
@@ -479,10 +478,12 @@ def _level_search_instances():
 def test_level_search_matches_the_combinations_search(monkeypatch):
     # the level walk builds each deletion one group off its parent; on every
     # front it must visit what the whole-family filter gives, in
-    # combinations order, and find the same threshold
-    of_complexes = _side_by_side(monkeypatch, cm, _deletion_masks)
-    of_posets = _side_by_side(monkeypatch, posets, _deletion_masks)
+    # combinations order, and find the same threshold.  Complexes and
+    # posets share cm's search, so their answers are told apart by the
+    # calls that made them
+    searches = _side_by_side(monkeypatch, cm, deletion_by_whole_family)
     of_modules = _side_by_side(monkeypatch, squarefree, lambda root, drop: drop)
+    of_complexes, of_posets = [], []
     deltas = _level_search_instances()
     poset_list = [poset for _, poset in poset_instances(random_count=50)]
     linalg._CACHE.clear()
@@ -492,10 +493,14 @@ def test_level_search_matches_the_combinations_search(monkeypatch):
             is_l_cm(delta, 2, f)
             if delta.facet_masks:
                 squarefree.module_l_cm_threshold(squarefree.from_complex(delta), f)
+        of_complexes += searches
+        searches.clear()
         for poset in poset_list:
             posets.poset_l_cm_threshold(poset, f)
             posets.is_poset_l_cm(poset, 2, f)
             squarefree.module_l_cm_threshold(posets.face_ring_module(poset), f)
+        of_posets += searches
+        searches.clear()
     linalg._CACHE.clear()
     for answers in (of_complexes, of_posets, of_modules):
         assert len(set(answers)) >= 4, answers[:20]

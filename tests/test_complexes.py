@@ -9,9 +9,9 @@ from lcmkit.complexes import (
     SimplicialComplex,
     _apex,
     _deletion_masks,
-    _drop_vertex,
     _maximal_masks,
     boundary_simplex,
+    complete_graph,
     cycle,
     full_simplex,
     parse_facet_file,
@@ -22,7 +22,7 @@ from lcmkit.errors import InvalidFaceError, ParseError, VoidComplexError
 from lcmkit.posets import order_complex
 from lcmkit.squarefree import from_complex, restrict
 from lcmkit.sweeps import enumerate_complexes, poset_instances, random_complex
-from oracles import all_faces as oracle_faces
+from oracles import all_faces as oracle_faces, deletion_by_whole_family
 
 
 def faceset(delta, i):
@@ -80,22 +80,35 @@ def _random_families(rng, count):
         yield n, _maximal_masks(raw)
 
 
-def test_drop_vertex_matches_deletion_masks():
-    # the one-vertex rule tests only the cut facets, and only against the
-    # facets without the vertex; it must give the whole-family filter's
-    # family on every (complex, vertex) pair on <= 5 vertices and on random
-    # families, {emptyset} from a lone vertex included
-    cases = [(n, delta.facet_masks) for n in range(1, 6) for delta in enumerate_complexes(n)]
-    cases += [(n, frozenset()) for n in range(1, 4)]
-    cases += list(_random_families(random.Random(27), 300))
-    pure = 0
-    for n, family in cases:
+def test_deletion_masks_matches_the_whole_family_filter():
+    # the one deletion helper tests only the cut facets, against the facets
+    # that miss the drop, and runs a maximality pass only for a drop of more
+    # than one vertex; it must give the whole-family filter's family on
+    # every (complex, drop mask) pair on <= 4 vertices, every one-vertex
+    # drop on 5 and seeded random families, {emptyset} from dropped
+    # vertices included
+    cases = [(n, delta.facet_masks, range(1 << n)) for n in range(1, 5) for delta in enumerate_complexes(n)]
+    cases += [(5, delta.facet_masks, [1 << v for v in range(5)]) for delta in enumerate_complexes(5)]
+    cases += [(n, frozenset(), range(1 << n)) for n in range(1, 4)]
+    rng = random.Random(28)
+    cases += [(n, family, [1 << v for v in range(n)] + [rng.randrange(1, 1 << n) for _ in range(20)])
+              for n, family in _random_families(random.Random(27), 300)]
+    pure = wide = 0
+    for n, family, drops in cases:
         pure += len(set(map(int.bit_count, family))) <= 1
-        for v in range(n):
-            assert _drop_vertex(family, 1 << v) == _deletion_masks(family, 1 << v), (family, v)
-    assert pure < len(cases) / 2
-    assert _drop_vertex(frozenset({0b100}), 0b100) == frozenset({0})
-    assert _drop_vertex(frozenset(), 0b1) == frozenset()
+        for drop in drops:
+            got = _deletion_masks(family, drop)
+            assert got == deletion_by_whole_family(family, drop), (family, drop)
+            wide += drop.bit_count() > 1
+            if not any(m & drop for m in family):
+                assert got is family
+    assert pure < len(cases) / 2 and wide > 5000
+    assert _deletion_masks(frozenset({0b100}), 0b100) == frozenset({0})
+    assert _deletion_masks(frozenset({0b0011, 0b0100}), 0b0111) == frozenset({0})
+    assert _deletion_masks(frozenset(), 0b1) == frozenset()
+    # F = {1, 3} and G = {1, 2, 4} dropped by {3, 4}: F's cut {1} lies in
+    # G's cut {1, 2}, with no kept facet to catch it
+    assert _deletion_masks(frozenset({0b0101, 0b1011}), 0b1100) == frozenset({0b0011})
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (-2,), ("a",), (1.5,), (5,), (True, 2), (False,)])
@@ -119,11 +132,24 @@ def test_antichain_enforced_on_direct_construction():
         (3, {1.0}, False),
         (3, {frozenset({1, 2})}, False),  # vertex sets are not masks
         (3, {0b001}, True),  # the void complex has no facets
+        (-1, set(), False),  # a negative vertex count
     ],
 )
 def test_constructor_validates_masks(n, masks, void):
     with pytest.raises(ValueError):
         SimplicialComplex(n, frozenset(masks), is_void=void)
+
+
+@pytest.mark.parametrize("build, size, message", [
+    (full_simplex, 0, "need n >= 1"),
+    (boundary_simplex, 0, "need d >= 1"),
+    (cycle, 2, "need m >= 3"),
+    (path, 1, "need m >= 2"),
+    (complete_graph, 1, "need m >= 2"),
+], ids=["full_simplex", "boundary_simplex", "cycle", "path", "complete_graph"])
+def test_named_complexes_refuse_sizes_below_their_smallest(build, size, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(size)
 
 
 @pytest.mark.parametrize("count", [2.0, "3", True], ids=repr)
@@ -239,6 +265,9 @@ def test_induced_subcomplex():
     sub13 = c4.induced_subcomplex({2, 4})
     assert sub13.vertex_count == 2
     assert sub13.facets == frozenset({frozenset({1}), frozenset({2})})
+    for keep in [{0, 1}, {5}]:
+        with pytest.raises(ValueError, match="^vertex subset out of range$"):
+            c4.induced_subcomplex(keep)
 
 
 def test_delete_vertices():

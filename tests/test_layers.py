@@ -118,20 +118,25 @@ def test_complexes_are_built_unchecked_only_where_derived():
 
 
 def test_deletion_families_are_built_from_their_parent():
-    # a one-vertex child comes from _drop_vertex, which the Hochster walk and
-    # the complex deletion search call; the whole-family filter is left to
-    # wide drops: an induced subcomplex and a poset's atom group.  The level
-    # walk is the one deletion search, on every front, and takes no option
+    # one helper deletes vertices from a facet family, whatever the drop:
+    # the Hochster walk, an induced subcomplex and the family search call
+    # it.  _family_threshold builds and judges the deletions of complexes
+    # and posets alike, so posets name neither the helper nor the search.
+    # The level walk is the one deletion search, on every front, and takes
+    # no option
     trees = _trees()
     for name, owners in [
-        ("_drop_vertex", {"cm": ["_deletion_threshold", "hochster_betti"]}),
-        ("_deletion_masks", {"complexes": ["induced_subcomplex"], "posets": ["_atom_deletion_threshold"]}),
-        ("_smallest_failing_deletion", {"cm": ["_deletion_threshold"], "posets": ["_atom_deletion_threshold"],
-                                        "squarefree": ["module_l_cm_threshold"]}),
+        ("_deletion_masks", {"cm": ["_family_threshold", "hochster_betti"], "complexes": ["induced_subcomplex"]}),
+        ("_family_threshold", {"cm": ["_deletion_threshold"], "posets": ["_atom_deletion_threshold"]}),
+        ("_smallest_failing_deletion", {"cm": ["_family_threshold"], "squarefree": ["module_l_cm_threshold"]}),
     ]:
         callers = {module: sorted(set(found)) for module, tree in trees.items()
                    for found in [_uses(tree, name)] if found}
         assert callers == owners, name
+    texts = {p.stem: p.read_text() for p in Path(lcmkit.__file__).parent.glob("*.py")}
+    for gone in ("_drop_vertex", "_deletion_fails"):
+        assert not [module for module, text in texts.items() if gone in text], gone
+    assert "_deletion_masks" not in texts["posets"] and "_smallest_failing_deletion" not in texts["posets"]
     search = next(node for node in trees["cm"].body
                   if isinstance(node, ast.FunctionDef) and node.name == "_smallest_failing_deletion")
     assert [a.arg for a in search.args.args] == ["root", "groups", "cap", "child", "fails"]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -49,6 +50,11 @@ def test_fieldspec():
         FieldSpec.prime(2**31 + 11)
     with pytest.raises(ValueError):
         FieldSpec.parse("z")
+    with pytest.raises(ValueError, match="^bad field flag 'p:x': "):
+        FieldSpec.parse("p:x")
+    for p in (1, -3, 9):  # below 2, and odd with an odd factor
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            FieldSpec(p)
     # a characteristic that is not exactly an int: 2.0 reached the exact
     # kernel (pow() refused its float modulus), and False read as Q and
     # shared Q's cache keys
@@ -116,10 +122,11 @@ def test_rank_against_oracles_on_torsion_matrices(seed, p, mixed):
         want = gauss_rank_fractions(rows)
     entries = rows
     if mixed:
-        # The first row gets bools for its 0/1 entries, every other row is
-        # divided by a unit of Q, GF(2) and GF(3): the rank is unchanged,
-        # but the entries are no longer all ints.
-        entries = [[bool(v) if v in (0, 1) else v for v in rows[0]]]
+        # The first row gets Fractions with denominator 1 for its 0/1
+        # entries, every other row is divided by a unit of Q, GF(2) and
+        # GF(3): the rank is unchanged, but the entries are no longer all
+        # ints.
+        entries = [[Fraction(v) if v in (0, 1) else v for v in rows[0]]]
         for row in rows[1:]:
             unit = rng.choice((1, 5, 7))
             entries.append([Fraction(v, unit) for v in row])
@@ -225,14 +232,29 @@ def test_torsion_and_converted_entries_are_not_certified():
     assert rank(d2, GF2) == 9
     assert certified_rank(SparseMatrix.from_rows([[1, 0], [0, -1]])) == (2, True)
     assert certified_rank(boundary(boundary_simplex(3), 2)) == (3, True)
-    # Fractions and bools are converted first, so nothing is certified
+    # Fractions are converted first, so nothing is certified
     assert certified_rank(SparseMatrix.from_rows([[Fraction(1, 2)]])) == (1, False)
-    assert certified_rank(SparseMatrix.from_rows([[True, 0], [0, 1]])) == (2, False)
+    assert certified_rank(SparseMatrix.from_rows([[Fraction(1), 0], [0, 1]])) == (2, False)
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize("p", [0, 3])
+def test_rank_refuses_entries_that_are_not_ints_or_fractions(entry, p):
+    # over GF(3) 0.5 was truncated to 0, so [[0.5, 1], [1, 2]] read rank 2
+    # where Fraction(1, 2) gives 1; over Q a float raised AttributeError
+    half = SparseMatrix.from_rows([[Fraction(1, 2), 1], [1, 2]])
+    assert rank(half, FieldSpec(p)) == 1
+    with pytest.raises(ValueError, match=rf"^matrix entry {re.escape(repr(entry))} is not an int or a Fraction$"):
+        rank(SparseMatrix.from_rows([[entry, 1], [1, 2]]), FieldSpec(p))
 
 
 def test_sparse_matrix_validation():
     with pytest.raises(ValueError):
         SparseMatrix(1, 1, {(2, 0): 1})
+    with pytest.raises(ValueError, match="^matrix dimensions must be >= 0$"):
+        SparseMatrix(-1, 2)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        SparseMatrix.from_rows([[1, 0], [1]])
     m = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 0})
     assert (1, 1) not in m.entries  # zeros are not stored
 

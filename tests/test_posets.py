@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -122,6 +123,16 @@ def test_invalid_posets():
         )
     with pytest.raises(PosetValidationError):
         SimplicialPoset.build(["o", "a"], "o", [("o", "a"), ("a", "o")])
+    # a cover that is no pair of ids raised a bare ValueError or TypeError
+    for cover in [("o", "a", "b"), 1]:
+        with pytest.raises(PosetValidationError, match=rf"^cover {re.escape(repr(cover))} is not a pair of element ids$"):
+            SimplicialPoset.build(["o", "a", "b"], "o", [cover])
+    with pytest.raises(KeyError, match="no element 'x'"):
+        glued_simplices(1, 1).index_of("x")
+    with pytest.raises(ValueError, match="^need d >= 1 and m >= 1$"):
+        glued_simplices(0, 1)
+    with pytest.raises(ValueError, match="^need n >= 1 and rank >= 1$"):
+        random_simplicial_poset(0, 1, 0)
 
 
 @pytest.mark.parametrize("ids, bottom, covers, message", [
@@ -215,6 +226,9 @@ def test_restrict_poset():
     assert r.size == 4
     assert restrict_poset(g22, {1, 2, 3}) == g22
     assert delete_atoms(g22, {3}) == r
+    for keep in [{0, 1}, {4}]:
+        with pytest.raises(ValueError, match="^atom subset out of range$"):
+            restrict_poset(g22, keep)
 
 
 def test_restrict_face_poset_commutes(fieldspec):
@@ -238,6 +252,8 @@ def test_poset_skeleton():
     assert sphere.max_rank() == 2
     fp = face_poset(boundary_simplex(3))
     assert poset_skeleton(fp, 2) == face_poset(boundary_simplex(3).skeleton(1))
+    with pytest.raises(ValueError, match="^skeleton rank must be >= 0$"):
+        poset_skeleton(fp, -1)
 
 
 def test_order_complex_shapes():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -107,6 +108,9 @@ def test_restrict():
     assert restrict(om, {2, 3}).is_zero
     assert delete_variables(om, {1}).is_zero
     assert not delete_variables(om, {3}).is_zero
+    for keep in [(0, 1), (5,)]:
+        with pytest.raises(ValueError, match="^variable subset out of range$"):
+            restrict(m, keep)
 
 
 def test_module_skeleton():
@@ -116,6 +120,8 @@ def test_module_skeleton():
         assert module_skeleton(m, i) == from_complex(bd3.skeleton(i - 1))
     assert module_skeleton(m, 5) == m
     assert module_skeleton(omega_module(3, {1, 2}), 1).is_zero
+    with pytest.raises(ValueError, match="^skeleton index must be >= 0$"):
+        module_skeleton(m, -1)
 
 
 def test_koszul_omega_by_hand():
@@ -472,6 +478,8 @@ def test_canonical_requires_cm():
         canonical_betti(koszul_betti(two_edges, QQ), 4, 2)
     with pytest.raises(RequiresCohenMacaulayError):
         is_2cm_via_canonical(two_edges, QQ)
+    with pytest.raises(ZeroModuleError, match="^the 2-CM test is for nonzero modules$"):
+        is_2cm_via_canonical(SquarefreeModule(2, {}), QQ)
 
 
 def test_2cm_via_canonical(fieldspec):
@@ -753,6 +761,20 @@ def test_module_shape_validation():
         SquarefreeModule(True, {(): 1, (1,): 1}, {((), 1): [[1]]})
     with pytest.raises(ValueError, match="^ambient variable count 1.0 is not an integer$"):
         SquarefreeModule(1.0, {(): 1})
+    with pytest.raises(ValueError, match="^ambient variable count must be >= 0$"):
+        SquarefreeModule(-1, {})
+    with pytest.raises(ValueError, match="^component dimensions must be >= 0$"):
+        SquarefreeModule(1, {(): -1})
+    # a degree that is no set of vertices, a map key that is no (degree,
+    # variable) pair and a map that is no list of rows raised TypeError or
+    # "too many values to unpack"; each names the key it was given
+    with pytest.raises(ValueError, match="^degree 1 is not a set of vertices$"):
+        SquarefreeModule(2, {1: 1})
+    with pytest.raises(ValueError, match="^degree 1 is not a set of vertices$"):
+        SquarefreeModule(2, {(): 1, (2,): 1}, {(1, 2): ((1,),)})
+    for key, mat in [(((), 1, 2), [[1]]), (1, [[1]]), (((),), [[1]]), (((), 1), [1]), (((), 1), 1)]:
+        with pytest.raises(ValueError, match=rf"^map {re.escape(repr(key))} needs a \(degree, variable\) key and a list of rows$"):
+            SquarefreeModule(1, {(): 1, (1,): 1}, {key: mat})
     # a map's variable or a degree's vertex must be exactly an int: 1.0 as a
     # variable raised TypeError from the bit shift, and True passed as
     # variable or vertex 1
@@ -822,6 +844,11 @@ def test_module_file_parse_errors():
         parse_module_file("n 2\nn 3\ncomp - 1\n")
     with pytest.raises(ParseError, match="^line 2: bad integer in 'comp 1 x'$"):
         parse_module_file("n 2\ncomp 1 x\n")
+    with pytest.raises(ParseError, match="^line 2: bad degree '1,x'$"):
+        parse_module_file("n 2\ncomp 1,x 1\n")
+    # what the module door refuses is a parse error too
+    with pytest.raises(ParseError, match=r"^degree \[3\] outside 1\.\.2$"):
+        parse_module_file("n 2\ncomp 3 1\n")
 
 
 def test_glued_edges_module_is_free_but_not_degree_zero_generated():

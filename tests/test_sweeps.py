@@ -62,6 +62,8 @@ def test_enumerate_unique_and_covering():
 def test_enumerate_cap():
     with pytest.raises(TooLargeError):
         next(iter(enumerate_complexes(6)))
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        next(iter(enumerate_complexes(0)))
 
 
 def test_random_complex_deterministic_and_dense():
@@ -72,6 +74,9 @@ def test_random_complex_deterministic_and_dense():
     assert random_complex(5, 0.0, 0).facets == frozenset(
         frozenset([v]) for v in range(1, 6)
     )
+    for n in (0, 13):
+        with pytest.raises(ValueError, match="^random complexes support 1 <= n <= 12$"):
+            random_complex(n, 0.5, 0)
 
 
 def test_standard_instances_contents():
