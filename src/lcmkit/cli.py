@@ -2,9 +2,15 @@
 
 Verdict subcommands print `true`/`false` (or an integer for `--max`) and
 exit 0 either way; exit 1 is reserved for verification sweeps that found a
-counterexample, 2 for usage errors, 3 for parse/validation errors, and 4 for
-violated preconditions such as requesting the canonical Betti table of a
-non-Cohen-Macaulay input.
+counterexample and 2 for usage errors.  A parse or validation error (a
+``ParseError``, a ``PosetValidationError`` or an ``OSError`` from reading
+the input) exits 3; every other error exits 4, the violated preconditions
+such as requesting the canonical Betti table of a non-Cohen-Macaulay input.
+A ``ValueError`` always exits 4, even when it is also an ``OSError``.
+
+Complexes and posets answer the same two questions, Cohen-Macaulay and
+l-CM, through one handler each: a subcommand binds its reader and verdict
+functions to the handler with ``set_defaults``.
 """
 
 from __future__ import annotations
@@ -19,16 +25,7 @@ from . import complexes as cxmod
 from . import posets as pmod
 from . import squarefree as sqmod
 from . import sweeps
-from .errors import (
-    InvalidFaceError,
-    InvalidModuleError,
-    LcmkitError,
-    ParseError,
-    RequiresCohenMacaulayError,
-    TooLargeError,
-    VoidComplexError,
-    ZeroModuleError,
-)
+from .errors import LcmkitError, ParseError, PosetValidationError, TooLargeError
 from .linalg import FieldSpec
 
 EXIT_OK = 0
@@ -37,16 +34,9 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
 
-# Every other error a subcommand raises is a parse or validation error.
-_PRECONDITION_ERRORS = (
-    VoidComplexError,
-    InvalidFaceError,
-    ZeroModuleError,
-    InvalidModuleError,
-    RequiresCohenMacaulayError,
-    TooLargeError,
-    ValueError,
-)
+# The parse and validation errors; every other error a subcommand raises is
+# a violated precondition.
+_PARSE_ERRORS = (ParseError, PosetValidationError, OSError)
 
 
 def _read_input(path: str) -> str:
@@ -85,19 +75,18 @@ def _bool_word(value: bool) -> str:
 
 
 def _cmd_cm(args) -> int:
-    delta = cxmod.parse_facet_file(_read_input(args.file))
-    verdict = cmod.is_cohen_macaulay(delta, _field(args.field))
-    sys.stdout.write(_bool_word(verdict) + "\n")
+    subject = args.read(_read_input(args.file))
+    sys.stdout.write(_bool_word(args.is_cm(subject, _field(args.field))) + "\n")
     return EXIT_OK
 
 
 def _cmd_lcm(args) -> int:
-    delta = cxmod.parse_facet_file(_read_input(args.file))
+    subject = args.read(_read_input(args.file))
     spec = _field(args.field)
     if args.max:
-        sys.stdout.write(f"{cmod.max_l(delta, spec)}\n")
+        sys.stdout.write(f"{args.max_l(subject, spec)}\n")
     else:
-        sys.stdout.write(_bool_word(cmod.is_l_cm(delta, args.l, spec)) + "\n")
+        sys.stdout.write(_bool_word(args.is_l_cm(subject, args.l, spec)) + "\n")
     return EXIT_OK
 
 
@@ -127,22 +116,6 @@ def _cmd_restrict(args) -> int:
     return EXIT_OK
 
 
-def _cmd_poset_cm(args) -> int:
-    poset = pmod.parse_poset_file(_read_input(args.file))
-    sys.stdout.write(_bool_word(pmod.is_poset_cm(poset, _field(args.field))) + "\n")
-    return EXIT_OK
-
-
-def _cmd_poset_lcm(args) -> int:
-    poset = pmod.parse_poset_file(_read_input(args.file))
-    spec = _field(args.field)
-    if args.max:
-        sys.stdout.write(f"{pmod.max_poset_l(poset, spec)}\n")
-    else:
-        sys.stdout.write(_bool_word(pmod.is_poset_l_cm(poset, args.l, spec)) + "\n")
-    return EXIT_OK
-
-
 def _cmd_poset_module(args) -> int:
     poset = pmod.parse_poset_file(_read_input(args.file))
     sys.stdout.write(sqmod.format_module_file(pmod.face_ring_module(poset)))
@@ -150,15 +123,7 @@ def _cmd_poset_module(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    kind = args.shape
-    if kind == "boundary-simplex":
-        sys.stdout.write(cxmod.format_facet_file(cxmod.boundary_simplex(args.d)))
-    elif kind == "cycle":
-        sys.stdout.write(cxmod.format_facet_file(cxmod.cycle(args.m)))
-    elif kind == "rp2":
-        sys.stdout.write(cxmod.format_facet_file(cxmod.real_projective_plane()))
-    elif kind == "glued":
-        sys.stdout.write(pmod.format_poset_file(pmod.glued_simplices(args.d, args.m)))
+    sys.stdout.write(args.make(args))
     return EXIT_OK
 
 
@@ -212,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cm", help="Cohen-Macaulay verdict for a facet file")
     add_input(p)
     add_field(p)
-    p.set_defaults(func=_cmd_cm)
+    p.set_defaults(func=_cmd_cm, read=cxmod.parse_facet_file, is_cm=cmod.is_cohen_macaulay)
 
     p = sub.add_parser("lcm", help="l-CM verdict or the maximal l")
     add_input(p)
@@ -220,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--l", type=int, help="check this l")
     group.add_argument("--max", action="store_true", help="print the largest l")
-    p.set_defaults(func=_cmd_lcm)
+    p.set_defaults(func=_cmd_lcm, read=cxmod.parse_facet_file, is_l_cm=cmod.is_l_cm, max_l=cmod.max_l)
 
     p = sub.add_parser("betti", help="Betti table of the face ring as TSV")
     add_input(p)
@@ -244,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poset-cm", help="Cohen-Macaulay verdict for a poset file")
     add_input(p)
     add_field(p)
-    p.set_defaults(func=_cmd_poset_cm)
+    p.set_defaults(func=_cmd_cm, read=pmod.parse_poset_file, is_cm=pmod.is_poset_cm)
 
     p = sub.add_parser("poset-lcm", help="l-CM verdict for a poset file")
     add_input(p)
@@ -252,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--l", type=int)
     group.add_argument("--max", action="store_true")
-    p.set_defaults(func=_cmd_poset_lcm)
+    p.set_defaults(func=_cmd_lcm, read=pmod.parse_poset_file, is_l_cm=pmod.is_poset_l_cm,
+                   max_l=pmod.max_poset_l)
 
     p = sub.add_parser("poset-module", help="face ring of a poset as a module file")
     add_input(p)
@@ -262,12 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = p.add_subparsers(dest="shape", required=True)
     g = gsub.add_parser("boundary-simplex")
     g.add_argument("-d", type=int, required=True)
+    g.set_defaults(make=lambda a: cxmod.format_facet_file(cxmod.boundary_simplex(a.d)))
     g = gsub.add_parser("cycle")
     g.add_argument("-m", type=int, required=True)
+    g.set_defaults(make=lambda a: cxmod.format_facet_file(cxmod.cycle(a.m)))
     g = gsub.add_parser("glued")
     g.add_argument("-d", type=int, required=True)
     g.add_argument("-m", type=int, required=True)
-    gsub.add_parser("rp2")
+    g.set_defaults(make=lambda a: pmod.format_poset_file(pmod.glued_simplices(a.d, a.m)))
+    g = gsub.add_parser("rp2")
+    g.set_defaults(make=lambda a: cxmod.format_facet_file(cxmod.real_projective_plane()))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="run a verification sweep")
@@ -290,7 +260,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (LcmkitError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_PRECONDITION if isinstance(e, _PRECONDITION_ERRORS) else EXIT_PARSE
+        # io.UnsupportedOperation is an OSError and a ValueError: it exits 4
+        parse = not isinstance(e, ValueError) and isinstance(e, _PARSE_ERRORS)
+        return EXIT_PARSE if parse else EXIT_PRECONDITION
 
 
 def console_main() -> None:

@@ -213,8 +213,8 @@ def _smallest_failing_deletion(root, groups: list[int], cap: int, child, fails) 
     union of some k of the group bitmasks; cap+1 if there is none.  This is
     the one l-CM search.  ``_family_threshold`` runs it for complexes and
     posets, whose state is a deletion's facets, and
-    ``squarefree.module_l_cm_threshold`` for modules, whose state is the
-    deleted mask.
+    ``squarefree._module_deletion_threshold`` for modules, whose state is
+    the deleted mask.
 
     ``root`` is the state of the empty deletion, and ``child(state, group)``
     the state of a deletion one group larger.  The search walks level k+1

@@ -145,11 +145,16 @@ class FieldSpec:
 
     def normalize(self, value):
         """Canonical representative of ``value`` in this field; over GF(p) a
-        fraction's denominator is inverted."""
+        fraction's denominator is inverted.  Over every field a value that is
+        not exactly an ``int`` or a ``Fraction`` (a float, a bool, a str) is
+        refused with ``ValueError``, as ``rank`` refuses it: over GF(p) a
+        float would be truncated."""
+        if type(value) is not int and type(value) is not Fraction:
+            raise ValueError(f"field element {value!r} is not an int or a Fraction")
         p = self.characteristic
         if not p:
             return value
-        if isinstance(value, Fraction):
+        if type(value) is Fraction:
             den = value.denominator % p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {p}")

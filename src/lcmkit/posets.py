@@ -51,8 +51,11 @@ class SimplicialPoset:
     pass and take no part in comparison.
     ``_chain_masks``, the facets of the order complex, is built on first
     use and kept.
-    Each [bottom, x] has 2^rank(x) elements of distinct supports, so y <= z
-    exactly when supp(y) lies in supp(z).  Instances are built through
+    Each [bottom, x] has 2^rank(x) elements of distinct supports, so for y
+    and z inside one such interval, y <= z exactly when supp(y) lies in
+    supp(z).  Across intervals a support does not fix the order: the two
+    tops of ``glued_simplices(1, 2)`` share their support, and neither lies
+    below the other.  Instances are built through
     ``build`` or the generators, which validate every invariant.
     """
 

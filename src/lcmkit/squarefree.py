@@ -474,9 +474,8 @@ def is_module_cm(module: SquarefreeModule, fieldspec: FieldSpec) -> bool:
 
 def is_module_l_cm(module: SquarefreeModule, l: int, fieldspec: FieldSpec) -> bool:
     """True iff deleting any fewer than l variables leaves the zero module or
-    a Cohen-Macaulay module of unchanged dimension.  Every cap reads the
-    full threshold: one Koszul table answers them all."""
-    return _is_l_cm(l, module.n, lambda m, fs, cap: module_l_cm_threshold(m, fs), module, fieldspec)
+    a Cohen-Macaulay module of unchanged dimension."""
+    return _is_l_cm(l, module.n, _module_deletion_threshold, module, fieldspec)
 
 
 def max_module_l(module: SquarefreeModule, fieldspec: FieldSpec) -> int:
@@ -487,7 +486,13 @@ def max_module_l(module: SquarefreeModule, fieldspec: FieldSpec) -> int:
 def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int:
     """Smallest number of deleted variables leaving a nonzero module that is
     not Cohen-Macaulay or has smaller dimension; n+1 when every deletion
-    passes.  The module is l-CM exactly when this threshold is >= l.
+    passes.  The module is l-CM exactly when this threshold is >= l."""
+    return _module_deletion_threshold(module, fieldspec, module.n)
+
+
+def _module_deletion_threshold(module: SquarefreeModule, fieldspec: FieldSpec, cap: int) -> int:
+    """The deletion search with the given cap: the smallest failing deletion
+    of at most cap variables, cap+1 when none fails.
 
     One Koszul table serves every deletion: the restriction to the kept
     variables W has the entries of the table at the degrees inside W
@@ -504,7 +509,7 @@ def module_l_cm_threshold(module: SquarefreeModule, fieldspec: FieldSpec) -> int
         pd = max(i for i, deg in entries if not deg & drop)
         return max(kept) != d or pd != n - drop.bit_count() - d
 
-    return _smallest_failing_deletion(0, [1 << b for b in range(n)], n, int.__or__, fails)
+    return _smallest_failing_deletion(0, [1 << b for b in range(n)], cap, int.__or__, fails)
 
 
 # -- Betti-table characterizations ----------------------------------------------------

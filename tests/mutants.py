@@ -134,7 +134,7 @@ MUTANTS = (
         "l-cm-cap-unclipped", "cm.py",
         "    cap = min(l - 1, n)\n",
         "    cap = l - 1\n",
-        ("tests/test_squarefree.py::test_is_module_l_cm",),
+        ("tests/test_squarefree.py::test_a_module_l_cm_verdict_visits_no_deletion_past_its_cap",),
     ),
     Mutant(
         "kept-dimension-of-empty-family", "cm.py",
@@ -387,6 +387,24 @@ MUTANTS = (
         "            if not all(type(v) is int for f in faces for v in f):\n",
         "            if not all(isinstance(v, int) for f in faces for v in f):\n",
         ("tests/test_complexes.py::test_from_facets_rejects_bad_vertices",),
+    ),
+    Mutant(
+        "module-search-ignores-its-cap", "squarefree.py",
+        "    return _smallest_failing_deletion(0, [1 << b for b in range(n)], cap, int.__or__, fails)\n",
+        "    return _smallest_failing_deletion(0, [1 << b for b in range(n)], n, int.__or__, fails)\n",
+        ("tests/test_squarefree.py::test_a_module_l_cm_verdict_visits_no_deletion_past_its_cap",),
+    ),
+    Mutant(
+        "normalize-takes-any-number", "linalg.py",
+        "        if type(value) is not int and type(value) is not Fraction:\n",
+        "        if isinstance(value, str):\n",
+        ("tests/test_linalg.py::test_fieldspec",),
+    ),
+    Mutant(
+        "os-value-error-exits-as-a-parse-error", "cli.py",
+        "        parse = not isinstance(e, ValueError) and isinstance(e, _PARSE_ERRORS)\n",
+        "        parse = isinstance(e, _PARSE_ERRORS)\n",
+        ("tests/test_cli.py::test_exit_code_of_each_caught_error",),
     ),
 )
 

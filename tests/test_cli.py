@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import re
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from lcmkit import cli, sweeps
+from lcmkit import cli, errors, sweeps
 from lcmkit.complexes import cycle, format_facet_file, parse_facet_file
 from lcmkit.posets import format_poset_file, glued_simplices
 
@@ -207,3 +208,103 @@ def test_one_parser_serves_every_call():
     assert in_turn == first
     assert [code for code, _, _ in first] == [0, 0, 2, 0]
     assert "not allowed with argument" in first[2][2]
+
+
+def test_cli_reads_an_input_file_path(tmp_path):
+    # every other run here reads stdin or a missing file; this one opens a
+    # facet file and a poset file by path
+    facets = tmp_path / "c4.facets"
+    facets.write_text(C4_FILE, encoding="utf-8")
+    poset = tmp_path / "glued.poset"
+    poset.write_text(format_poset_file(glued_simplices(2, 2)), encoding="utf-8")
+    assert run_cli(["cm", str(facets)]) == (0, "true\n", "")
+    assert run_cli(["lcm", "--max", str(facets)]) == (0, "2\n", "")
+    assert run_cli(["poset-lcm", "--l", "2", str(poset)]) == (0, "false\n", "")
+    assert run_cli(["poset-cm", str(poset)]) == run_cli(["poset-cm"], poset.read_text())
+
+
+# every error type main catches, and the exit code it maps to: the parse
+# family exits 3, everything else 4, and a ValueError 4 even when it is
+# also an OSError (io.UnsupportedOperation)
+PARSE_FAMILY = (errors.ParseError, errors.PosetValidationError, errors.MultipleMinimalError,
+                errors.NonBooleanIntervalError, errors.RankMismatchError)
+CAUGHT = [
+    *[(cls("boom"), 3) for cls in PARSE_FAMILY],
+    (FileNotFoundError(2, "No such file or directory"), 3),
+    *[(cls("boom"), 4) for cls in (errors.VoidComplexError, errors.InvalidFaceError,
+                                   errors.ZeroModuleError, errors.InvalidModuleError,
+                                   errors.RequiresCohenMacaulayError, errors.TooLargeError)],
+    (ValueError("boom"), 4),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 4),
+    (io.UnsupportedOperation("boom"), 4),
+]
+
+
+def test_the_error_table_names_every_package_error():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    named = {type(e) for e, _ in CAUGHT}
+    assert subclasses(errors.LcmkitError) - {errors.LcmkitError} <= named
+
+
+@pytest.mark.parametrize("error, code", CAUGHT, ids=[type(e).__name__ for e, _ in CAUGHT])
+def test_exit_code_of_each_caught_error(monkeypatch, error, code):
+    def raise_it(path):
+        raise error
+
+    monkeypatch.setattr(cli, "_read_input", raise_it)
+    assert run_cli(["cm"]) == (code, "", f"error: {error}\n")
+
+
+SUBCOMMANDS = ["cm", "lcm", "betti", "skeleton", "restrict", "poset-cm", "poset-lcm",
+               "poset-module", "gen", "verify"]
+# the options of each subcommand that carry help text, and those that do not
+WITH_HELP = {
+    "cm": ({"file", "--field"}, set()),
+    "lcm": ({"file", "--field", "--l", "--max"}, set()),
+    "betti": ({"file", "--field", "--canonical"}, set()),
+    "skeleton": ({"file"}, {"-i"}),
+    "restrict": ({"file", "--keep", "--drop"}, set()),
+    "poset-cm": ({"file", "--field"}, set()),
+    "poset-lcm": ({"file", "--field"}, {"--l", "--max"}),
+    "poset-module": ({"file"}, set()),
+    "gen": (set(), {"shape"}),
+    "verify": ({"--n", "--seed", "--fields"}, {"sweep"}),
+    "gen boundary-simplex": (set(), {"-d"}),
+    "gen cycle": (set(), {"-m"}),
+    "gen glued": (set(), {"-d", "-m"}),
+    "gen rp2": (set(), set()),
+}
+
+
+def _help_facts(parser, prefix=""):
+    """The subcommands of ``parser`` in order with their help texts, and
+    {command: (options with help text, options without)} for every
+    subcommand, a nested one named as "gen cycle"."""
+    subs = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if subs is None:
+        return [], {}
+    order = [(a.dest, a.help) for a in subs._choices_actions]
+    facts = {}
+    for name, sub in subs.choices.items():
+        options = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        names = {a: a.option_strings[0] if a.option_strings else a.dest for a in options}
+        facts[prefix + name] = ({names[a] for a in options if a.help}, {names[a] for a in options if not a.help})
+        facts.update(_help_facts(sub, f"{prefix}{name} ")[1])
+    return order, facts
+
+
+def test_help_lists_the_subcommands_in_order_with_their_help():
+    # a byte snapshot of the help texts would break across Python versions;
+    # these are the facts they must keep
+    order, facts = _help_facts(cli.build_parser())
+    assert [name for name, _ in order] == SUBCOMMANDS
+    assert all(help_text for _, help_text in order)
+    assert facts == WITH_HELP
+    shapes = ["boundary-simplex", "cycle", "glued", "rp2"]
+    for command in [[], *([name] for name in SUBCOMMANDS), *(["gen", shape] for shape in shapes)]:
+        code, out, err = run_cli([*command, "--help"])
+        assert (code, err) == (0, "") and out.startswith(" ".join(["usage: lcmkit", *command]))
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in run_cli(["--help"])[1]
+    assert "{" + ",".join(shapes) + "}" in run_cli(["gen", "--help"])[1]

@@ -77,6 +77,15 @@ def test_rules_have_one_owner():
                for found in [_uses(tree, "_is_l_cm") + _uses(tree, "_max_l")] if found}
     assert callers == {"cm": ["is_l_cm", "max_l"], "posets": ["is_poset_l_cm", "max_poset_l"],
                        "squarefree": ["is_module_l_cm", "max_module_l"]}
+    # each front hands _is_l_cm a named threshold(subject, fieldspec, cap),
+    # so every l-CM search stops at the cap
+    for name in callers:
+        functions = {node.name: node for node in trees[name].body if isinstance(node, ast.FunctionDef)}
+        calls = [node for node in ast.walk(trees[name])
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_is_l_cm"]
+        assert len(calls) == 1, name
+        threshold = functions[calls[0].args[2].id]
+        assert [a.arg for a in threshold.args.args][1:] == ["fieldspec", "cap"], name
     src = Path(lcmkit.__file__).parent
     texts = {p.stem: p.read_text() for p in src.glob("*.py")}
     for needle, owner in [('"l must be >= 1"', "cm"), ("min(l - 1", "cm"), ('split("#"', "complexes"),
@@ -123,12 +132,13 @@ def test_deletion_families_are_built_from_their_parent():
     # it.  _family_threshold builds and judges the deletions of complexes
     # and posets alike, so posets name neither the helper nor the search.
     # The level walk is the one deletion search, on every front, and takes
-    # no option
+    # no option; the module front runs it from its capped threshold
     trees = _trees()
     for name, owners in [
         ("_deletion_masks", {"cm": ["_family_threshold", "hochster_betti"], "complexes": ["induced_subcomplex"]}),
         ("_family_threshold", {"cm": ["_deletion_threshold"], "posets": ["_atom_deletion_threshold"]}),
-        ("_smallest_failing_deletion", {"cm": ["_family_threshold"], "squarefree": ["module_l_cm_threshold"]}),
+        ("_smallest_failing_deletion", {"cm": ["_family_threshold"], "squarefree": ["_module_deletion_threshold"]}),
+        ("_module_deletion_threshold", {"squarefree": ["is_module_l_cm", "module_l_cm_threshold"]}),
     ]:
         callers = {module: sorted(set(found)) for module, tree in trees.items()
                    for found in [_uses(tree, name)] if found}

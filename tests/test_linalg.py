@@ -61,6 +61,16 @@ def test_fieldspec():
     for p in (2.0, False, True, 0.0, Fraction(3)):
         with pytest.raises(ValueError, match="is not an integer$"):
             FieldSpec(p)
+    # normalize takes exactly an int or a Fraction over every field: over
+    # GF(3) 0.5 read 0 and True read 1, and over Q a float passed unchanged
+    gf3 = FieldSpec.prime(3)
+    assert (gf3.normalize(-1), gf3.normalize(Fraction(1, 2))) == (2, 2)
+    assert QQ.normalize(Fraction(1, 2)) == Fraction(1, 2)
+    for spec in (QQ, gf3):
+        for value in (0.5, 1.0, True, False, "1"):
+            message = f"^field element {re.escape(repr(value))} is not an int or a Fraction$"
+            with pytest.raises(ValueError, match=message):
+                spec.normalize(value)
 
 
 def test_rank_examples():

@@ -85,6 +85,13 @@ def test_glued_simplices_validation_and_shape():
             tops = [x for x in range(p.size) if p.rank[x] == d + 1]
             assert len(tops) == m
     assert glued_simplices(2, 1).size == 2 ** 3  # boolean lattice of a triangle
+    # a support orders elements only inside one interval [bottom, x]: the
+    # two tops of glued_simplices(1, 2) share theirs, and neither is below
+    # the other
+    p = glued_simplices(1, 2)
+    t1, t2 = p.ids.index("T1"), p.ids.index("T2")
+    assert p.support_masks[t1] == p.support_masks[t2] == 0b11
+    assert not p.down_masks[t1] >> t2 & 1 and not p.down_masks[t2] >> t1 & 1
 
 
 def test_glued_simplices_ids_and_covers_follow_the_definition():

@@ -407,6 +407,62 @@ def test_module_l_cm_equals_complex_l_cm(fieldspec):
             assert is_module_l_cm(m, l, fieldspec) == is_l_cm(delta, l, fieldspec)
 
 
+def _capped_search_modules():
+    """Face rings of the complex scope on <= 4 vertices with their nonzero
+    module skeleta, face rings of posets, and the omega modules on <= 4
+    variables."""
+    out = []
+    for _, delta in complex_scope(max_n=4):
+        if delta.facet_masks:
+            m = from_complex(delta)
+            out += [m, *(s for i in range(module_dim(m)) if not (s := module_skeleton(m, i)).is_zero)]
+    out += [face_ring_module(poset) for _, poset in poset_instances(random_count=20)]
+    out += [omega_module(n, deg) for n in range(1, 5) for k in range(n + 1)
+            for deg in combinations(range(1, n + 1), k)]
+    return out
+
+
+@pytest.mark.parametrize("fieldspec", [QQ, GF2, GF3], ids=["Q", "GF2", "GF3"])
+def test_capped_module_verdicts_match_the_full_threshold(fieldspec):
+    # is_module_l_cm stops its search at min(l - 1, n) deleted variables.
+    # The levels are visited in order and the first failure ends the
+    # search, so for every l the verdict is the full threshold's > min(l - 1, n)
+    modules = _capped_search_modules()
+    assert len(modules) > 400
+    seen = set()
+    for m in modules:
+        full = module_l_cm_threshold(m, fieldspec)
+        seen.add(full)
+        for l in range(1, m.n + 2):
+            assert is_module_l_cm(m, l, fieldspec) == (full > min(l - 1, m.n)), (m, l)
+    assert {0, 1, 2, 3} <= seen
+
+
+def test_a_module_l_cm_verdict_visits_no_deletion_past_its_cap(monkeypatch):
+    # on a CM module, l = 1 asks only the empty deletion, and l = 2 the
+    # single variables after it; an l past n + 1 asks for no more than n
+    # variables, so the search never walks empty levels
+    real = squarefree._smallest_failing_deletion
+    caps, tested = [], []
+
+    def counted(root, groups, cap, child, fails):
+        caps.append(cap)
+        return real(root, groups, cap, child, lambda drop: tested.append(drop) or fails(drop))
+
+    monkeypatch.setattr(squarefree, "_smallest_failing_deletion", counted)
+
+    def verdict(module, l):
+        caps.clear()
+        tested.clear()
+        return is_module_l_cm(module, l, QQ)
+
+    c4 = from_complex(cycle(4))
+    assert verdict(c4, 1) and (caps, tested) == ([0], [0])
+    assert verdict(c4, 2) and (caps, tested) == ([1], [0, 1, 2, 4, 8])
+    assert not verdict(c4, 3) and tested[-1] == 0b101  # {1, 3} drops the dimension
+    assert verdict(omega_module(2, ()), 4) and (caps, tested) == ([2], [0, 1, 2, 3])
+
+
 def test_module_threshold_matches_definition_oracle(fieldspec):
     for n in range(1, 5):
         for delta in enumerate_complexes(n):

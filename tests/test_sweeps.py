@@ -2,9 +2,11 @@ import hashlib
 
 import pytest
 
+from lcmkit import cm, posets, squarefree, sweeps
 from lcmkit.complexes import SimplicialComplex, cycle, full_simplex
 from lcmkit.errors import TooLargeError
 from lcmkit.linalg import QQ
+from lcmkit.posets import face_poset, glued_simplices
 from lcmkit.sweeps import (
     SweepReport,
     enumerate_complexes,
@@ -212,3 +214,74 @@ def test_oracle_sweep_reports_differing_degrees(monkeypatch):
     # the Hochster table of C4 has (0,-), (1,{1,3}), (1,{2,4}) and (2,{1,2,3,4})
     assert report.failures == [
         ("c4", "field=Q", "koszul!=hochster at [(1, (1, 3)), (1, (2, 4)), (2, (1, 2, 3, 4))]", "")]
+
+
+def _glued_2_1_only(base_seed):
+    return [("glued_2_1", glued_simplices(2, 1))]
+
+
+# (lies: (module, name, fake), sweep, its exact report): each lie makes one
+# verdict a sweep reads come out wrong, so the sweep must print the
+# failure line it records there, and the FAIL summary
+LIES = {
+    "thm25-betti": ([(squarefree, "thm25_condition_ii", lambda table, n, d, l: True)],
+                    lambda: sweep_thm25(scope=[("cycle_4", cycle(4))], fields=(QQ,)),
+                    ["thm25\tcycle_4\tfield=Q l=3\tdeletion=False\tbetti=True dual=False",
+                     "thm25\tcycle_4\tfield=Q l=4\tdeletion=False\tbetti=True dual=False",
+                     "thm25\tcycle_4\tfield=Q l=5\tdeletion=False\tbetti=True dual=False",
+                     "thm25\tinstances=1\tfailures=3\tFAIL"]),
+    "thm25-dual": ([(squarefree, "thm25_condition_iii", lambda table, l: False)],
+                   lambda: sweep_thm25(scope=[("cycle_4", cycle(4))], fields=(QQ,)),
+                   ["thm25\tcycle_4\tfield=Q l=2\tdeletion=True\tbetti=True dual=False",
+                    "thm25\tinstances=1\tfailures=1\tFAIL"]),
+    "routes-thresholds": ([(squarefree, "module_l_cm_threshold", lambda module, spec: 2)],
+                          lambda: sweep_routes(posets=[("glued_1_2", glued_simplices(1, 2))], fields=(QQ,)),
+                          ["routes\tglued_1_2\tfield=Q l=2\tposet=False\tmodule=True",
+                           "routes\tinstances=1\tfailures=1\tFAIL"]),
+    "routes-order-complex": ([(cm, "is_l_cm", lambda delta, l, spec: False)],
+                             lambda: sweep_routes(posets=[("face_c4", face_poset(cycle(4)))], fields=(QQ,)),
+                             ["routes\tface_c4\tfield=Q\tposet 2-CM\torder complex not 2-CM",
+                              "routes\tinstances=1\tfailures=1\tFAIL"]),
+    "thm12-complex": ([(cm, "is_l_cm", lambda delta, l, spec: False)],
+                      lambda: sweep_skeleton("thm12", complexes=[("cycle_4", cycle(4))], fields=(QQ,)),
+                      ["thm12\tcycle_4\tfield=Q i=0\tclaim 3-CM\tskeleton fails (deletion route)",
+                       "thm12\tinstances=1\tfailures=1\tFAIL"]),
+    "thm27-module": ([(squarefree, "is_module_l_cm", lambda module, l, spec: False)],
+                     lambda: sweep_skeleton("thm27", complexes=[("cycle_4", cycle(4))], fields=(QQ,)),
+                     ["thm27\tcycle_4\tfield=Q module i=0\tclaim 4-CM\tmodule skeleton fails",
+                      "thm27\tcycle_4\tfield=Q module i=1\tclaim 3-CM\tmodule skeleton fails",
+                      "thm27\tinstances=31\tfailures=2\tFAIL"]),
+    "thm44": ([(sweeps, "poset_instances", _glued_2_1_only),
+               (posets, "is_poset_l_cm", lambda poset, l, spec: False)],
+              lambda: sweep_skeleton("thm44", fields=(QQ,)),
+              ["thm44\tglued_2_1\tfield=Q i=1\tclaim 3-CM\tposet skeleton fails",
+               "thm44\tglued_2_1\tfield=Q i=2\tclaim 2-CM\tposet skeleton fails",
+               "thm44\tinstances=1\tfailures=2\tFAIL"]),
+    "remark45-cm": ([(posets, "is_poset_cm", lambda poset, spec: False)],
+                    lambda: sweep_remark45(fields=(QQ,)),
+                    [*(f"remark45\tglued_{d}_2\tfield=Q\texpected CM\tnot CM" for d in (1, 2, 3)),
+                     "remark45\tinstances=3\tfailures=3\tFAIL"]),
+    "remark45-2cm": ([(posets, "is_poset_l_cm", lambda poset, l, spec: True)],
+                     lambda: sweep_remark45(fields=(QQ,)),
+                     [*(f"remark45\tglued_{d}_2\tfield=Q\texpected not 2-CM\t2-CM" for d in (1, 2, 3)),
+                      "remark45\tinstances=3\tfailures=3\tFAIL"]),
+    "remark45-rank": ([(posets, "delete_atoms", lambda poset, atoms: poset)],
+                      lambda: sweep_remark45(fields=(QQ,)),
+                      [*(f"remark45\tglued_{d}_2\tfield=Q atom={v}\texpected rank drop\trank {d + 1}"
+                         for d in (1, 2, 3) for v in range(1, d + 2)),
+                       "remark45\tinstances=3\tfailures=9\tFAIL"]),
+    "remark45-order-complex": ([(cm, "is_l_cm", lambda delta, l, spec: False)],
+                               lambda: sweep_remark45(fields=(QQ,)),
+                               [*(f"remark45\tglued_{d}_2\tfield=Q\texpected 2-CM order complex\tnot 2-CM"
+                                  for d in (1, 2, 3)),
+                                "remark45\tinstances=3\tfailures=3\tFAIL"]),
+}
+
+
+@pytest.mark.parametrize("case", list(LIES))
+def test_every_sweep_failure_line(monkeypatch, case):
+    lies, sweep, want = LIES[case]
+    assert sweep().passed  # the true verdicts hold
+    for owner, name, fake in lies:
+        monkeypatch.setattr(owner, name, fake)
+    assert sweep().to_text().splitlines() == want
