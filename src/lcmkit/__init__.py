@@ -68,7 +68,9 @@ from .posets import (
 )
 from .sweeps import (
     SweepReport,
+    complex_scope,
     enumerate_complexes,
+    poset_instances,
     random_complex,
     standard_instances,
     sweep_oracle,
@@ -76,6 +78,7 @@ from .sweeps import (
     sweep_routes,
     sweep_skeleton,
     sweep_thm25,
+    sweep_thm44,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,11 @@ A ``ValueError`` always exits 4, even when it is also an ``OSError``.
 Complexes and posets answer the same two questions, Cohen-Macaulay and
 l-CM, through one handler each: a subcommand binds its reader and verdict
 functions to the handler with ``set_defaults``.
+
+``verify`` owns every sweep default: the exhaustive cap ``--n``, the seed
+of the random instances and the field set.  It builds the instance lists
+(``sweeps.complex_scope``, ``sweeps.poset_instances``) inside each timed
+sweep call and hands them to the sweep, which takes no default.
 """
 
 from __future__ import annotations
@@ -133,16 +138,18 @@ def _cmd_verify(args) -> int:
         raise TooLargeError(
             f"--n is capped at {sweeps.EXHAUSTIVE_CAP} for exhaustive sweeps"
         )
-    if args.sweep == "thm25":
-        runs = [lambda: sweeps.sweep_thm25(fields=fields, max_n=args.n, seed=args.seed)]
-    elif args.sweep == "oracle":
-        runs = [lambda: sweeps.sweep_oracle(fields=fields, max_n=args.n, seed=args.seed),
-                lambda: sweeps.sweep_routes(fields=fields, seed=args.seed)]
-    elif args.sweep in ("thm12", "thm27", "thm44"):
-        runs = [lambda: sweeps.sweep_skeleton(args.sweep, fields=fields, max_n=args.n,
-                                              seed=args.seed)]
-    elif args.sweep == "remark45":
-        runs = [lambda: sweeps.sweep_remark45(fields=fields)]
+    # each timed call builds its own instances, so the time covers the build
+    complexes = functools.partial(sweeps.complex_scope, args.n, args.seed)
+    posets = functools.partial(sweeps.poset_instances, base_seed=args.seed)
+    runs = {
+        "thm12": [lambda: sweeps.sweep_skeleton("thm12", complexes(), fields)],
+        "thm25": [lambda: sweeps.sweep_thm25(complexes(), fields)],
+        "thm27": [lambda: sweeps.sweep_skeleton("thm27", complexes(), fields)],
+        "thm44": [lambda: sweeps.sweep_thm44(posets(), fields)],
+        "remark45": [lambda: sweeps.sweep_remark45(fields)],
+        "oracle": [lambda: sweeps.sweep_oracle(complexes(), fields),
+                   lambda: sweeps.sweep_routes(posets(), fields)],
+    }[args.sweep]
     passed = True
     for sweep in runs:
         t0 = time.perf_counter()

@@ -158,7 +158,10 @@ def _is_l_cm(l: int, n: int, threshold, subject, fieldspec: FieldSpec) -> bool:
     """The l-CM verdict for a complex, poset or module with n vertices,
     atoms or variables.  ``threshold(subject, fieldspec, cap)`` is the
     smallest failing deletion of at most cap of them, cap+1 when none
-    fails; a deletion of more than n is never asked for."""
+    fails; a deletion of more than n is never asked for.  l must be
+    exactly an ``int`` of at least 1."""
+    if type(l) is not int:
+        raise ValueError(f"l {l!r} is not an integer")
     if l < 1:
         raise ValueError("l must be >= 1")
     cap = min(l - 1, n)

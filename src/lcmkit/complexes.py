@@ -22,7 +22,9 @@ it) checks that the vertex count is an ``int`` and that the facet masks
 are an antichain of nonempty faces.  A complex derived from one that
 passed it (a skeleton, link or induced subcomplex, an order complex, an
 enumerated or random complex) is built by ``_from_masks``, which takes
-masks that are an antichain by construction and checks nothing.
+masks that are an antichain by construction and checks nothing.  A
+subset of the vertices (atoms, variables) enters through ``_subset_mask``,
+which the subset doors of complexes, posets and modules share.
 """
 
 from __future__ import annotations
@@ -169,15 +171,12 @@ class SimplicialComplex:
 
     def induced_subcomplex(self, keep: Iterable[int]) -> "SimplicialComplex":
         """Faces contained in ``keep``, re-indexed onto 1..#keep order-preservingly."""
-        w = sorted(set(keep))
-        if any(v < 1 or v > self.vertex_count for v in w):
-            raise ValueError("vertex subset out of range")
+        keep = _subset_mask(keep, self.vertex_count, "vertex")
         if self.is_void:
-            return SimplicialComplex.void(len(w))
-        keep = _mask(w)
+            return SimplicialComplex.void(keep.bit_count())
         cut = _deletion_masks(self.facet_masks, ((1 << self.vertex_count) - 1) ^ keep)
         # maximal cut faces, all inside keep, relabelled in order: an antichain
-        return SimplicialComplex._from_masks(len(w), frozenset(_relabel_masks(cut, keep)) - {0})
+        return SimplicialComplex._from_masks(keep.bit_count(), frozenset(_relabel_masks(cut, keep)) - {0})
 
     def delete_vertices(self, drop: Iterable[int]) -> "SimplicialComplex":
         """Induced subcomplex on the complement of ``drop``."""
@@ -196,6 +195,8 @@ class SimplicialComplex:
 
     def skeleton(self, i: int) -> "SimplicialComplex":
         """All faces of dimension <= i, on the same vertex set."""
+        if type(i) is not int:
+            raise ValueError(f"skeleton index {i!r} is not an integer")
         if self.is_void:
             return self
         if i < 0:
@@ -218,6 +219,18 @@ class SimplicialComplex:
 def _mask(face: Iterable[int]) -> int:
     m = 0
     for v in face:
+        m |= 1 << (v - 1)
+    return m
+
+
+def _subset_mask(members: Iterable[int], n: int, what: str) -> int:
+    """The bitmask of a subset of 1..n, the one rule of the subset doors of
+    complexes, posets and modules: a member that is not exactly an ``int``
+    in 1..n is refused with "<what> subset out of range"."""
+    m = 0
+    for v in members:
+        if type(v) is not int or not 1 <= v <= n:
+            raise ValueError(f"{what} subset out of range")
         m |= 1 << (v - 1)
     return m
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _relabel_masks, _support, boundary_simplex, mask_to_face
+from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _relabel_masks, _subset_mask, _support, boundary_simplex, mask_to_face
 from .cm import _family_threshold, _is_l_cm, _max_l, is_cohen_macaulay
 from .errors import (
     MultipleMinimalError,
@@ -232,10 +232,8 @@ def _validate(ids: tuple[str, ...], bottom: int, covers: frozenset[tuple[int, in
 
 def restrict_poset(poset: SimplicialPoset, keep_atoms) -> SimplicialPoset:
     """Induced subposet of the elements supported inside the given atoms."""
-    w = frozenset(keep_atoms)
-    if not all(1 <= v <= poset.vertex_count for v in w):
-        raise ValueError("atom subset out of range")
-    drop = _support(1 << a for v, a in enumerate(poset.atoms, 1) if v not in w)
+    keep = _subset_mask(keep_atoms, poset.vertex_count, "atom")
+    drop = _support(1 << a for v, a in enumerate(poset.atoms) if not keep >> v & 1)
     return _induced_subposet(poset, [x for x, below in enumerate(poset.down_masks) if not below & drop])
 
 
@@ -246,6 +244,8 @@ def delete_atoms(poset: SimplicialPoset, drop_atoms) -> SimplicialPoset:
 
 def poset_skeleton(poset: SimplicialPoset, i: int) -> SimplicialPoset:
     """Induced subposet of the elements of rank <= i."""
+    if type(i) is not int:
+        raise ValueError(f"skeleton rank {i!r} is not an integer")
     if i < 0:
         raise ValueError("skeleton rank must be >= 0")
     return _induced_subposet(poset, [x for x in range(poset.size) if poset.rank[x] <= i])

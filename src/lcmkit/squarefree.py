@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .cm import BettiTable, _check_betti_size, _is_l_cm, _max_l, _smallest_failing_deletion
-from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _mask, _relabel_masks, mask_to_face
+from .complexes import SimplicialComplex, _bits, _content_lines, _face_key, _face_masks, _face_text, _mask, _relabel_masks, _subset_mask, mask_to_face
 from .errors import (
     InvalidModuleError,
     ParseError,
@@ -249,10 +249,7 @@ def omega_module(n: int, deg) -> SquarefreeModule:
 
 def restrict(module: SquarefreeModule, keep) -> SquarefreeModule:
     """Restriction to the variables in ``keep``, relabeled onto 1..#keep."""
-    w = set(keep)
-    if any(v < 1 or v > module.n for v in w):
-        raise ValueError("variable subset out of range")
-    wmask = _mask(w)
+    wmask = _subset_mask(keep, module.n, "variable")
     kept = [f for f in module.comp_masks if f & wmask == f]
     new = dict(zip(kept, _relabel_masks(kept, wmask)))
     comp = {new[f]: module.comp_masks[f] for f in kept}
@@ -264,7 +261,7 @@ def restrict(module: SquarefreeModule, keep) -> SquarefreeModule:
     # with the same maps, in the same order
     defects = [(*_relabel_masks((f, jb, kb), wmask), diff)
                for f, jb, kb, diff in module._defects if (f | jb | kb) & wmask == f | jb | kb]
-    return SquarefreeModule._from_masks(len(w), comp, mult, defects)
+    return SquarefreeModule._from_masks(wmask.bit_count(), comp, mult, defects)
 
 
 def delete_variables(module: SquarefreeModule, drop) -> SquarefreeModule:
@@ -273,6 +270,8 @@ def delete_variables(module: SquarefreeModule, drop) -> SquarefreeModule:
 
 def module_skeleton(module: SquarefreeModule, i: int) -> SquarefreeModule:
     """Quotient by all components in degrees of support size > i."""
+    if type(i) is not int:
+        raise ValueError(f"skeleton index {i!r} is not an integer")
     if i < 0:
         raise ValueError("skeleton index must be >= 0")
     comp = {f: d for f, d in module.comp_masks.items() if f.bit_count() <= i}

@@ -1,9 +1,11 @@
 """Instance generation and exhaustive verification sweeps.
 
-Each sweep walks a deterministic family of instances, evaluates both sides
-of an equivalence (or a claimed implication) by independent routes, and
-collects any disagreement into a report.  An empty failure list means the
-sweep passed.
+Each sweep walks the instances it is given over the fields it is given,
+evaluates both sides of an equivalence (or a claimed implication) by
+independent routes, and collects any disagreement into a report.  An empty
+failure list means the sweep passed.  A sweep has no default scope: the
+CLI's ``verify`` owns the default n, seed and fields and builds the
+instance lists with ``complex_scope`` and ``poset_instances``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from .complexes import (
     real_projective_plane,
 )
 from .errors import TooLargeError
-from .linalg import GF2, QQ, FieldSpec
+from .linalg import FieldSpec
 
 EXHAUSTIVE_CAP = 5
-
-DEFAULT_FIELDS: tuple[FieldSpec, ...] = (QQ, GF2)
 
 
 @dataclass
@@ -172,9 +172,9 @@ def _enumerated(max_n: int):
             yield f"enum_n{n}_{idx}", delta
 
 
-def complex_scope(max_n: int = 4, base_seed: int = 0) -> list[tuple[str, SimplicialComplex]]:
-    """Default complex instance list: exhaustive up to max_n, the standard
-    names, and five seeded random complexes on 6 vertices at density 0.5."""
+def complex_scope(max_n: int, base_seed: int) -> list[tuple[str, SimplicialComplex]]:
+    """The complex sweep suite: exhaustive up to max_n, the standard names,
+    and five seeded random complexes on 6 vertices at density 0.5."""
     return [*_enumerated(max_n), *standard_instances(),
             *((f"random_n6_d0.5_s{s}", random_complex(6, 0.5, s))
               for s in range(base_seed, base_seed + 5))]
@@ -183,15 +183,12 @@ def complex_scope(max_n: int = 4, base_seed: int = 0) -> list[tuple[str, Simplic
 # -- equivalence sweeps ------------------------------------------------------------
 
 
-def sweep_thm25(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
-                max_n: int = 4, seed: int = 0) -> SweepReport:
-    """For every Cohen-Macaulay face ring in scope and every l in 2..n+1,
-    checks that the deletion definition of l-CM, the Betti vanishing pattern,
-    and the canonical-dual vanishing pattern agree."""
+def sweep_thm25(complexes, fields: tuple[FieldSpec, ...]) -> SweepReport:
+    """For every Cohen-Macaulay face ring among the complexes and every l in
+    2..n+1, checks that the deletion definition of l-CM, the Betti vanishing
+    pattern, and the canonical-dual vanishing pattern agree."""
     report = SweepReport("thm25")
-    if scope is None:
-        scope = complex_scope(max_n=max_n, base_seed=seed)
-    for name, delta in scope:
+    for name, delta in complexes:
         n = delta.vertex_count
         d = delta.dimension() + 1
         module = None  # built for the first field over which delta is CM
@@ -223,14 +220,11 @@ def sweep_thm25(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
     return report
 
 
-def sweep_oracle(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
-                 max_n: int = 4, seed: int = 0) -> SweepReport:
+def sweep_oracle(complexes, fields: tuple[FieldSpec, ...]) -> SweepReport:
     """Koszul-homology Betti numbers of the face ring against the
     induced-subcomplex-homology route, entrywise."""
     report = SweepReport("oracle")
-    if scope is None:
-        scope = complex_scope(max_n=max_n, base_seed=seed)
-    for name, delta in scope:
+    for name, delta in complexes:
         module = sqmod.from_complex(delta)
         for spec in fields:
             report.instances_checked += 1
@@ -244,14 +238,11 @@ def sweep_oracle(scope=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
     return report
 
 
-def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
-                 seed: int = 0) -> SweepReport:
+def sweep_routes(posets, fields: tuple[FieldSpec, ...]) -> SweepReport:
     """Topological route (order complex of every atom deletion) against the
     algebraic route (face ring as a squarefree module), all l up to #V + 1;
     plus: a 2-CM poset has a 2-CM order complex."""
     report = SweepReport("routes")
-    if posets is None:
-        posets = poset_instances(base_seed=seed)
     for name, poset in posets:
         module = pmod.face_ring_module(poset)
         oc = None  # the order complex, built for the first field that needs it
@@ -278,52 +269,46 @@ def sweep_routes(posets=None, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
 # -- skeleton sweeps -----------------------------------------------------------------
 
 
-def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
-                   max_n: int = 4, complexes=None, seed: int = 0) -> SweepReport:
-    """Skeleton theorems.  scope selects the slice:
+def sweep_skeleton(scope: str, complexes, fields: tuple[FieldSpec, ...]) -> SweepReport:
+    """Skeleton theorems of complexes.  scope selects the slice:
 
     - "thm12": for complexes certified l-CM, the codimension-1 skeleton is
       (l+1)-CM (deletion route).
     - "thm27": for complexes and omega-type modules certified l-CM of
       dimension d, every module skeleton at i < d is (l+d-i)-CM; complex
       skeletons are also checked through the deletion route.
-    - "thm44": for posets certified l-CM of rank d, every rank skeleton at
-      1 <= i < d is (l+d-i)-CM.
     """
-    if scope not in ("thm12", "thm27", "thm44"):
+    if scope not in ("thm12", "thm27"):
         raise ValueError(f"unknown scope {scope!r}")
     report = SweepReport(scope)
 
-    if scope in ("thm12", "thm27"):
-        if complexes is None:
-            complexes = complex_scope(max_n=max_n, base_seed=seed)
-        for name, delta in complexes:
-            dim = delta.dimension()
-            claims = [dim - 1] if scope == "thm12" else range(0, dim)
-            # claimed skeletons, built for the first field that needs them
-            skeletons = module_skeletons = None
-            for spec in fields:
-                report.instances_checked += 1
-                l = cmod.max_l(delta, spec)
-                if l < 1 or dim < 1:
-                    continue
-                if skeletons is None:
-                    skeletons = [(i, delta.skeleton(i)) for i in claims]
-                for i, skel in skeletons:
-                    want = l + dim - i
-                    if not cmod.is_l_cm(skel, want, spec):
-                        report.record(name, f"field={spec.label()} i={i}",
-                                      f"claim {want}-CM", "skeleton fails (deletion route)")
-                if scope == "thm27":
-                    d = dim + 1
-                    if module_skeletons is None:
-                        module = sqmod.from_complex(delta)
-                        module_skeletons = [sqmod.module_skeleton(module, i) for i in range(0, d)]
-                    for i, skel in enumerate(module_skeletons):
-                        want = l + d - i
-                        if not sqmod.is_module_l_cm(skel, want, spec):
-                            report.record(name, f"field={spec.label()} module i={i}",
-                                          f"claim {want}-CM", "module skeleton fails")
+    for name, delta in complexes:
+        dim = delta.dimension()
+        claims = [dim - 1] if scope == "thm12" else range(0, dim)
+        # claimed skeletons, built for the first field that needs them
+        skeletons = module_skeletons = None
+        for spec in fields:
+            report.instances_checked += 1
+            l = cmod.max_l(delta, spec)
+            if l < 1 or dim < 1:
+                continue
+            if skeletons is None:
+                skeletons = [(i, delta.skeleton(i)) for i in claims]
+            for i, skel in skeletons:
+                want = l + dim - i
+                if not cmod.is_l_cm(skel, want, spec):
+                    report.record(name, f"field={spec.label()} i={i}",
+                                  f"claim {want}-CM", "skeleton fails (deletion route)")
+            if scope == "thm27":
+                d = dim + 1
+                if module_skeletons is None:
+                    module = sqmod.from_complex(delta)
+                    module_skeletons = [sqmod.module_skeleton(module, i) for i in range(0, d)]
+                for i, skel in enumerate(module_skeletons):
+                    want = l + d - i
+                    if not sqmod.is_module_l_cm(skel, want, spec):
+                        report.record(name, f"field={spec.label()} module i={i}",
+                                      f"claim {want}-CM", "module skeleton fails")
 
     if scope == "thm27":
         # one-component modules: l-CM for every l, so any skeleton claim holds
@@ -344,24 +329,29 @@ def sweep_skeleton(scope: str, fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS,
                                 report.record(name, f"field={spec.label()} i={i}",
                                               f"claim {l + d - i}-CM", "module skeleton fails")
 
-    if scope == "thm44":
-        for name, poset in poset_instances(base_seed=seed):
-            d = poset.max_rank()
-            for spec in fields:
-                report.instances_checked += 1
-                l = pmod.max_poset_l(poset, spec)
-                if l < 1:
-                    continue
-                for i in range(1, d):
-                    want = l + d - i
-                    if not pmod.is_poset_l_cm(pmod.poset_skeleton(poset, i), want, spec):
-                        report.record(name, f"field={spec.label()} i={i}",
-                                      f"claim {want}-CM", "poset skeleton fails")
-
     return report
 
 
-def sweep_remark45(fields: tuple[FieldSpec, ...] = DEFAULT_FIELDS) -> SweepReport:
+def sweep_thm44(posets, fields: tuple[FieldSpec, ...]) -> SweepReport:
+    """For posets certified l-CM of rank d, every rank skeleton at
+    1 <= i < d is (l+d-i)-CM."""
+    report = SweepReport("thm44")
+    for name, poset in posets:
+        d = poset.max_rank()
+        for spec in fields:
+            report.instances_checked += 1
+            l = pmod.max_poset_l(poset, spec)
+            if l < 1:
+                continue
+            for i in range(1, d):
+                want = l + d - i
+                if not pmod.is_poset_l_cm(pmod.poset_skeleton(poset, i), want, spec):
+                    report.record(name, f"field={spec.label()} i={i}",
+                                  f"claim {want}-CM", "poset skeleton fails")
+    return report
+
+
+def sweep_remark45(fields: tuple[FieldSpec, ...]) -> SweepReport:
     """Two top cells glued along a simplex boundary: Cohen-Macaulay, never
     2-CM (every atom deletion drops the rank), while the order complex is
     2-CM; for d = 1, 2, 3."""

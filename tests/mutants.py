@@ -113,8 +113,8 @@ MUTANTS = (
     ),
     Mutant(
         "restrict-drops-defects", "squarefree.py",
-        "    return SquarefreeModule._from_masks(len(w), comp, mult, defects)\n",
-        "    return SquarefreeModule._from_masks(len(w), comp, mult, [])\n",
+        "    return SquarefreeModule._from_masks(wmask.bit_count(), comp, mult, defects)\n",
+        "    return SquarefreeModule._from_masks(wmask.bit_count(), comp, mult, [])\n",
         ("tests/test_squarefree.py::test_restriction_defects_match_a_scan",
          "tests/test_squarefree.py::test_restriction_validates_exactly_the_kept_squares"),
     ),
@@ -405,6 +405,20 @@ MUTANTS = (
         "        parse = not isinstance(e, ValueError) and isinstance(e, _PARSE_ERRORS)\n",
         "        parse = isinstance(e, _PARSE_ERRORS)\n",
         ("tests/test_cli.py::test_exit_code_of_each_caught_error",),
+    ),
+    Mutant(
+        "subset-door-accepts-any-number", "complexes.py",
+        "        if type(v) is not int or not 1 <= v <= n:\n",
+        "        if not 1 <= v <= n:\n",
+        ("tests/test_complexes.py::test_induced_subcomplex",
+         "tests/test_posets.py::test_restrict_poset",
+         "tests/test_squarefree.py::test_restrict"),
+    ),
+    Mutant(
+        "l-cm-accepts-any-number", "cm.py",
+        "    if type(l) is not int:\n",
+        "    if False:\n",
+        ("tests/test_cm.py::test_l_is_an_int_of_at_least_one",),
     ),
 )
 

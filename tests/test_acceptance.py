@@ -41,6 +41,7 @@ from lcmkit.sweeps import (
     sweep_routes,
     sweep_skeleton,
     sweep_thm25,
+    sweep_thm44,
 )
 
 QQ = FieldSpec.rationals()
@@ -56,12 +57,12 @@ def report(num: int, ok: bool, elapsed: float, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def full_scope():
-    return complex_scope(max_n=5)
+    return complex_scope(5, 0)
 
 
 def test_criterion_1_thm25_equivalences(full_scope):
     t0 = time.perf_counter()
-    rep = sweep_thm25(scope=full_scope)
+    rep = sweep_thm25(full_scope, (QQ, GF2))
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 120.0
     report(1, ok, elapsed, f"instances={rep.instances_checked} failures={len(rep.failures)}")
@@ -71,7 +72,7 @@ def test_criterion_1_thm25_equivalences(full_scope):
 
 def test_criterion_2_koszul_hochster(full_scope):
     t0 = time.perf_counter()
-    rep = sweep_oracle(scope=full_scope)
+    rep = sweep_oracle(full_scope, (QQ, GF2))
     elapsed = time.perf_counter() - t0
     report(2, rep.passed, elapsed, f"instances={rep.instances_checked}")
     assert rep.passed, rep.to_text()
@@ -79,8 +80,9 @@ def test_criterion_2_koszul_hochster(full_scope):
 
 def test_criterion_3_skeleton_theorems():
     t0 = time.perf_counter()
-    rep12 = sweep_skeleton("thm12")
-    rep27 = sweep_skeleton("thm27")
+    # the instances are built inside the timed region, as the CLI does
+    rep12 = sweep_skeleton("thm12", complex_scope(4, 0), (QQ, GF2))
+    rep27 = sweep_skeleton("thm27", complex_scope(4, 0), (QQ, GF2))
     anchors = max_l(boundary_simplex(3), QQ) == 2 and max_l(complete_graph(4), QQ) == 3
     k4_claim = is_l_cm(complete_graph(4), 3, QQ)
     elapsed = time.perf_counter() - t0
@@ -94,7 +96,7 @@ def test_criterion_3_skeleton_theorems():
 
 def test_criterion_4_thm44_posets():
     t0 = time.perf_counter()
-    rep = sweep_skeleton("thm44")
+    rep = sweep_thm44(poset_instances(), (QQ, GF2))
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 300.0
     report(4, ok, elapsed, f"instances={rep.instances_checked}")
@@ -104,7 +106,7 @@ def test_criterion_4_thm44_posets():
 
 def test_criterion_5_remark45():
     t0 = time.perf_counter()
-    rep = sweep_remark45()
+    rep = sweep_remark45((QQ, GF2))
     checks = []
     for d in (1, 2, 3):
         p = glued_simplices(d, 2)
@@ -120,7 +122,7 @@ def test_criterion_5_remark45():
 
 def test_criterion_6_route_agreement():
     t0 = time.perf_counter()
-    rep = sweep_routes()
+    rep = sweep_routes(poset_instances(), (QQ, GF2))
     elapsed = time.perf_counter() - t0
     report(6, rep.passed, elapsed, f"instances={rep.instances_checked}")
     assert rep.passed, rep.to_text()
@@ -145,7 +147,7 @@ def test_criterion_7_rp2_field_sensitivity():
 def test_criterion_8_corollary26():
     t0 = time.perf_counter()
     failures = []
-    scope = complex_scope(max_n=4)
+    scope = complex_scope(4, 0)
     for name, delta in scope:
         for spec in (QQ, GF2):
             if not is_cohen_macaulay(delta, spec):

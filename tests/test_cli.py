@@ -8,6 +8,7 @@ import pytest
 
 from lcmkit import cli, errors, sweeps
 from lcmkit.complexes import cycle, format_facet_file, parse_facet_file
+from lcmkit.linalg import GF2, QQ
 from lcmkit.posets import format_poset_file, glued_simplices
 
 
@@ -134,7 +135,9 @@ def test_verify_times_each_sweep_once():
     assert len(lines) == 2
     assert re.fullmatch(r"# oracle: \d+\.\d\ds", lines[0])
     assert re.fullmatch(r"# routes: \d+\.\d\ds", lines[1])
-    assert out == sweeps.sweep_oracle(max_n=3).to_text() + sweeps.sweep_routes().to_text()
+    # the CLI's defaults: seed 0 and the fields Q and GF(2)
+    assert out == (sweeps.sweep_oracle(sweeps.complex_scope(3, 0), (QQ, GF2)).to_text()
+                   + sweeps.sweep_routes(sweeps.poset_instances(), (QQ, GF2)).to_text())
     assert "elapsed" not in {f.name for f in dataclasses.fields(sweeps.SweepReport)}
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -27,7 +28,7 @@ from lcmkit.complexes import (
 )
 from lcmkit.errors import VoidComplexError
 from lcmkit.linalg import FieldSpec, reduced_homology
-from lcmkit.sweeps import enumerate_complexes, poset_instances, random_complex, sweep_skeleton
+from lcmkit.sweeps import complex_scope, enumerate_complexes, poset_instances, random_complex, sweep_skeleton
 from oracles import deletion_by_whole_family, hochster_betti_by_degree, is_cm_by_definition
 from record_verdicts import (
     HOCHSTER_SNAPSHOT,
@@ -64,6 +65,21 @@ def test_is_l_cm_examples():
     assert is_l_cm(complete_graph(4), 3, QQ)
     for delta in [cycle(4), bd3, TWO_EDGES]:
         assert is_l_cm(delta, 1, QQ) == is_cohen_macaulay(delta, QQ)
+
+
+def test_l_is_an_int_of_at_least_one():
+    # cm._is_l_cm owns the l rule of all three fronts: a float l reached
+    # range() and raised TypeError, and a bool answered as if l were 1
+    c4 = cycle(4)
+    fronts = [(is_l_cm, c4), (posets.is_poset_l_cm, posets.face_poset(c4)),
+              (squarefree.is_module_l_cm, squarefree.from_complex(c4))]
+    for front, subject in fronts:
+        assert front(subject, 2, QQ) and not front(subject, 3, QQ)
+        for bad in (2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"^l {re.escape(repr(bad))} is not an integer$"):
+                front(subject, bad, QQ)
+        with pytest.raises(ValueError, match="^l must be >= 1$"):
+            front(subject, 0, QQ)
 
 
 def _threshold_by_definition(delta, fieldspec):
@@ -426,7 +442,7 @@ def test_isomorphic_families_share_one_threshold_search(monkeypatch):
     monkeypatch.setattr(cm, "_deletion_threshold", lambda *args: calls.append(args) or search(*args))
     monkeypatch.setattr(linalg, "_invariant_masks", lambda masks: keys.append(masks) or key(masks))
     linalg._CACHE.clear()
-    assert sweep_skeleton("thm12", fields=(QQ, GF2), max_n=4).passed
+    assert sweep_skeleton("thm12", complex_scope(4, 0), (QQ, GF2)).passed
     linalg._CACHE.clear()
     assert len(calls) <= 48
     assert len(keys) <= 92

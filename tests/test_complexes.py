@@ -265,9 +265,13 @@ def test_induced_subcomplex():
     sub13 = c4.induced_subcomplex({2, 4})
     assert sub13.vertex_count == 2
     assert sub13.facets == frozenset({frozenset({1}), frozenset({2})})
-    for keep in [{0, 1}, {5}]:
+    # a member that is not exactly an int in 1..n is refused: 1.5 raised
+    # TypeError from a bit shift, and True passed as vertex 1
+    for keep in [{0, 1}, {5}, [1.5], [True], [2, 1.0]]:
         with pytest.raises(ValueError, match="^vertex subset out of range$"):
             c4.induced_subcomplex(keep)
+    with pytest.raises(ValueError, match="^vertex subset out of range$"):
+        SimplicialComplex.void(2).induced_subcomplex([True])
 
 
 def test_delete_vertices():
@@ -303,6 +307,12 @@ def test_skeleton():
     assert bd3.skeleton(2) == bd3
     assert bd3.skeleton(0).facets == frozenset(frozenset({v}) for v in range(1, 5))
     assert bd3.skeleton(-1) == SimplicialComplex.empty(4)
+    # an index that is not exactly an int is refused: 0.5 raised TypeError
+    # from combinations, and True acted as 1
+    for delta in (bd3, SimplicialComplex.void(2)):
+        for bad in (0.5, 1.0, True):
+            with pytest.raises(ValueError, match=f"^skeleton index {bad!r} is not an integer$"):
+                delta.skeleton(bad)
 
 
 def test_restriction_composes():

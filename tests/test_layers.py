@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import lcmkit
 
 # Each module may import only the modules before it.
@@ -270,6 +272,32 @@ def test_every_private_function_is_called():
     orphans = sorted(name for name in private
                      if not any(where != name for tree in trees.values() for where in _uses(tree, name)))
     assert orphans == []
+
+
+def test_sweeps_take_their_instances_and_fields():
+    # the CLI owns every sweep default: each sweep takes its instances (but
+    # remark45, whose instances are fixed) and its fields with no default,
+    # and only verify builds the default instance lists
+    from lcmkit import sweeps
+    from lcmkit.linalg import QQ
+
+    trees = _trees()
+    found = {node.name: node.args for node in trees["sweeps"].body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("sweep_")}
+    assert {name: [a.arg for a in args.args] for name, args in found.items()} == {
+        "sweep_thm25": ["complexes", "fields"], "sweep_oracle": ["complexes", "fields"],
+        "sweep_routes": ["posets", "fields"], "sweep_skeleton": ["scope", "complexes", "fields"],
+        "sweep_thm44": ["posets", "fields"], "sweep_remark45": ["fields"]}
+    for name, args in found.items():
+        assert not args.defaults and not args.kwonlyargs and not args.vararg and not args.kwarg, name
+    assert not hasattr(sweeps, "DEFAULT_FIELDS") and not any(_uses(tree, "DEFAULT_FIELDS") for tree in trees.values())
+    for name in ("complex_scope", "poset_instances"):
+        callers = {module: sorted(set(where)) for module, tree in trees.items()
+                   for where in [_uses(tree, name)] if where}
+        assert callers == {"cli": ["_cmd_verify"]}, name
+    # the poset skeleton theorem is sweep_thm44's alone
+    with pytest.raises(ValueError, match="^unknown scope 'thm44'$"):
+        sweeps.sweep_skeleton("thm44", [], (QQ,))
 
 
 def test_mutant_targets_occur_once():

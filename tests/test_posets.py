@@ -233,9 +233,12 @@ def test_restrict_poset():
     assert r.size == 4
     assert restrict_poset(g22, {1, 2, 3}) == g22
     assert delete_atoms(g22, {3}) == r
-    for keep in [{0, 1}, {4}]:
-        with pytest.raises(ValueError, match="^atom subset out of range$"):
-            restrict_poset(g22, keep)
+    # a member that is not exactly an int in 1..n is refused: 1.5 gave the
+    # bottom-only poset, and True passed as atom 1
+    for poset in (g22, glued_simplices(2, 1)):
+        for keep in [{0, 1}, {4}, [1.5], [True], [2, 1.0]]:
+            with pytest.raises(ValueError, match="^atom subset out of range$"):
+                restrict_poset(poset, keep)
 
 
 def test_restrict_face_poset_commutes(fieldspec):
@@ -261,6 +264,10 @@ def test_poset_skeleton():
     assert poset_skeleton(fp, 2) == face_poset(boundary_simplex(3).skeleton(1))
     with pytest.raises(ValueError, match="^skeleton rank must be >= 0$"):
         poset_skeleton(fp, -1)
+    # 1.5 acted as rank 1, and so did True
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match=f"^skeleton rank {bad!r} is not an integer$"):
+            poset_skeleton(fp, bad)
 
 
 def test_order_complex_shapes():

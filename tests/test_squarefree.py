@@ -108,7 +108,9 @@ def test_restrict():
     assert restrict(om, {2, 3}).is_zero
     assert delete_variables(om, {1}).is_zero
     assert not delete_variables(om, {3}).is_zero
-    for keep in [(0, 1), (5,)]:
+    # a member that is not exactly an int in 1..n is refused: 1.5 raised
+    # TypeError from a bit shift, and True passed as variable 1
+    for keep in [(0, 1), (5,), (1.5,), (True,), (2, 1.0)]:
         with pytest.raises(ValueError, match="^variable subset out of range$"):
             restrict(m, keep)
 
@@ -122,6 +124,10 @@ def test_module_skeleton():
     assert module_skeleton(omega_module(3, {1, 2}), 1).is_zero
     with pytest.raises(ValueError, match="^skeleton index must be >= 0$"):
         module_skeleton(m, -1)
+    # 1.5 acted as index 1, and so did True
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match=f"^skeleton index {bad!r} is not an integer$"):
+            module_skeleton(m, bad)
 
 
 def test_koszul_omega_by_hand():
@@ -248,7 +254,7 @@ def test_koszul_cone_rule_changes_no_table(fieldspec):
     # when that one is, and the table from the definition;
     # test_koszul_matches_definition_oracle compares koszul_oracle_modules()
     # with the definition
-    more = [from_complex(delta) for _, delta in complex_scope(max_n=4)]
+    more = [from_complex(delta) for _, delta in complex_scope(4, 0)]
     more += [repeated_column_module(), *signed_unit_modules()]
     for module in koszul_oracle_modules() + more:
         want = _certified(unskipped_koszul_entries, module, fieldspec)
@@ -412,7 +418,7 @@ def _capped_search_modules():
     module skeleta, face rings of posets, and the omega modules on <= 4
     variables."""
     out = []
-    for _, delta in complex_scope(max_n=4):
+    for _, delta in complex_scope(4, 0):
         if delta.facet_masks:
             m = from_complex(delta)
             out += [m, *(s for i in range(module_dim(m)) if not (s := module_skeleton(m, i)).is_zero)]
@@ -618,7 +624,7 @@ def test_from_complex_matches_the_scan():
     # flags are also compared outright over three fields on n <= 4, the
     # named and random complexes and every 25th complex on 5 vertices
     complexes = [delta for n in range(1, 6) for delta in enumerate_complexes(n)]
-    named = [delta for _, delta in complex_scope(max_n=4)]
+    named = [delta for _, delta in complex_scope(4, 0)]
     for k, delta in enumerate(complexes + named):
         module, want = from_complex(delta), from_complex_by_scan(delta)
         assert module == want, delta
@@ -738,7 +744,7 @@ def test_skeleton_and_omega_defects_match_a_scan():
     # explicit scan, on the thm27 scope and a module whose maps do not commute
     bad = noncommuting_module()
     assert bad._defects
-    modules = [bad] + [from_complex(delta) for _, delta in complex_scope(max_n=4)]
+    modules = [bad] + [from_complex(delta) for _, delta in complex_scope(4, 0)]
     modules += [omega_module(n, combo) for n in range(1, 5)
                 for k in range(n + 1) for combo in combinations(range(1, n + 1), k)]
     for module in modules:

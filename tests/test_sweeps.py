@@ -2,13 +2,14 @@ import hashlib
 
 import pytest
 
-from lcmkit import cm, posets, squarefree, sweeps
+from lcmkit import cm, posets, squarefree
 from lcmkit.complexes import SimplicialComplex, cycle, full_simplex
 from lcmkit.errors import TooLargeError
-from lcmkit.linalg import QQ
+from lcmkit.linalg import GF2, QQ
 from lcmkit.posets import face_poset, glued_simplices
 from lcmkit.sweeps import (
     SweepReport,
+    complex_scope,
     enumerate_complexes,
     poset_instances,
     random_complex,
@@ -18,6 +19,7 @@ from lcmkit.sweeps import (
     sweep_routes,
     sweep_skeleton,
     sweep_thm25,
+    sweep_thm44,
 )
 
 # frozen counts, checked against a brute-force downward-closure filter below
@@ -113,35 +115,35 @@ def test_report_text_format():
 
 
 def test_sweep_thm25_small_scope_passes():
-    report = sweep_thm25(max_n=3)
+    report = sweep_thm25(complex_scope(3, 0), (QQ, GF2))
     assert report.passed
     assert report.instances_checked > 0
 
 
 def test_sweeps_serialize_reproducibly():
-    a = sweep_thm25(max_n=3, seed=1).to_text()
-    b = sweep_thm25(max_n=3, seed=1).to_text()
+    a = sweep_thm25(complex_scope(3, 1), (QQ, GF2)).to_text()
+    b = sweep_thm25(complex_scope(3, 1), (QQ, GF2)).to_text()
     assert a == b
-    c = sweep_skeleton("thm44", seed=2).to_text()
-    d = sweep_skeleton("thm44", seed=2).to_text()
+    c = sweep_thm44(poset_instances(base_seed=2), (QQ, GF2)).to_text()
+    d = sweep_thm44(poset_instances(base_seed=2), (QQ, GF2)).to_text()
     assert c == d
 
 
 def test_sweep_oracle_small_scope_passes():
-    assert sweep_oracle(max_n=3).passed
+    assert sweep_oracle(complex_scope(3, 0), (QQ, GF2)).passed
 
 
 def test_sweeps_over_odd_prime_fields():
     from lcmkit.linalg import FieldSpec
 
     fields = (FieldSpec.prime(3), FieldSpec.prime(5))
-    assert sweep_thm25(max_n=3, fields=fields).passed
-    assert sweep_oracle(max_n=3, fields=fields).passed
-    assert sweep_remark45(fields=fields).passed
+    assert sweep_thm25(complex_scope(3, 0), fields).passed
+    assert sweep_oracle(complex_scope(3, 0), fields).passed
+    assert sweep_remark45(fields).passed
 
 
 def test_sweep_remark45_passes():
-    report = sweep_remark45()
+    report = sweep_remark45((QQ, GF2))
     assert report.passed
     assert report.instances_checked == 6  # three d values, two fields
 
@@ -150,26 +152,26 @@ def test_sweep_skeleton_small_scope():
     scope = [("cycle_4", standard_instances()[1][1])]
     named = dict(standard_instances())
     scope = [("cycle_4", named["cycle_4"]), ("boundary_simplex_3", named["boundary_simplex_3"])]
-    report = sweep_skeleton("thm12", complexes=scope)
+    report = sweep_skeleton("thm12", scope, (QQ, GF2))
     assert report.passed
-    report27 = sweep_skeleton("thm27", complexes=scope)
+    report27 = sweep_skeleton("thm27", scope, (QQ, GF2))
     assert report27.passed
 
 
 def test_sweep_skeleton_rejects_unknown_scopes():
     with pytest.raises(ValueError, match="unknown scope"):
-        sweep_skeleton("all")
+        sweep_skeleton("all", [], (QQ,))
 
 
 def test_sweep_routes_small():
     posets = poset_instances(random_count=3)[:6]
-    assert sweep_routes(posets=posets).passed
+    assert sweep_routes(posets, (QQ, GF2)).passed
 
 
 def test_sweep_detects_failures():
     # a deliberately broken claim: pretend the two-disjoint-edges complex is CM
     bad = SimplicialComplex.from_facets([(1, 2), (3, 4)])
-    report = sweep_oracle(scope=[("bad", bad)])
+    report = sweep_oracle([("bad", bad)], (QQ, GF2))
     assert report.passed  # oracle still holds; now force a fake mismatch
     r = SweepReport("forced")
     r.record("x", "p", 1, 2)
@@ -210,14 +212,10 @@ def test_oracle_sweep_reports_differing_degrees(monkeypatch):
         return BettiTable(module.n, {(0, 0): 1, (1, 0b101): 2})
 
     monkeypatch.setattr(squarefree, "koszul_betti", off_by_one)
-    report = sweep_oracle(scope=[("c4", cycle(4))], fields=(QQ,))
+    report = sweep_oracle([("c4", cycle(4))], (QQ,))
     # the Hochster table of C4 has (0,-), (1,{1,3}), (1,{2,4}) and (2,{1,2,3,4})
     assert report.failures == [
         ("c4", "field=Q", "koszul!=hochster at [(1, (1, 3)), (1, (2, 4)), (2, (1, 2, 3, 4))]", "")]
-
-
-def _glued_2_1_only(base_seed):
-    return [("glued_2_1", glued_simplices(2, 1))]
 
 
 # (lies: (module, name, fake), sweep, its exact report): each lie makes one
@@ -225,53 +223,52 @@ def _glued_2_1_only(base_seed):
 # failure line it records there, and the FAIL summary
 LIES = {
     "thm25-betti": ([(squarefree, "thm25_condition_ii", lambda table, n, d, l: True)],
-                    lambda: sweep_thm25(scope=[("cycle_4", cycle(4))], fields=(QQ,)),
+                    lambda: sweep_thm25([("cycle_4", cycle(4))], (QQ,)),
                     ["thm25\tcycle_4\tfield=Q l=3\tdeletion=False\tbetti=True dual=False",
                      "thm25\tcycle_4\tfield=Q l=4\tdeletion=False\tbetti=True dual=False",
                      "thm25\tcycle_4\tfield=Q l=5\tdeletion=False\tbetti=True dual=False",
                      "thm25\tinstances=1\tfailures=3\tFAIL"]),
     "thm25-dual": ([(squarefree, "thm25_condition_iii", lambda table, l: False)],
-                   lambda: sweep_thm25(scope=[("cycle_4", cycle(4))], fields=(QQ,)),
+                   lambda: sweep_thm25([("cycle_4", cycle(4))], (QQ,)),
                    ["thm25\tcycle_4\tfield=Q l=2\tdeletion=True\tbetti=True dual=False",
                     "thm25\tinstances=1\tfailures=1\tFAIL"]),
     "routes-thresholds": ([(squarefree, "module_l_cm_threshold", lambda module, spec: 2)],
-                          lambda: sweep_routes(posets=[("glued_1_2", glued_simplices(1, 2))], fields=(QQ,)),
+                          lambda: sweep_routes([("glued_1_2", glued_simplices(1, 2))], (QQ,)),
                           ["routes\tglued_1_2\tfield=Q l=2\tposet=False\tmodule=True",
                            "routes\tinstances=1\tfailures=1\tFAIL"]),
     "routes-order-complex": ([(cm, "is_l_cm", lambda delta, l, spec: False)],
-                             lambda: sweep_routes(posets=[("face_c4", face_poset(cycle(4)))], fields=(QQ,)),
+                             lambda: sweep_routes([("face_c4", face_poset(cycle(4)))], (QQ,)),
                              ["routes\tface_c4\tfield=Q\tposet 2-CM\torder complex not 2-CM",
                               "routes\tinstances=1\tfailures=1\tFAIL"]),
     "thm12-complex": ([(cm, "is_l_cm", lambda delta, l, spec: False)],
-                      lambda: sweep_skeleton("thm12", complexes=[("cycle_4", cycle(4))], fields=(QQ,)),
+                      lambda: sweep_skeleton("thm12", [("cycle_4", cycle(4))], (QQ,)),
                       ["thm12\tcycle_4\tfield=Q i=0\tclaim 3-CM\tskeleton fails (deletion route)",
                        "thm12\tinstances=1\tfailures=1\tFAIL"]),
     "thm27-module": ([(squarefree, "is_module_l_cm", lambda module, l, spec: False)],
-                     lambda: sweep_skeleton("thm27", complexes=[("cycle_4", cycle(4))], fields=(QQ,)),
+                     lambda: sweep_skeleton("thm27", [("cycle_4", cycle(4))], (QQ,)),
                      ["thm27\tcycle_4\tfield=Q module i=0\tclaim 4-CM\tmodule skeleton fails",
                       "thm27\tcycle_4\tfield=Q module i=1\tclaim 3-CM\tmodule skeleton fails",
                       "thm27\tinstances=31\tfailures=2\tFAIL"]),
-    "thm44": ([(sweeps, "poset_instances", _glued_2_1_only),
-               (posets, "is_poset_l_cm", lambda poset, l, spec: False)],
-              lambda: sweep_skeleton("thm44", fields=(QQ,)),
+    "thm44": ([(posets, "is_poset_l_cm", lambda poset, l, spec: False)],
+              lambda: sweep_thm44([("glued_2_1", glued_simplices(2, 1))], (QQ,)),
               ["thm44\tglued_2_1\tfield=Q i=1\tclaim 3-CM\tposet skeleton fails",
                "thm44\tglued_2_1\tfield=Q i=2\tclaim 2-CM\tposet skeleton fails",
                "thm44\tinstances=1\tfailures=2\tFAIL"]),
     "remark45-cm": ([(posets, "is_poset_cm", lambda poset, spec: False)],
-                    lambda: sweep_remark45(fields=(QQ,)),
+                    lambda: sweep_remark45((QQ,)),
                     [*(f"remark45\tglued_{d}_2\tfield=Q\texpected CM\tnot CM" for d in (1, 2, 3)),
                      "remark45\tinstances=3\tfailures=3\tFAIL"]),
     "remark45-2cm": ([(posets, "is_poset_l_cm", lambda poset, l, spec: True)],
-                     lambda: sweep_remark45(fields=(QQ,)),
+                     lambda: sweep_remark45((QQ,)),
                      [*(f"remark45\tglued_{d}_2\tfield=Q\texpected not 2-CM\t2-CM" for d in (1, 2, 3)),
                       "remark45\tinstances=3\tfailures=3\tFAIL"]),
     "remark45-rank": ([(posets, "delete_atoms", lambda poset, atoms: poset)],
-                      lambda: sweep_remark45(fields=(QQ,)),
+                      lambda: sweep_remark45((QQ,)),
                       [*(f"remark45\tglued_{d}_2\tfield=Q atom={v}\texpected rank drop\trank {d + 1}"
                          for d in (1, 2, 3) for v in range(1, d + 2)),
                        "remark45\tinstances=3\tfailures=9\tFAIL"]),
     "remark45-order-complex": ([(cm, "is_l_cm", lambda delta, l, spec: False)],
-                               lambda: sweep_remark45(fields=(QQ,)),
+                               lambda: sweep_remark45((QQ,)),
                                [*(f"remark45\tglued_{d}_2\tfield=Q\texpected 2-CM order complex\tnot 2-CM"
                                   for d in (1, 2, 3)),
                                 "remark45\tinstances=3\tfailures=3\tFAIL"]),
